@@ -73,7 +73,8 @@ _GUARANTEES: Dict[str, Dict[str, str]] = {
         "delay": "O(poly(ϕ)) per tuple, duplicate-free",
         "count": "O(1)",
         "answer": "O(1)",
-        "delta": "O(poly(ϕ) + δ) per update, from the touched root "
+        "delta": "O(poly(ϕ) + δ) per update, in the update's own single "
+        "pass: the runners report the fit-list flips on the touched root "
         "paths (serving-layer subscriptions)",
     },
     "ucq_union": {

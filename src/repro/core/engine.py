@@ -148,13 +148,13 @@ class QHierarchicalEngine(DynamicEngine):
                 self._by_relation.setdefault(relation, []).append(structure)
 
         # Compiled dispatch: relation → [generated runner, ...], merged
-        # from the structures' own tables (the single source of truth)
+        # from the structures' own runners (the single source of truth)
         # so one update resolves its whole fan-out with a single dict
         # probe and no per-call attribute lookups.
         self._dispatch: Dict[str, List[object]] = {}
         for structure in self._structures:
-            for relation, runners in structure.runners_by_relation.items():
-                self._dispatch.setdefault(relation, []).extend(runners)
+            for plan, runner in zip(structure.plans, structure.runners):
+                self._dispatch.setdefault(plan.relation, []).append(runner)
 
         # Where each component's free variables land in the output tuple.
         out_position = {v: i for i, v in enumerate(self._query.free)}
@@ -275,10 +275,15 @@ class QHierarchicalEngine(DynamicEngine):
     def apply_with_delta(self, command) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
         """Apply one command and derive the output-tuple delta in O(δ).
 
-        Per touched component the delta comes from the flipped items of
-        the touched root paths
-        (:meth:`ComponentStructure.apply_with_delta`); across components
-        the engine result is a product, so the total delta telescopes::
+        One update pass, the same one :meth:`apply` runs: each touched
+        component executes its matching runners once and reads its
+        delta off what they report — the fit-list flips on the touched
+        root paths (:meth:`ComponentStructure.apply_with_delta`; no
+        before/after probing, no undo/redo for deletes, and the
+        structures' ``version`` moves exactly as under ``apply``).  A
+        single-component query hands that delta back as is.  Across
+        components the engine result is a product, so the total delta
+        telescopes::
 
             Π new_c − Π old_c  =  ⨄_c  old_{<c} × Δ_c × new_{>c}
 
@@ -326,9 +331,14 @@ class QHierarchicalEngine(DynamicEngine):
         ``pick`` selects the delta side (0 = added, 1 = removed).  The
         factor for components *before* the pivot is their pre-update
         result (current adjusted by their own delta), *after* the pivot
-        their current result — see :meth:`apply_with_delta`.
+        their current result — see :meth:`apply_with_delta`.  A lone
+        component's free order is the query's, so its delta is the
+        output delta as it stands.
         """
         structures = self._structures
+        if len(structures) == 1:
+            delta = component_delta.get(id(structures[0]))
+            return delta[pick] if delta else ()
         out: List[Row] = []
         for c, pivot in enumerate(structures):
             delta = component_delta.get(id(pivot))

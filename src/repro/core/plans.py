@@ -11,7 +11,10 @@ resolves it **once, at structure construction**:
 * an :class:`AtomPlan` per atom: the owning relation, the row→path
   value permutation (``extract``), the repeated-position equality
   checks (``eq``, replacing the binding dict of ``_unify``), and the
-  per-level :class:`LevelPlan` chain;
+  per-level :class:`LevelPlan` chain, plus the static layout of the
+  result delta one update of the atom can cause (``free_depth`` /
+  ``delta_slots``: which free nodes sit on the atom's root path, which
+  hang off it, and where each lands in the output tuple);
 * a :class:`LevelPlan` per path node: a direct reference to the node's
   item store, the free flag, and the initial zero-factor counts a
   freshly created item starts with (one zero factor per represented
@@ -103,6 +106,17 @@ class AtomPlan:
     path variable; ``eq`` lists ``(s, t)`` row-position pairs that must
     agree (the paper's side condition ``z_s = z_t ⇒ b_s = b_t`` for
     repeated variables, checked without building a binding).
+
+    ``free_depth`` is the number of leading free levels of the path —
+    the atom's *free chain* (free nodes only have free ancestors, so
+    they form a prefix).  ``delta_slots`` lays out the result tuples an
+    update of this atom can add or remove: one ``(parent_slot, node,
+    output_position)`` entry per free node of the component, the
+    ``free_depth`` chain nodes first (in path order), then the free
+    nodes hanging off the chain in document order, each after its
+    parent.  A delta tuple pins the chain slots to the update's own
+    path values and ranges over the fit lists of the others
+    (:meth:`ComponentStructure.apply_with_delta`).
     """
 
     __slots__ = (
@@ -112,6 +126,8 @@ class AtomPlan:
         "eq",
         "levels",
         "path",
+        "free_depth",
+        "delta_slots",
         "runner_source",
         "loader_source",
     )
@@ -124,6 +140,8 @@ class AtomPlan:
         eq: Tuple[Tuple[int, int], ...],
         levels: Tuple[LevelPlan, ...],
         path: Tuple[str, ...],
+        free_depth: int,
+        delta_slots: Tuple[Tuple[int, str, int], ...],
     ):
         self.atom_index = atom_index
         self.relation = relation
@@ -131,6 +149,8 @@ class AtomPlan:
         self.eq = eq
         self.levels = levels
         self.path = path
+        self.free_depth = free_depth
+        self.delta_slots = delta_slots
         #: Filled by :func:`compile_runner` / :func:`compile_loader` —
         #: the generated sources, for introspection and debugging.
         self.runner_source: str = ""
@@ -147,11 +167,66 @@ class AtomPlan:
         """Permute a relation row into path order (no binding dict)."""
         return tuple(map(row.__getitem__, self.extract))
 
+    def emit_delta(self, report: Tuple[int, Item], out: List[Row]) -> None:
+        """Append the result tuples one update of this atom changed.
+
+        ``report`` is what the update loop returned: the shallowest
+        flipped free level and the deepest free chain item (see
+        :func:`compile_runner`).  The chain slots are pinned to that
+        item's root path; the tuples are visible only if the unflipped
+        ancestors above the flip are fit; the remaining slots range
+        over their fit lists as they stand.  Why this is exact for
+        inserts and deletes alike is argued in
+        :meth:`ComponentStructure.apply_with_delta`.
+        """
+        flip, item = report
+        slots = self.delta_slots
+        frames: List[Optional[Item]] = [None] * len(slots)
+        row: List[object] = [None] * len(slots)
+        for level in range(self.free_depth - 1, -1, -1):
+            if level < flip and not item.in_list:
+                return
+            frames[level] = item
+            row[slots[level][2]] = item.key[-1]
+            item = item.parent_item
+        if self.free_depth == len(slots):
+            out.append(tuple(row))
+        else:
+            _expand_slots(slots, self.free_depth, frames, row, out)
+
     def __repr__(self) -> str:
         return (
             f"AtomPlan(#{self.atom_index} {self.relation}, "
             f"path={'→'.join(self.path)})"
         )
+
+
+def _expand_slots(
+    slots: Sequence[Tuple[int, str, int]],
+    slot: int,
+    frames: List[Optional[Item]],
+    row: List[object],
+    out: List[Row],
+) -> None:
+    """Nested-loop product over the off-chain delta slots from ``slot``.
+
+    Every list visited hangs off an item that is (or, for the flipped
+    items of a delete, just was) fit, so none is empty and each step
+    contributes to an emitted tuple.
+    """
+    parent, node, position = slots[slot]
+    item = frames[parent].lists[node].head
+    if slot + 1 == len(slots):
+        while item is not None:
+            row[position] = item.key[-1]
+            out.append(tuple(row))
+            item = item.next
+    else:
+        while item is not None:
+            frames[slot] = item
+            row[position] = item.key[-1]
+            _expand_slots(slots, slot + 1, frames, row, out)
+            item = item.next
 
 
 def compile_plans(
@@ -193,9 +268,21 @@ def compile_plans(
             level_cache[node] = plan
         return plan
 
+    out_position = {v: i for i, v in enumerate(query.free)}
+    free_order = qtree.free_document_order()
+
+    def delta_slots(chain: Tuple[str, ...]) -> Tuple[Tuple[int, str, int], ...]:
+        order = list(chain) + [v for v in free_order if v not in chain]
+        slot_of = {v: i for i, v in enumerate(order)}
+        return tuple(
+            (slot_of.get(qtree.parent[v], -1), v, out_position[v])
+            for v in order
+        )
+
     plans: List[AtomPlan] = []
     for atom_index, atom in enumerate(query.atoms):
         path = qtree.path[qtree.rep_node_of(atom_index)]
+        free_depth = sum(1 for v in path if v in free)
         first_pos: Dict[str, int] = {}
         eq: List[Tuple[int, int]] = []
         for position, var in enumerate(atom.args):
@@ -211,6 +298,8 @@ def compile_plans(
             eq=tuple(eq),
             levels=tuple(level_for(v) for v in path),
             path=path,
+            free_depth=free_depth,
+            delta_slots=delta_slots(path[:free_depth]) if free_depth else (),
         )
         plans.append(plan)
     return plans
@@ -300,11 +389,22 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
     item stores, the start list, the ``Item`` class and the structure
     itself (for ``version``/``C_start``/``C̃_start``).
 
+    The runner also *reports* the one thing about the result set it
+    alone knows: whenever a free level's item enters or leaves its fit
+    list it remembers the level (the walk is bottom-up, so the last one
+    remembered is the shallowest), and returns ``(flip, item)`` — that
+    level and the deepest free chain item it holds — or ``None`` when
+    no free level flipped.  Callers that do not want the delta ignore
+    the value; it costs them a local store and a compare per call.
+    :meth:`ComponentStructure.apply_with_delta` turns the pair into
+    the added/removed result tuples.
+
     The generated source is kept on ``plan.runner_source`` so
     ``explain()`` consumers and debuggers can read what actually runs.
     """
     depth = len(plan.levels)
     last = depth - 1
+    free_depth = plan.free_depth
     lines: List[str] = ["def _runner(is_insert, row):"]
     emit = lines.append
 
@@ -314,6 +414,8 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
     for j, position in enumerate(plan.extract):
         emit(f"    v{j} = row[{position}]")
     emit("    _st.version += 1")
+    if free_depth:
+        emit("    flip = -1")
 
     # Downward walk: locate or create the item chain.
     for j in range(depth):
@@ -353,8 +455,12 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
         emit("    if nw > 0:")
         emit(f"        if not {i}.in_list:")
         emit(f"            {target}.append({i})")
+        if j < free_depth:
+            emit(f"            flip = {j}")
         emit(f"    elif {i}.in_list:")
         emit(f"        {target}.remove({i})")
+        if j < free_depth:
+            emit(f"        flip = {j}")
         if j == 0:
             emit("    if wd:")
             emit("        _st.c_start += wd")
@@ -392,6 +498,9 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
                 emit(f"            {up}.tnzp = {up}.tnzp // olds * news")
         emit("    if delta < 0 and not c_atom:")
         emit(f"        del _S{j}[{i}.key]")
+    if free_depth:
+        emit("    if flip >= 0:")
+        emit(f"        return flip, i{free_depth - 1}")
 
     source = "\n".join(lines)
     plan.runner_source = source

@@ -133,29 +133,24 @@ class ComponentStructure:
         #: enumeration phase after each update anyway).
         self.version = 0
 
-        # One generated update function per plan (see compile_runner);
-        # the engine's dispatch table calls these directly.
+        # One generated update function per plan, aligned with
+        # ``self.plans`` (see compile_runner); the engine's dispatch
+        # table calls these directly.
         self.runners: List[object] = (
             [compile_runner(plan, self) for plan in self.plans]
             if compiled
             else []
         )
-        self._runners_by_relation: Dict[str, List[object]] = {}
+        #: relation → [(plan, runner)] — the plan carries the delta
+        #: layout apply_with_delta needs next to the runner's report.
+        self._dispatch: Dict[str, List[Tuple[AtomPlan, object]]] = {}
         for plan, runner in zip(self.plans, self.runners):
-            self._runners_by_relation.setdefault(plan.relation, []).append(
-                runner
-            )
+            self._dispatch.setdefault(plan.relation, []).append((plan, runner))
 
     @property
     def compiled(self) -> bool:
         """Whether updates run through the compiled plan layer."""
         return self._compiled
-
-    @property
-    def runners_by_relation(self) -> Dict[str, List[object]]:
-        """Relation → generated runners (the engine merges these into
-        its dispatch table; treat as read-only)."""
-        return self._runners_by_relation
 
     @property
     def free_order(self) -> List[str]:
@@ -183,11 +178,8 @@ class ComponentStructure:
         if not self._compiled:
             self._apply_reference(is_insert, relation, row)
             return
-        runners = self._runners_by_relation.get(relation)
-        if not runners:
-            return
         row = tuple(row)
-        for runner in runners:
+        for _plan, runner in self._dispatch.get(relation, ()):
             runner(is_insert, row)
 
     # ------------------------------------------------------------------
@@ -200,22 +192,40 @@ class ComponentStructure:
         """Apply one effective update and report the component's delta.
 
         Returns ``(added, removed)``: the component result tuples that
-        entered / left because of this command.  The derivation uses
-        the Theorem 3.2 structure of the update: all fitness changes
-        happen on the root paths of the atoms matching the tuple, so
-        scanning the O(poly(ϕ)) free chain items before and after the
-        update identifies the *flipped* items, and every changed result
-        tuple extends the shallowest flipped item of its chain (free
-        nodes have only free ancestors, so the chain keys are output
-        values).  Enumerating under those anchors with
-        :meth:`enumerate_bound` costs O(poly(ϕ)) per delta tuple.
+        entered / left because of this command.  A single-tuple insert
+        only ever adds result tuples and a delete only removes them
+        (counters move monotonically), so one side is always empty.
 
-        A single-tuple insert only ever adds result tuples and a delete
-        only removes them (counters move monotonically), so exactly one
-        side is non-empty.  Deletions enumerate the vanished tuples in
-        the *pre-update* state by undoing the update (its exact
-        inverse), reading, and redoing — three O(poly(ϕ)) passes plus
-        O(δ) enumeration.
+        The update is a single pass — each matching atom's runner
+        executes once, exactly as under :meth:`apply` — and the delta is
+        read off what the runner reports (:func:`~repro.core.plans.
+        compile_runner`; the reference loop :meth:`_apply_atom` reports
+        the same pair): the shallowest free level whose item entered or
+        left its fit list, and the deepest free item of the atom's root
+        path.  By Lemma 6.2 a tuple is in the result iff all its free
+        items are fit, and the update procedure only changes fitness on
+        the root path, so right after a runner returns:
+
+        * the flipped levels are a contiguous run ending at the path's
+          leaf (a level that keeps its fitness passes no zero-crossing
+          up), hence every free chain item from the reported level down
+          flipped and the ones above it did not — if any of those is
+          unfit, no result tuple changed;
+        * a parent flips only when its child sum crosses zero, i.e. the
+          chain child was (delete) / is (insert) the *sole* fit member
+          of its list, so every changed tuple runs through the whole
+          free chain: the chain values are pinned to the update's own;
+        * a runner never touches a fit list off its path, and a flipped
+          item keeps its child lists, so the free nodes hanging off the
+          chain range over their fit lists *in the current state* for
+          inserts and deletes alike — no pre-update state is needed.
+
+        The delta is therefore the pinned chain times the product of
+        the off-chain free fit lists (``AtomPlan.delta_slots``), at
+        O(poly(ϕ)) per emitted tuple.  The atoms of a self-join run one
+        after the other and each delta is taken before the next runner
+        starts; the state moves monotonically, so the per-runner deltas
+        are disjoint and concatenate without a dedupe set.
         """
         row = tuple(row)
         if not self._has_free:
@@ -228,65 +238,16 @@ class ComponentStructure:
                 return (), ((),)
             return (), ()
 
-        # The free chain of every atom plan matching the tuple: free
-        # nodes form a prefix of each root path (Definition 4.1(2)).
-        chains: List[List[Tuple[str, Row]]] = []
-        for plan in self.plans:
-            if plan.relation != relation or not plan.matches(row):
-                continue
-            values = plan.values_of(row)
-            prefix: List[Tuple[str, Row]] = []
-            for j, node in enumerate(plan.path):
-                if node not in self.free:
-                    break
-                prefix.append((node, values[: j + 1]))
-            chains.append(prefix)
-        if not chains:
-            return (), ()
-
-        before_flags = [
-            [self._fit(node, key) for node, key in chain] for chain in chains
-        ]
-        self.apply(is_insert, relation, row)
-
-        anchors: List[Tuple[str, Row]] = []
-        anchor_seen = set()
-        for chain, flags in zip(chains, before_flags):
-            for (node, key), was_fit in zip(chain, flags):
-                if self._fit(node, key) != was_fit:
-                    if (node, key) not in anchor_seen:
-                        anchor_seen.add((node, key))
-                        anchors.append((node, key))
-                    break  # deeper flips are covered by this anchor
-        if not anchors:
-            return (), ()
-        if is_insert:
-            return self._collect_under(anchors), ()
-        self.apply(True, relation, row)  # undo: restore the old state
-        removed = self._collect_under(anchors)
-        self.apply(False, relation, row)  # redo
-        return (), removed
-
-    def _fit(self, node: str, key: Row) -> bool:
-        item = self._items[node].get(key)
-        return item is not None and item.in_list
-
-    def _collect_under(
-        self, anchors: Sequence[Tuple[str, Row]]
-    ) -> Tuple[Row, ...]:
-        """Result tuples extending the anchor items (deduplicated)."""
-        path_of = self.qtree.path
-        if len(anchors) == 1:
-            node, key = anchors[0]
-            return tuple(self.enumerate_bound(dict(zip(path_of[node], key))))
-        seen = set()
-        out: List[Row] = []
-        for node, key in anchors:
-            for result in self.enumerate_bound(dict(zip(path_of[node], key))):
-                if result not in seen:
-                    seen.add(result)
-                    out.append(result)
-        return tuple(out)
+        rows: List[Row] = []
+        if self._compiled:
+            for plan, runner in self._dispatch.get(relation, ()):
+                report = runner(is_insert, row)
+                if report is not None:
+                    plan.emit_delta(report, rows)
+        else:
+            self._apply_reference(is_insert, relation, row, rows)
+        delta = tuple(rows)
+        return (delta, ()) if is_insert else ((), delta)
 
     # ------------------------------------------------------------------
     # bulk preprocessing
@@ -385,8 +346,18 @@ class ComponentStructure:
     # differential-testing oracle and benchmark baseline)
     # ------------------------------------------------------------------
 
-    def _apply_reference(self, is_insert: bool, relation: str, row: Row) -> None:
-        """The seed update loop: scan atoms, unify, recompute products."""
+    def _apply_reference(
+        self,
+        is_insert: bool,
+        relation: str,
+        row: Row,
+        delta_rows: Optional[List[Row]] = None,
+    ) -> None:
+        """The seed update loop: scan atoms, unify, recompute products.
+
+        With ``delta_rows`` (from :meth:`apply_with_delta`) each atom's
+        result delta is appended to it right after the atom's update.
+        """
         for atom_index, atom in enumerate(self.query.atoms):
             if atom.relation != relation:
                 continue
@@ -395,7 +366,9 @@ class ComponentStructure:
                 continue  # repeated-variable pattern does not match
             path = self._atom_paths[atom_index]
             values = tuple(binding[v] for v in path)
-            self._apply_atom(is_insert, atom_index, path, values)
+            report = self._apply_atom(is_insert, atom_index, path, values)
+            if report is not None and delta_rows is not None:
+                self.plans[atom_index].emit_delta(report, delta_rows)
 
     @staticmethod
     def _unify(args: Tuple[str, ...], row: Row) -> Optional[Dict[str, Constant]]:
@@ -420,9 +393,13 @@ class ComponentStructure:
         atom_index: int,
         path: Tuple[str, ...],
         values: Row,
-    ) -> None:
+    ) -> Optional[Tuple[int, Item]]:
+        """One atom's Section 6.4 update; reports like a generated
+        runner: ``(shallowest flipped free level, deepest free chain
+        item)``, or ``None`` when no free item changed fitness."""
         self.version += 1
         depth = len(path)
+        flip = -1
 
         # Locate the item chain i_1, ..., i_d along the path, creating
         # missing items top-down on insert (an item's parent pointer
@@ -475,8 +452,12 @@ class ComponentStructure:
                 target = chain[j - 1].list_for(node)
             if new_weight > 0 and not item.in_list:
                 target.append(item)
+                if node_free:
+                    flip = j
             elif new_weight == 0 and item.in_list:
                 target.remove(item)
+                if node_free:
+                    flip = j
 
             # Step 4 / 4a: propagate the weight deltas one level up.
             if j == 0:
@@ -498,6 +479,10 @@ class ComponentStructure:
             # Step 5: drop items that lost their last supporting tuple.
             if not is_insert and not item.has_support():
                 del self._items[node][item.key]
+
+        if flip < 0:
+            return None
+        return flip, chain[self.plans[atom_index].free_depth - 1]
 
     def _lemma_6_3(self, item: Item) -> int:
         """``C^i = Π_{ψ∈rep(v)} C^i_ψ · Π_{u∈N(v)} C^i_u`` (Lemma 6.3).

@@ -268,6 +268,10 @@ class UnionEngine(DynamicEngine):
         for engine in list(self._engines) + list(self._intersections.values()):
             for relation in engine.query.relations:
                 self._by_relation.setdefault(relation, []).append(engine)
+        # id(engine) → disjunct position; intersection engines are absent.
+        self._disjunct_index: Dict[int, int] = {
+            id(engine): index for index, engine in enumerate(self._engines)
+        }
 
     def _preload(self, database: Database) -> None:
         """Preprocessing: bulk-load every sub-engine.
@@ -326,17 +330,16 @@ class UnionEngine(DynamicEngine):
             self._count_update(
                 relation, "insert" if command.is_insert else "delete"
             )
-        disjunct_ids = {id(engine) for engine in self._engines}
         added_by: Dict[int, Tuple[Row, ...]] = {}
         removed_by: Dict[int, Tuple[Row, ...]] = {}
         for engine in self._by_relation.get(relation, ()):
-            if id(engine) in disjunct_ids:
-                index = self._engines.index(engine)
+            index = self._disjunct_index.get(id(engine))
+            if index is None:
+                engine.apply(command)
+            else:
                 added_by[index], removed_by[index] = engine.apply_with_delta(
                     command
                 )
-            else:
-                engine.apply(command)
 
         added_sets = {i: set(rows) for i, rows in added_by.items()}
         removed_sets = {i: set(rows) for i, rows in removed_by.items()}

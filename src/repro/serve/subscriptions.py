@@ -3,12 +3,16 @@
 When a view has subscribers, the owning session routes each effective
 update through the engine's
 :meth:`~repro.interface.DynamicEngine.apply_with_delta`, which derives
-the set of result tuples that *entered* and *left* the view — in
-O(poly(ϕ) + δ) from the touched root paths for the Theorem 3.2 engine
-(see :meth:`repro.core.structure.ComponentStructure.apply_with_delta`),
-per-disjunct for unions, and from the sign flips of the maintained
-valuation counts for the delta-IVM fallback.  Views without subscribers
-never pay for the capture.
+the set of result tuples that *entered* and *left* the view.  For the
+Theorem 3.2 engine that costs O(poly(ϕ) + δ) and no extra update pass:
+the update runners report which free item on the touched root path
+entered or left its fit list, and the delta is that root path's free
+prefix, pinned, times the fit lists of the free nodes hanging off it,
+read in the post-update state for inserts and deletes alike (see
+:meth:`repro.core.structure.ComponentStructure.apply_with_delta` for
+the invariants this rests on).  Unions combine per-disjunct deltas, and
+the delta-IVM fallback reads the sign flips of its maintained valuation
+counts.  Views without subscribers never pay for the capture.
 
 Each change is wrapped in a :class:`Delta` and fanned out to every
 :class:`Subscription` of the view.  Delivery — the outbox append plus
