@@ -1,9 +1,10 @@
 """Update-throughput and preprocessing benchmark for the dynamic engine.
 
-Measures the compiled update-plan layer (PR: compiled plans, zero-aware
+Measures the compiled update-plan layer (generated runners, zero-aware
 incremental counters, bulk preprocessing) against the seed reference
-implementation (``QHierarchicalEngine(..., compiled=False)``), across
-the query zoo's q-hierarchical queries and three update-stream shapes:
+implementation (``tests/reference_engine.py``, the test suite's oracle,
+loaded by file path), across the query zoo's q-hierarchical queries and
+three update-stream shapes:
 
 * ``insert`` — insert-only churn (fresh random tuples),
 * ``delete`` — delete-heavy: preload, then remove every tuple,
@@ -20,7 +21,7 @@ Two measurement tiers per stream:
   Streams are pre-filtered to effective commands, so this isolates
   exactly the code the compiled plans replace.
 
-Preprocessing compares bulk construction (``compiled=True`` with an
+Preprocessing compares bulk construction (an engine built over an
 initial database → ``bulk_load``) against the seed's insert-by-insert
 replay on the same databases.
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import itertools
 import json
 import math
@@ -75,6 +77,15 @@ from repro.workloads.streams import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_update_throughput.json"
+
+# The vs-seed baseline lives with the tests (it is their oracle), not in
+# the package: load it by path.
+_spec = importlib.util.spec_from_file_location(
+    "reference_engine", REPO_ROOT / "tests" / "reference_engine.py"
+)
+_reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_reference)
+ReferenceEngine = _reference.ReferenceEngine
 
 
 def zoo_queries() -> List[Tuple[str, ConjunctiveQuery]]:
@@ -183,7 +194,9 @@ def time_stream(
     best = math.inf
     engine = None
     for _ in range(reps):
-        engine = QHierarchicalEngine(query, database, compiled=compiled)
+        engine = (QHierarchicalEngine if compiled else ReferenceEngine)(
+            query, database
+        )
         for command in preload:
             engine.apply(command)
         if tier == "engine":
@@ -221,8 +234,8 @@ def check_equivalence(
     compared instead: count, answer, a prefix of the enumeration and
     cross-checked ``contains`` probes.
     """
-    fast = QHierarchicalEngine(query, database, compiled=True)
-    slow = QHierarchicalEngine(query, database, compiled=False)
+    fast = QHierarchicalEngine(query, database)
+    slow = ReferenceEngine(query, database)
     for command in commands:
         fast.apply(command)
         slow.apply(command)
@@ -459,68 +472,6 @@ def bench_native_backend(
     return rows
 
 
-def bench_merged_loaders(
-    count: int, reps: int, quick: bool
-) -> List[Dict[str, object]]:
-    """Merged same-relation loaders vs one loader per atom (self-joins).
-
-    Bulk preprocessing on queries with several atoms over one relation:
-    the merged loader streams each relation once and walks shared path
-    prefixes once per relation, the per-atom layout (the PR-2 state)
-    walks them once per atom.  Both are verified state-identical before
-    timing.
-    """
-    queries = [
-        ("EXAMPLE_6_1", zoo.EXAMPLE_6_1),
-        ("FIGURE_1", zoo.FIGURE_1),
-        ("HIERARCHICAL_RRE", zoo.HIERARCHICAL_RRE),
-        ("SELFSTAR_3", zoo.selfjoin_star_query(3)),
-        ("SELFSTAR_5", zoo.selfjoin_star_query(5)),
-    ]
-    if quick:
-        queries = queries[:2] + [queries[3]]
-    rows: List[Dict[str, object]] = []
-    rng = random.Random(21)
-    for name, query in queries:
-        database = Database.empty_like(query)
-        domain = UniformDomain(max(8, count // 300))
-        for command in insert_only_stream(rng, query, count, domain=domain):
-            database.insert(command.relation, command.row)
-
-        merged = QHierarchicalEngine(query, database, merged_loaders=True)
-        per_atom = QHierarchicalEngine(query, database, merged_loaders=False)
-        assert merged.count() == per_atom.count(), name
-        for sm, sp in zip(merged.structures, per_atom.structures):
-            assert sm.snapshot() == sp.snapshot(), name
-
-        merged_s = min(
-            _timed(
-                lambda: QHierarchicalEngine(
-                    query, database, merged_loaders=True
-                )
-            )
-            for _ in range(reps)
-        )
-        per_atom_s = min(
-            _timed(
-                lambda: QHierarchicalEngine(
-                    query, database, merged_loaders=False
-                )
-            )
-            for _ in range(reps)
-        )
-        rows.append(
-            {
-                "query": name,
-                "rows": database.cardinality,
-                "merged_s": merged_s,
-                "per_atom_s": per_atom_s,
-                "speedup": per_atom_s / merged_s,
-            }
-        )
-    return rows
-
-
 def bench_preprocessing(
     count: int, reps: int, quick: bool
 ) -> List[Dict[str, object]]:
@@ -535,18 +486,18 @@ def bench_preprocessing(
         for command in insert_only_stream(rng, query, count, domain=domain):
             database.insert(command.relation, command.row)
 
-        bulk = QHierarchicalEngine(query, database, compiled=True)
-        replay = QHierarchicalEngine(query, database, compiled=False)
+        bulk = QHierarchicalEngine(query, database)
+        replay = ReferenceEngine(query, database)
         assert bulk.count() == replay.count(), name
         if 0 <= bulk.count() <= 50_000:
             assert bulk.result_set() == replay.result_set(), name
 
         bulk_s = min(
-            _timed(lambda: QHierarchicalEngine(query, database, compiled=True))
+            _timed(lambda: QHierarchicalEngine(query, database))
             for _ in range(reps)
         )
         replay_s = min(
-            _timed(lambda: QHierarchicalEngine(query, database, compiled=False))
+            _timed(lambda: ReferenceEngine(query, database))
             for _ in range(reps)
         )
         rows.append(
@@ -576,7 +527,6 @@ def geomean(values: Sequence[float]) -> float:
 def aggregate(
     update_rows: List[Dict[str, object]],
     pre_rows: List[Dict[str, object]],
-    merged_rows: List[Dict[str, object]],
     native_rows: List[Dict[str, object]],
 ) -> Dict[str, float]:
     engine = [r["speedup"] for r in update_rows if r["tier"] == "engine"]
@@ -585,7 +535,6 @@ def aggregate(
         r["compiled_ups"] for r in update_rows if r["tier"] == "procedure"
     ]
     pre = [r["speedup"] for r in pre_rows]
-    merged = [r["speedup"] for r in merged_rows]
     native_proc = [r["speedup"] for r in native_rows if r["tier"] == "procedure"]
     native_engine = [r["speedup"] for r in native_rows if r["tier"] == "engine"]
     native_all = native_proc + native_engine
@@ -602,8 +551,6 @@ def aggregate(
         ),
         "preprocessing_geomean": round(geomean(pre), 3),
         "preprocessing_best": round(max(pre), 3) if pre else 0.0,
-        "merged_loader_geomean": round(geomean(merged), 3),
-        "merged_loader_best": round(max(merged), 3) if merged else 0.0,
         # vectorized vs compiled-python; the headline geomean is the
         # procedure tier (the work the backends actually swap).
         "native_backend_geomean": round(geomean(native_proc), 3),
@@ -614,9 +561,7 @@ def aggregate(
     }
 
 
-def render_table(
-    update_rows, pre_rows, merged_rows, native_rows, aggregates
-) -> str:
+def render_table(update_rows, pre_rows, native_rows, aggregates) -> str:
     lines = ["update throughput (updates/sec, compiled vs seed reference)", ""]
     lines.append(
         f"{'query':<18} {'stream':<7} {'tier':<10} "
@@ -638,17 +583,6 @@ def render_table(
         lines.append(
             f"{r['query']:<18} {r['rows']:>8} {r['bulk_s']*1000:>8.1f}ms "
             f"{r['replay_s']*1000:>8.1f}ms {r['speedup']:>7.2f}x"
-        )
-    lines.append("")
-    lines.append("merged same-relation loaders (self-joins, vs per-atom)")
-    lines.append("")
-    lines.append(
-        f"{'query':<18} {'rows':>8} {'merged':>10} {'per-atom':>10} {'speedup':>8}"
-    )
-    for r in merged_rows:
-        lines.append(
-            f"{r['query']:<18} {r['rows']:>8} {r['merged_s']*1000:>8.1f}ms "
-            f"{r['per_atom_s']*1000:>8.1f}ms {r['speedup']:>7.2f}x"
         )
     lines.append("")
     lines.append("native backend (vectorized batches vs compiled per-tuple python)")
@@ -710,11 +644,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     update_rows = bench_updates(update_count, reps, args.quick)
     update_rows += bench_toggle(toggle_rounds, reps, args.quick)
     pre_rows = bench_preprocessing(pre_count, reps, args.quick)
-    merged_rows = bench_merged_loaders(pre_count, reps, args.quick)
     native_rows = bench_native_backend(
         update_count, toggle_rounds, reps, args.quick
     )
-    aggregates = aggregate(update_rows, pre_rows, merged_rows, native_rows)
+    aggregates = aggregate(update_rows, pre_rows, native_rows)
     has_numpy = numpy_or_none() is not None
 
     quick_note = (
@@ -738,14 +671,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "met": aggregates["preprocessing_best"] >= 5.0,
             "note": "bulk_load vs insert-by-insert replay on the same "
             "initial database (geomean also reported)" + quick_note,
-        },
-        "merged_loaders_faster": {
-            "metric": "merged_loader_geomean",
-            "value": aggregates["merged_loader_geomean"],
-            "met": aggregates["merged_loader_geomean"] >= 1.05,
-            "note": "one pass per relation (shared path prefixes) vs one "
-            "pass per atom on self-join queries, whole-engine "
-            "construction time" + quick_note,
         },
         "native_backend_2_5x": {
             "metric": "native_backend_geomean",
@@ -775,15 +700,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         },
         "update_throughput": update_rows,
         "preprocessing": pre_rows,
-        "merged_loaders": merged_rows,
         "native_backend": native_rows,
         "aggregates": aggregates,
         "targets": targets,
     }
 
-    text = render_table(
-        update_rows, pre_rows, merged_rows, native_rows, aggregates
-    )
+    text = render_table(update_rows, pre_rows, native_rows, aggregates)
     print(text)
     print()
     for name, target in targets.items():

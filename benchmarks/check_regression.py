@@ -87,7 +87,6 @@ TRACKED: Dict[str, List[Tuple[str, ...]]] = {
         # compiled path degenerates to interpreter-speed dispatch.
         ("aggregates.update_procedure_floor_ups", "higher", 25000.0),
         ("aggregates.preprocessing_geomean", "higher", 1.5),
-        ("aggregates.merged_loader_geomean", "higher", "relative"),
         # Vectorized-vs-python speedup of the native backend.  Batch
         # amortization grows with the stream sizes (~2.7x at --quick,
         # ~3.8x full), so like preprocessing this gets an absolute

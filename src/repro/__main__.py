@@ -89,25 +89,16 @@ def cmd_qtree(text: str) -> int:
     return status
 
 
-def cmd_plan(
-    text: str,
-    engine: str,
-    backend: str = "auto",
-    compiled: bool = True,
-    merged_loaders: bool = True,
-) -> int:
+def cmd_plan(text: str, engine: str, backend: str = "auto") -> int:
     from repro.api import Planner, parse_view
     from repro.options import EngineOptions
 
-    options = EngineOptions(
-        compiled=compiled, merged_loaders=merged_loaders, backend=backend
-    )
     plan = Planner().plan(parse_view(text), engine=engine)
     # Build over an empty database so the report shows the *resolved*
-    # execution shape: compiled plan statistics plus the update backend
-    # the options actually select on this machine (auto falls back to
+    # execution shape: plan statistics plus the update backend the
+    # option actually selects on this machine (auto falls back to
     # python when numpy is not importable).
-    built = plan.build(options=options)
+    built = plan.build(options=EngineOptions(backend=backend))
     print(plan.with_stats(built.plan_stats()).render())
     return 0
 
@@ -259,18 +250,6 @@ def main(argv=None) -> int:
         default="auto",
         help="update backend for the built engine (EngineOptions.backend)",
     )
-    plan_parser.add_argument(
-        "--no-compiled",
-        dest="compiled",
-        action="store_false",
-        help="use the interpreted reference path instead of compiled plans",
-    )
-    plan_parser.add_argument(
-        "--no-merged-loaders",
-        dest="merged_loaders",
-        action="store_false",
-        help="disable merged bulk loaders",
-    )
 
     subparsers.add_parser("demo", help="run the Example 6.1 walkthrough")
 
@@ -309,13 +288,7 @@ def main(argv=None) -> int:
         if args.command == "qtree":
             return cmd_qtree(args.query)
         if args.command == "plan":
-            return cmd_plan(
-                args.query,
-                args.engine,
-                backend=args.backend,
-                compiled=args.compiled,
-                merged_loaders=args.merged_loaders,
-            )
+            return cmd_plan(args.query, args.engine, backend=args.backend)
         if args.command == "metrics":
             return cmd_metrics(
                 args.addresses, args.format, args.watch, args.demo

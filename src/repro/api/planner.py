@@ -210,8 +210,7 @@ class Plan:
         """Instantiate the planned engine (preprocessing phase).
 
         ``options`` is an :class:`repro.options.EngineOptions` (or a
-        mapping coerced into one) controlling compilation, loader
-        fusion, and the update backend.
+        mapping coerced into one) selecting the update backend.
         """
         resolved = EngineOptions.of(options)
         return ENGINE_REGISTRY[self.engine](

@@ -631,8 +631,6 @@ class Session:
         access: Optional[object] = None,
         options: Optional[object] = None,
         *,
-        compiled: Optional[bool] = None,
-        merged_loaders: Optional[bool] = None,
         backend: Optional[str] = None,
     ) -> View:
         """Register a live view from query text (CQ or UCQ) or a query
@@ -647,18 +645,12 @@ class Session:
         are still inferred from the first bound cursor / subscription.
 
         ``options`` is an :class:`repro.options.EngineOptions` (or a
-        plain mapping) controlling how the engine executes: plan
-        compilation, merged bulk loaders, and the update ``backend``
-        (``"python"`` | ``"vectorized"`` | ``"auto"``).  The
-        ``compiled=`` / ``merged_loaders=`` / ``backend=`` keywords are
-        per-field sugar over the same surface.
+        plain mapping) controlling how the engine executes — its one
+        field is the update ``backend`` (``"python"`` |
+        ``"vectorized"`` | ``"auto"``); the ``backend=`` keyword is
+        sugar over the same surface.
         """
-        resolved = EngineOptions.of(
-            options,
-            compiled=compiled,
-            merged_loaders=merged_loaders,
-            backend=backend,
-        )
+        resolved = EngineOptions.of(options, backend=backend)
         if name in self._views:
             raise EngineStateError(f"a view named {name!r} already exists")
         if self._active_batch is not None:

@@ -3,22 +3,28 @@
 :class:`QHierarchicalEngine` accepts any q-hierarchical conjunctive
 query and maintains it under updates with
 
-* O(poly(ϕ) · ||D0||) preprocessing — by default via the bulk path
+* O(poly(ϕ) · ||D0||) preprocessing — one bulk pass
   (:meth:`ComponentStructure.bulk_load`): the initial database is
   deduplicated per relation in one shot and each component's item trie
-  and counters are built in a single bottom-up pass, instead of
-  replaying ``||D0||`` single-tuple insertions,
-* O(poly(ϕ)) update time — by default through the compiled per-atom
-  plans of :mod:`repro.core.plans`, flattened here into a per-relation
-  dispatch table of ``(structure, plan)`` pairs so an update runs
-  exactly the plans that mention the relation,
+  and counters are built by one generated loader per relation plus a
+  single bottom-up sweep, instead of replaying ``||D0||`` single-tuple
+  insertions,
+* O(poly(ϕ)) update time — through the generated per-atom runners of
+  :mod:`repro.core.plans`, flattened here into a per-relation dispatch
+  table so an update runs exactly the plans that mention the relation;
+  :meth:`QHierarchicalEngine.apply_all` hands batches of at least
+  ``_MIN_VECTOR_BATCH`` commands to the numpy kernel of
+  :mod:`repro.core.vectorized` instead when one is attached (the
+  ``backend`` option — the engine's only one),
 * O(1) counting / Boolean answering,
 * O(poly(ϕ)) delay enumeration.
 
-``compiled=False`` selects the seed's reference implementation for both
-preprocessing (insert-by-insert replay) and updates (binding dicts and
-full Lemma 6.3/6.4 product recomputation) — the differential-testing
-oracle and the baseline of ``benchmarks/bench_update_throughput.py``.
+The seed's literal implementation of both phases (insert-by-insert
+replay; binding dicts and full Lemma 6.3/6.4 product recomputation)
+is the test suite's differential oracle and the baseline of
+``benchmarks/bench_update_throughput.py``; it plugs in through
+:attr:`QHierarchicalEngine.structure_class` and is not part of this
+package.
 
 Non-connected queries are handled exactly as Section 6's preamble
 prescribes: one :class:`~repro.core.structure.ComponentStructure` per
@@ -35,7 +41,6 @@ the honest behaviour.
 
 from __future__ import annotations
 
-import warnings
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -76,14 +81,15 @@ class QHierarchicalEngine(DynamicEngine):
     #: the touched root paths — O(poly(ϕ) + δ), never O(|result|).
     supports_cheap_delta = True
 
+    #: The per-component structure :meth:`_setup` instantiates.
+    structure_class = ComponentStructure
+
     def __init__(
         self,
         query: ConjunctiveQuery,
         database: Optional[Database] = None,
         prefer: Sequence[str] = (),
-        *legacy,
-        compiled: Optional[bool] = None,
-        merged_loaders: Optional[bool] = None,
+        *,
         backend: Optional[str] = None,
         options: Optional[object] = None,
     ):
@@ -94,33 +100,8 @@ class QHierarchicalEngine(DynamicEngine):
                 f"{violation.describe()}",
                 violation=violation,
             )
-        if legacy:
-            # Old positional spelling: (query, db, prefer, compiled,
-            # merged_loaders).  Kept working one deprecation cycle.
-            warnings.warn(
-                "positional compiled/merged_loaders are deprecated; pass "
-                "EngineOptions(...) via options= or keyword arguments",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(legacy) > 2:
-                raise TypeError(
-                    f"QHierarchicalEngine takes at most 5 positional "
-                    f"arguments ({5 + len(legacy) - 2} given)"
-                )
-            if compiled is None:
-                compiled = legacy[0]
-            if merged_loaders is None and len(legacy) > 1:
-                merged_loaders = legacy[1]
         self._prefer = tuple(prefer)
-        resolved = EngineOptions.of(
-            options,
-            compiled=compiled,
-            merged_loaders=merged_loaders,
-            backend=backend,
-        )
-        self._compiled = resolved.compiled
-        self._merged_loaders = resolved.merged_loaders
+        resolved = EngineOptions.of(options, backend=backend)
         self._backend, self._backend_reason = resolve_backend(resolved)
         super().__init__(query, database, options=resolved)
 
@@ -133,21 +114,14 @@ class QHierarchicalEngine(DynamicEngine):
                 raise NotQHierarchicalError(
                     f"no q-tree for component {component.name!r}"
                 )
-            self._structures.append(
-                ComponentStructure(
-                    component,
-                    qtree,
-                    compiled=self._compiled,
-                    merged_loaders=self._merged_loaders,
-                )
-            )
+            self._structures.append(self.structure_class(component, qtree))
 
         self._by_relation: Dict[str, List[ComponentStructure]] = {}
         for structure in self._structures:
             for relation in structure.query.relations:
                 self._by_relation.setdefault(relation, []).append(structure)
 
-        # Compiled dispatch: relation → [generated runner, ...], merged
+        # Update dispatch: relation → [generated runner, ...], merged
         # from the structures' own runners (the single source of truth)
         # so one update resolves its whole fan-out with a single dict
         # probe and no per-call attribute lookups.
@@ -200,16 +174,9 @@ class QHierarchicalEngine(DynamicEngine):
         The rows are deduplicated into the engine's own store with one
         set operation per relation, then every component structure
         ingests the per-relation groups through
-        :meth:`ComponentStructure.bulk_load`.  With ``compiled=False``
-        this falls back to the seed's insert-by-insert replay.
+        :meth:`ComponentStructure.bulk_load` — on every backend.
         """
-        if not self._compiled:
-            super()._preload(database)
-            return
         rows_by_relation = self._db.mirror_from(database)
-        if self._vec is not None:
-            self._vec.bulk_load(rows_by_relation)
-            return
         for structure in self._structures:
             structure.bulk_load(rows_by_relation)
 
@@ -218,20 +185,12 @@ class QHierarchicalEngine(DynamicEngine):
     # ------------------------------------------------------------------
 
     def _on_insert(self, relation: str, row: Row) -> None:
-        if self._compiled:
-            for runner in self._dispatch.get(relation, ()):
-                runner(True, row)
-        else:
-            for structure in self._by_relation.get(relation, ()):
-                structure.apply(True, relation, row)
+        for runner in self._dispatch.get(relation, ()):
+            runner(True, row)
 
     def _on_delete(self, relation: str, row: Row) -> None:
-        if self._compiled:
-            for runner in self._dispatch.get(relation, ()):
-                runner(False, row)
-        else:
-            for structure in self._by_relation.get(relation, ()):
-                structure.apply(False, relation, row)
+        for runner in self._dispatch.get(relation, ()):
+            runner(False, row)
 
     def apply_all(self, commands: Iterable[UpdateCommand]) -> int:
         """Apply a command stream; batched through the vectorized
@@ -524,7 +483,6 @@ class QHierarchicalEngine(DynamicEngine):
         """Compiled update-plan statistics (surfaced by ``explain()``)."""
         per_structure = [s.plan_stats() for s in self._structures]
         return {
-            "compiled": self._compiled,
             "backend": self._backend,
             "backend_reason": self._backend_reason,
             "components": len(self._structures),

@@ -5,12 +5,12 @@ needs the atom's repeated-variable pattern, the root path of its
 representing node, and — per path node — the represented atoms, the
 child lists and the free flag.  The seed implementation resolved all of
 that *per update* (scanning ``query.atoms``, allocating a binding dict
-in ``_unify``, re-reading the q-tree maps at every level).  This module
+per tuple, re-reading the q-tree maps at every level).  This module
 resolves it **once, at structure construction**:
 
 * an :class:`AtomPlan` per atom: the owning relation, the row→path
   value permutation (``extract``), the repeated-position equality
-  checks (``eq``, replacing the binding dict of ``_unify``), and the
+  checks (``eq``, replacing the seed's per-tuple binding dict), and the
   per-level :class:`LevelPlan` chain, plus the static layout of the
   result delta one update of the atom can cause (``free_depth`` /
   ``delta_slots``: which free nodes sit on the atom's root path, which
@@ -45,7 +45,6 @@ __all__ = [
     "LevelPlan",
     "compile_plans",
     "compile_runner",
-    "compile_loader",
     "compile_relation_loader",
     "plan_summary",
 ]
@@ -151,8 +150,9 @@ class AtomPlan:
         self.path = path
         self.free_depth = free_depth
         self.delta_slots = delta_slots
-        #: Filled by :func:`compile_runner` / :func:`compile_loader` —
-        #: the generated sources, for introspection and debugging.
+        #: Filled by :func:`compile_runner` /
+        #: :func:`compile_relation_loader` — the generated sources, for
+        #: introspection and debugging.
         self.runner_source: str = ""
         self.loader_source: str = ""
 
@@ -326,7 +326,7 @@ def _emit_item_fields(
     They are set to ``None`` rather than left unset so an unforeseen
     access fails loudly.
 
-    ``deferred=True`` (bulk loaders only) additionally skips the
+    ``deferred=True`` (the bulk loader only) additionally skips the
     ``zf``/``tzf``/``tnzp`` counters: the phase-2 finalizer recomputes
     ``zf`` for every item, and sets ``tzf``/``tnzp`` for every free
     node — quantified nodes never have theirs read at all.
@@ -357,34 +357,18 @@ def _emit_item_fields(
     emit(f"{pad}{store_var}[{key_var}] = {var}")
 
 
-def _emit_item_creation(
-    emit,
-    pad: str,
-    j: int,
-    level: LevelPlan,
-    parent: str,
-    c_atom: str = "{}",
-    deferred: bool = False,
-) -> None:
-    """Item construction with the per-plan naming scheme (``i{j}``)."""
-    _emit_item_fields(
-        emit, pad, f"i{j}", f"_N{j}", f"k{j}", f"_S{j}", parent, level,
-        c_atom, deferred,
-    )
-
-
 def compile_runner(plan: AtomPlan, structure) -> "object":
     """Generate a specialised update function for one atom plan.
 
-    The generic update loop (:meth:`ComponentStructure.apply_planned`)
-    pays interpreter overhead for work that is constant per plan: the
-    level count, the free flags, the equality checks, the store
-    references.  This generator bakes all of it into straight-line
-    source — one unrolled block per level, branches for quantified
-    nodes and non-rep levels removed at compile time — and ``exec``\\s
-    it once per plan at structure construction.  The result is
-    observationally identical to the seed reference path (the
-    differential suite holds both to byte-identical state), several
+    A generic loop over ``plan.levels`` would pay interpreter overhead
+    for work that is constant per plan: the level count, the free
+    flags, the equality checks, the store references.  This generator
+    bakes all of it into straight-line source — one unrolled block per
+    level, branches for quantified nodes and non-rep levels removed at
+    compile time — and ``exec``\\s it once per plan at structure
+    construction.  The result is observationally identical to the
+    seed's literal Section 6.4 loop (the test suite's reference oracle;
+    the differential suite holds both to byte-identical state), several
     times faster, and the closure carries only stable objects: the
     item stores, the start list, the ``Item`` class and the structure
     itself (for ``version``/``C_start``/``C̃_start``).
@@ -427,7 +411,9 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
         emit(f"    if i{j} is None:")
         emit("        if not is_insert:")
         emit(f"            raise _Err(_M{j}.format(k{j}))")
-        _emit_item_creation(emit, "        ", j, level, parent)
+        _emit_item_fields(
+            emit, "        ", f"i{j}", f"_N{j}", f"k{j}", f"_S{j}", parent, level
+        )
     emit("    delta = 1 if is_insert else -1")
 
     # Upward walk: one unrolled block per level.
@@ -524,7 +510,7 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
 
 
 def loader_fuses_leaf(plan: AtomPlan) -> bool:
-    """Whether :func:`compile_loader` fully finalises this plan's leaf.
+    """Whether the bulk loader fully finalises this plan's leaf.
 
     True when the deepest level is an exclusive non-root leaf: every
     row then creates a fresh item that is certainly fit with
@@ -533,156 +519,6 @@ def loader_fuses_leaf(plan: AtomPlan) -> bool:
     """
     level = plan.levels[-1]
     return len(plan.levels) > 1 and level.exclusive and level.is_leaf
-
-
-def compile_loader(plan: AtomPlan) -> "object":
-    """Generate the phase-1 bulk loader for one atom plan.
-
-    The loader streams a whole relation through the plan in a single
-    call: per row it checks the repeated-variable pattern, walks the
-    item trie top-down (creating missing items) and bumps the atom's
-    ``C^i_ψ`` counter.  Weights, fit lists and sums are normally
-    deferred to the phase-2 finalizers of
-    :meth:`ComponentStructure.bulk_load`, which touch every item
-    exactly once.
-
-    Beyond baking the per-plan constants into the source (as
-    :func:`compile_runner` does), three bulk-specific tricks apply:
-
-    * every non-leaf level caches the item of the previous row's key
-      prefix, so a run of rows sharing a prefix touches the upper trie
-      levels once per run, with the run's ``C^i_ψ`` contribution (and
-      fused-leaf bookkeeping, below) flushed in one update per run;
-    * a level whose node occurs in no other atom (``exclusive``) at the
-      deepest position creates its item unconditionally — set semantics
-      make the key unique per row, and nobody else writes the store;
-    * when that exclusive level is a non-root leaf
-      (:func:`loader_fuses_leaf`), the item is *born finalised*: weight
-      1, fit, linked at the tail of its parent's fit list, with the
-      parent's ``C^i_u``/``C̃^i_u`` sums and list length bumped once
-      per run — phase 2 then skips the node entirely.
-    """
-    depth = len(plan.levels)
-    last = depth - 1
-    ai = plan.atom_index
-    fused = loader_fuses_leaf(plan)
-    leaf_level = plan.levels[last]
-    leaf_free = leaf_level.is_free
-    lines: List[str] = ["def _loader(rows):"]
-    emit = lines.append
-    cached = list(range(last))  # non-leaf levels use prefix caching
-    for j in cached:
-        emit(f"    p{j} = _miss")
-        emit(f"    i{j} = None")
-        emit(f"    n{j} = 0")
-    if fused:
-        emit("    fl = None")
-        emit("    t = None")
-    emit("    for row in rows:")
-    for s, t in plan.eq:
-        emit(f"        if row[{s}] != row[{t}]: continue")
-    for j in range(depth):
-        emit(f"        v{j} = row[{plan.extract[j]}]")
-
-    def emit_flush(pad: str, j: int) -> None:
-        emit(f"{pad}if n{j}:")
-        emit(f"{pad}    c = i{j}.c_atom")
-        emit(f"{pad}    c[{ai}] = c.get({ai}, 0) + n{j}")
-        if fused and j == last - 1:
-            # The run's leaves all went under item i{j}: fold their
-            # weight/C̃ sums and the list tail/length in one go.
-            emit(f"{pad}    cs = i{j}.child_sum")
-            emit(f"{pad}    cs[_N{last}] = cs.get(_N{last}, 0) + n{j}")
-            if leaf_free:
-                emit(f"{pad}    ts = i{j}.tchild_sum")
-                emit(f"{pad}    ts[_N{last}] = ts.get(_N{last}, 0) + n{j}")
-            emit(f"{pad}    fl.tail = t")
-            emit(f"{pad}    fl.length += n{j}")
-        emit(f"{pad}    n{j} = 0")
-
-    for j in cached:
-        level = plan.levels[j]
-        key = "(" + ", ".join(f"v{i}" for i in range(j + 1)) + ("," if j == 0 else "") + ")"
-        parent = f"i{j - 1}" if j else "None"
-        emit(f"        if v{j} != p{j}:")
-        for deeper in range(j, last):
-            emit_flush("            ", deeper)
-            if deeper > j:
-                emit(f"            p{deeper} = _miss")
-        emit(f"            p{j} = v{j}")
-        emit(f"            k{j} = {key}")
-        emit(f"            i{j} = _S{j}.get(k{j})")
-        emit(f"            if i{j} is None:")
-        _emit_item_creation(emit, "                ", j, level, parent, deferred=True)
-        if fused and j == last - 1:
-            emit(f"            lists = i{j}.lists")
-            emit(f"            fl = lists.get(_N{last})")
-            emit("            if fl is None:")
-            emit("                fl = _FitList()")
-            emit(f"                lists[_N{last}] = fl")
-            emit("            t = fl.tail")
-        emit(f"        n{j} += 1")
-
-    # Deepest level: one fresh (or shared-rep) item per row.
-    key = "(" + ", ".join(f"v{i}" for i in range(depth)) + ("," if depth == 1 else "") + ")"
-    parent = f"i{last - 1}" if last else "None"
-    emit(f"        k{last} = {key}")
-    if fused:
-        # Born finalised: weight 1, fit, linked at the list tail.
-        emit(f"        i{last} = _new(_Item)")
-        emit(f"        i{last}.node = _N{last}")
-        emit(f"        i{last}.key = k{last}")
-        emit(f"        i{last}.parent_item = {parent}")
-        emit(f"        i{last}.c_atom = {{{ai}: 1}}")
-        emit(f"        i{last}.weight = 1")
-        emit(f"        i{last}.tweight = {1 if leaf_free else 0}")
-        emit(f"        i{last}.child_sum = None")
-        emit(f"        i{last}.tchild_sum = None")
-        emit(f"        i{last}.lists = None")
-        emit(f"        i{last}.nzp = 1")
-        emit(f"        i{last}.zf = 0")
-        if leaf_free:
-            emit(f"        i{last}.tnzp = 1")
-            emit(f"        i{last}.tzf = 0")
-        emit(f"        i{last}.in_list = True")
-        emit(f"        i{last}.prev = t")
-        emit(f"        i{last}.next = None")
-        emit("        if t is None:")
-        emit(f"            fl.head = i{last}")
-        emit("        else:")
-        emit(f"            t.next = i{last}")
-        emit(f"        t = i{last}")
-        emit(f"        _S{last}[k{last}] = i{last}")
-    elif leaf_level.exclusive:
-        _emit_item_creation(
-            emit, "        ", last, leaf_level, parent, f"{{{ai}: 1}}", deferred=True
-        )
-    else:
-        emit(f"        i{last} = _S{last}.get(k{last})")
-        emit(f"        if i{last} is None:")
-        _emit_item_creation(emit, "            ", last, leaf_level, parent, deferred=True)
-        emit(f"        c = i{last}.c_atom")
-        emit(f"        c[{ai}] = c.get({ai}, 0) + 1")
-
-    # Flush the pending counter runs after the stream ends.
-    for j in cached:
-        emit_flush("    ", j)
-    source = "\n".join(lines)
-    plan.loader_source = source
-    namespace: Dict[str, object] = {
-        "_Item": Item,
-        "_new": Item.__new__,
-        "_miss": _MISS,
-        "_FitList": FitList,
-    }
-    for j, level in enumerate(plan.levels):
-        namespace[f"_S{j}"] = level.store
-        namespace[f"_N{j}"] = level.node
-    exec(
-        compile(source, f"<loader {plan.relation}#{plan.atom_index}>", "exec"),
-        namespace,
-    )
-    return namespace["_loader"]
 
 
 class _TrieLevel:
@@ -720,13 +556,31 @@ class _TrieLevel:
 
 
 def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
-    """Generate a bulk loader feeding ALL of a relation's atom plans in
-    one pass over the rows (self-join merging).
+    """Generate the phase-1 bulk loader of one relation: a single pass
+    over its rows feeding ALL of its atom plans.
 
-    The per-plan loaders of :func:`compile_loader` stream the whole
-    relation once per atom, so a self-join query walks shared path
-    prefixes once per occurrence.  This generator merges the plans into
-    a single row loop:
+    Per row and plan the loader checks the repeated-variable pattern,
+    walks the item trie top-down (creating missing items) and bumps the
+    atom's ``C^i_ψ`` counter.  Weights, fit lists and sums are normally
+    deferred to the phase-2 finalizers of
+    :meth:`ComponentStructure.bulk_load`, which touch every item
+    exactly once.  Beyond baking the per-plan constants into the source
+    (as :func:`compile_runner` does), three bulk-specific tricks apply:
+
+    * every non-leaf level caches the item of the previous row's key
+      prefix, so a run of rows sharing a prefix touches the upper trie
+      levels once per run, with the run's ``C^i_ψ`` contribution (and
+      fused-leaf bookkeeping, below) flushed in one update per run;
+    * a level whose node occurs in no other atom (``exclusive``) at the
+      deepest position creates its item unconditionally — set semantics
+      make the key unique per row, and nobody else writes the store;
+    * when that exclusive level is a non-root leaf
+      (:func:`loader_fuses_leaf`), the item is *born finalised*: weight
+      1, fit, linked at the tail of its parent's fit list, with the
+      parent's ``C^i_u``/``C̃^i_u`` sums and list length bumped once
+      per run — phase 2 then skips the node entirely.
+
+    Several plans over one relation (self-joins) share the row loop:
 
     * plans are grouped by their ``eq`` checks (one guard per group —
       plans with different repeated-variable patterns see different row
@@ -736,17 +590,13 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
       a shared prefix is located once per run and its flush bumps every
       plan's ``C^i_ψ`` counter in one go;
     * each plan's deepest level keeps its own per-row block (fused
-      leaves, exclusive creation, or get-or-create) exactly as in the
-      per-plan loader.
+      leaf, exclusive creation, or get-or-create).
 
     Phase-1 work is commutative counter arithmetic, so the final state
-    is identical to running the per-plan loaders back to back; only the
-    row loop and the shared prefix walks are saved.  A single-plan
-    relation falls back to :func:`compile_loader` unchanged.
+    is the one a loader per plan would leave; only the extra row loops
+    and the repeated prefix walks are saved.
     """
     plans = list(plans)
-    if len(plans) == 1:
-        return compile_loader(plans[0])
     relation = plans[0].relation
 
     trie_nodes: List[_TrieLevel] = []

@@ -18,24 +18,22 @@ The update procedure is the five-step loop of Section 6.4 (plus steps
 whose repeated-variable pattern matches the tuple, walking the atom's
 root path bottom-up.
 
-Two implementations of that loop coexist:
+The loop runs through per-atom :class:`~repro.core.plans.AtomPlan`
+recipes resolved at construction and ``exec``-generated into one
+straight-line runner per atom (:func:`~repro.core.plans.compile_runner`),
+with the Lemma 6.3/6.4 products maintained *zero-aware incrementally* —
+each item keeps the product of its nonzero factors plus a zero-factor
+count (``Item.nzp``/``zf``/``tnzp``/``tzf``), so a one-child delta is
+O(1) arithmetic instead of a product over all children.  The seed's
+literal rendering of the paper (binding dicts, products recomputed from
+scratch) lives on as the test suite's differential oracle, outside this
+package; both maintain byte-identical observable state.
 
-* the **compiled** path (default): per-atom :class:`~repro.core.plans.
-  AtomPlan` recipes resolved at construction, with the Lemma 6.3/6.4
-  products maintained *zero-aware incrementally* — each item keeps the
-  product of its nonzero factors plus a zero-factor count
-  (``Item.nzp``/``zf``/``tnzp``/``tzf``), so a one-child delta is O(1)
-  arithmetic instead of a product over all children;
-* the **reference** path (``compiled=False``): the seed's literal
-  rendering of the paper — ``_unify`` builds a binding dict per tuple
-  and ``_lemma_6_3``/``_lemma_6_4`` recompute the products from
-  scratch.  It is the differential-testing oracle and the benchmark
-  baseline; both paths maintain byte-identical observable state.
-
-:meth:`bulk_load` is the batch preprocessing path: it ingests the
-initial database grouped per atom, builds the item tries top-down with
-plain counter bumps, and computes every weight/fit-list/total in one
-bottom-up pass — O(poly(ϕ) · ||D0||) like the replay, but without the
+:meth:`ComponentStructure.bulk_load` is the preprocessing pass — the
+only one: it ingests the initial database one generated loader per
+relation, builds the item tries top-down with plain counter bumps, and
+computes every weight/fit-list/total in one bottom-up sweep —
+O(poly(ϕ) · ||D0||) like an insert-by-insert replay, but without the
 per-insert fit-list churn and propagation.
 
 The structure answers:
@@ -53,7 +51,6 @@ from repro.core.items import FitList, Item
 from repro.core.plans import (
     AtomPlan,
     compile_finalizer,
-    compile_loader,
     compile_plans,
     compile_relation_loader,
     compile_runner,
@@ -75,8 +72,6 @@ class ComponentStructure:
         self,
         component: ConjunctiveQuery,
         qtree: Optional[QTree] = None,
-        compiled: bool = True,
-        merged_loaders: bool = True,
     ):
         if not component.is_connected:
             raise QueryStructureError(
@@ -86,8 +81,6 @@ class ComponentStructure:
         self.qtree = qtree if qtree is not None else build_q_tree(component)
         self.free = component.free_set
         self._has_free = bool(component.free)
-        self._compiled = compiled
-        self._merged_loaders = merged_loaders
 
         tree = self.qtree
         self._children: Dict[str, List[str]] = tree.children
@@ -96,12 +89,6 @@ class ComponentStructure:
             for v in tree.parent
         }
         self._rep: Dict[str, List[int]] = tree.rep
-        # Per atom: the root path of the node representing it, i.e. the
-        # variable order in which update values are laid out.
-        self._atom_paths: List[Tuple[str, ...]] = [
-            tree.path[tree.rep_node_of(index)]
-            for index in range(len(component.atoms))
-        ]
         self._items: Dict[str, Dict[Row, Item]] = {v: {} for v in tree.parent}
 
         # Orders and probe layouts that every contains()/enumerate()
@@ -120,8 +107,6 @@ class ComponentStructure:
             for node in self._free_order
         ]
 
-        # The compiled update-plan layer (also built for reference-mode
-        # structures: it is cheap and keeps plan_stats() meaningful).
         self.plans = compile_plans(component, tree, self._items)
 
         self.start = FitList()
@@ -136,21 +121,14 @@ class ComponentStructure:
         # One generated update function per plan, aligned with
         # ``self.plans`` (see compile_runner); the engine's dispatch
         # table calls these directly.
-        self.runners: List[object] = (
-            [compile_runner(plan, self) for plan in self.plans]
-            if compiled
-            else []
-        )
+        self.runners: List[object] = [
+            compile_runner(plan, self) for plan in self.plans
+        ]
         #: relation → [(plan, runner)] — the plan carries the delta
         #: layout apply_with_delta needs next to the runner's report.
         self._dispatch: Dict[str, List[Tuple[AtomPlan, object]]] = {}
         for plan, runner in zip(self.plans, self.runners):
             self._dispatch.setdefault(plan.relation, []).append((plan, runner))
-
-    @property
-    def compiled(self) -> bool:
-        """Whether updates run through the compiled plan layer."""
-        return self._compiled
 
     @property
     def free_order(self) -> List[str]:
@@ -160,7 +138,6 @@ class ComponentStructure:
     def plan_stats(self) -> Dict[str, object]:
         """Compiled-plan statistics for ``explain()`` and benchmarks."""
         stats = plan_summary(self.plans)
-        stats["compiled"] = self._compiled
         stats["nodes"] = len(self._items)
         return stats
 
@@ -175,9 +152,6 @@ class ComponentStructure:
         filtering: this method assumes an insert adds a genuinely new
         tuple and a delete removes a genuinely present one.
         """
-        if not self._compiled:
-            self._apply_reference(is_insert, relation, row)
-            return
         row = tuple(row)
         for _plan, runner in self._dispatch.get(relation, ()):
             runner(is_insert, row)
@@ -199,8 +173,7 @@ class ComponentStructure:
         The update is a single pass — each matching atom's runner
         executes once, exactly as under :meth:`apply` — and the delta is
         read off what the runner reports (:func:`~repro.core.plans.
-        compile_runner`; the reference loop :meth:`_apply_atom` reports
-        the same pair): the shallowest free level whose item entered or
+        compile_runner`): the shallowest free level whose item entered or
         left its fit list, and the deepest free item of the atom's root
         path.  By Lemma 6.2 a tuple is in the result iff all its free
         items are fit, and the update procedure only changes fitness on
@@ -239,13 +212,10 @@ class ComponentStructure:
             return (), ()
 
         rows: List[Row] = []
-        if self._compiled:
-            for plan, runner in self._dispatch.get(relation, ()):
-                report = runner(is_insert, row)
-                if report is not None:
-                    plan.emit_delta(report, rows)
-        else:
-            self._apply_reference(is_insert, relation, row, rows)
+        for plan, runner in self._dispatch.get(relation, ()):
+            report = runner(is_insert, row)
+            if report is not None:
+                plan.emit_delta(report, rows)
         delta = tuple(rows)
         return (delta, ()) if is_insert else ((), delta)
 
@@ -258,10 +228,10 @@ class ComponentStructure:
 
         Two passes replace the insert-by-insert replay:
 
-        1. per atom, stream the relation's rows through the compiled
-           plan, creating the item trie top-down and bumping only the
-           ``C^i_ψ`` counters — no weights, no fit lists, no
-           propagation;
+        1. per relation, stream the rows once through the generated
+           loader of all its atom plans, creating the item trie
+           top-down and bumping only the ``C^i_ψ`` counters — no
+           weights, no fit lists, no propagation;
         2. walk the q-tree bottom-up (reverse document order) and
            compute every item's zero-aware decomposition, weight,
            ``C̃``-weight, fit-list membership and parent sums in one
@@ -282,28 +252,17 @@ class ComponentStructure:
         ):
             return  # nothing to load — skip all codegen and sweeps
 
-        # Pass 1: item tries + per-atom counters.  By default all atom
-        # plans of one relation are merged into a single generated
-        # loader (one pass over the rows, shared path prefixes located
-        # once per relation instead of once per atom — the self-join
-        # win); ``merged_loaders=False`` keeps the one-loader-per-atom
-        # layout as the differential baseline.  The loaders' prefix
-        # caches exploit runs of tuples sharing upper-level path
+        # Pass 1: item tries + per-atom counters, one generated loader
+        # per relation feeding all of its atom plans in a single pass
+        # over the rows (shared path prefixes located once per relation
+        # instead of once per atom — the self-join win).  The loaders'
+        # prefix caches exploit runs of tuples sharing upper-level path
         # values; rows are fed in whatever order the store holds them
         # (sorting by path prefix costs more than the cache hits save).
-        if self._merged_loaders:
-            plans_by_relation: Dict[str, List[AtomPlan]] = {}
-            for plan in self.plans:
-                plans_by_relation.setdefault(plan.relation, []).append(plan)
-            for relation, group in plans_by_relation.items():
-                rows = rows_by_relation.get(relation)
-                if rows:
-                    compile_relation_loader(group)(rows)
-        else:
-            for plan in self.plans:
-                rows = rows_by_relation.get(plan.relation)
-                if rows:
-                    compile_loader(plan)(rows)
+        for relation, pairs in self._dispatch.items():
+            rows = rows_by_relation.get(relation)
+            if rows:
+                compile_relation_loader([plan for plan, _runner in pairs])(rows)
 
         # Pass 2: counters bottom-up, children strictly before parents,
         # one generated finalizer sweep per q-tree node (factor reads
@@ -315,14 +274,6 @@ class ComponentStructure:
             for plan in self.plans
             if loader_fuses_leaf(plan)
         )
-        self._finalize_bulk(fused_nodes)
-        self.version += 1
-
-    def _finalize_bulk(self, fused_nodes: frozenset) -> None:
-        """The phase-2 finalizer sweep of :meth:`bulk_load`, shared with
-        the vectorized bulk path (which fuses no leaves and passes an
-        empty set).  Every item must carry its final ``C^i_ψ`` counters;
-        weights, fit lists and totals are computed here."""
         free = self.free
         root = self.qtree.root
         for node in reversed(self._doc_order):
@@ -340,176 +291,7 @@ class ComponentStructure:
             c_delta, t_delta = finalize(self._items[node].values())
             self.c_start += c_delta
             self.t_start += t_delta
-
-    # ------------------------------------------------------------------
-    # reference update path (the seed's literal Section 6.4 rendering;
-    # differential-testing oracle and benchmark baseline)
-    # ------------------------------------------------------------------
-
-    def _apply_reference(
-        self,
-        is_insert: bool,
-        relation: str,
-        row: Row,
-        delta_rows: Optional[List[Row]] = None,
-    ) -> None:
-        """The seed update loop: scan atoms, unify, recompute products.
-
-        With ``delta_rows`` (from :meth:`apply_with_delta`) each atom's
-        result delta is appended to it right after the atom's update.
-        """
-        for atom_index, atom in enumerate(self.query.atoms):
-            if atom.relation != relation:
-                continue
-            binding = self._unify(atom.args, row)
-            if binding is None:
-                continue  # repeated-variable pattern does not match
-            path = self._atom_paths[atom_index]
-            values = tuple(binding[v] for v in path)
-            report = self._apply_atom(is_insert, atom_index, path, values)
-            if report is not None and delta_rows is not None:
-                self.plans[atom_index].emit_delta(report, delta_rows)
-
-    @staticmethod
-    def _unify(args: Tuple[str, ...], row: Row) -> Optional[Dict[str, Constant]]:
-        """Match a tuple against an atom's argument pattern.
-
-        Returns the variable binding, or ``None`` when a repeated
-        variable would need two different values (the paper's side
-        condition ``z_s = z_t ⇒ b_s = b_t``).
-        """
-        binding: Dict[str, Constant] = {}
-        for var, value in zip(args, row):
-            existing = binding.get(var)
-            if existing is None:
-                binding[var] = value
-            elif existing != value:
-                return None
-        return binding
-
-    def _apply_atom(
-        self,
-        is_insert: bool,
-        atom_index: int,
-        path: Tuple[str, ...],
-        values: Row,
-    ) -> Optional[Tuple[int, Item]]:
-        """One atom's Section 6.4 update; reports like a generated
-        runner: ``(shallowest flipped free level, deepest free chain
-        item)``, or ``None`` when no free item changed fitness."""
         self.version += 1
-        depth = len(path)
-        flip = -1
-
-        # Locate the item chain i_1, ..., i_d along the path, creating
-        # missing items top-down on insert (an item's parent pointer
-        # must reference an existing item).
-        chain: List[Item] = []
-        parent: Optional[Item] = None
-        for j in range(depth):
-            store = self._items[path[j]]
-            key = values[: j + 1]
-            item = store.get(key)
-            if item is None:
-                if not is_insert:
-                    raise EngineStateError(
-                        f"delete touches missing item [{path[j]}, {key!r}]; "
-                        "was the command filtered for set semantics?"
-                    )
-                item = Item(path[j], key, parent)
-                store[key] = item
-            chain.append(item)
-            parent = item
-
-        delta = 1 if is_insert else -1
-
-        # Bottom-up pass: steps 1-5 of Section 6.4 (2a/4a of 6.5).
-        for j in range(depth - 1, -1, -1):
-            item = chain[j]
-            node = path[j]
-
-            # Step 1: adjust C^i_ψ for the updated atom.
-            item.c_atom[atom_index] = item.c_atom.get(atom_index, 0) + delta
-            if item.c_atom[atom_index] == 0:
-                del item.c_atom[atom_index]
-
-            # Step 2: recompute C^i via Lemma 6.3.
-            old_weight = item.weight
-            new_weight = self._lemma_6_3(item)
-            item.weight = new_weight
-
-            # Step 2a: recompute C̃^i via Lemma 6.4 (free nodes only).
-            node_free = node in self.free
-            if node_free:
-                old_tweight = item.tweight
-                new_tweight = self._lemma_6_4(item)
-                item.tweight = new_tweight
-
-            # Step 3: maintain the fit list membership.
-            if j == 0:
-                target = self.start
-            else:
-                target = chain[j - 1].list_for(node)
-            if new_weight > 0 and not item.in_list:
-                target.append(item)
-                if node_free:
-                    flip = j
-            elif new_weight == 0 and item.in_list:
-                target.remove(item)
-                if node_free:
-                    flip = j
-
-            # Step 4 / 4a: propagate the weight deltas one level up.
-            if j == 0:
-                self.c_start += new_weight - old_weight
-                if node_free:
-                    self.t_start += new_tweight - old_tweight
-            else:
-                parent_item = chain[j - 1]
-                parent_item.child_sum[node] = (
-                    parent_item.child_sum.get(node, 0) + new_weight - old_weight
-                )
-                if node_free:
-                    parent_item.tchild_sum[node] = (
-                        parent_item.tchild_sum.get(node, 0)
-                        + new_tweight
-                        - old_tweight
-                    )
-
-            # Step 5: drop items that lost their last supporting tuple.
-            if not is_insert and not item.has_support():
-                del self._items[node][item.key]
-
-        if flip < 0:
-            return None
-        return flip, chain[self.plans[atom_index].free_depth - 1]
-
-    def _lemma_6_3(self, item: Item) -> int:
-        """``C^i = Π_{ψ∈rep(v)} C^i_ψ · Π_{u∈N(v)} C^i_u`` (Lemma 6.3).
-
-        Counters of represented atoms are 0/1-valued (their expansion is
-        the item's own assignment), so they act as guards.
-        """
-        node = item.node
-        for atom_index in self._rep[node]:
-            if item.c_atom.get(atom_index, 0) <= 0:
-                return 0
-        weight = 1
-        for child in self._children[node]:
-            child_total = item.child_sum.get(child, 0)
-            if child_total == 0:
-                return 0
-            weight *= child_total
-        return weight
-
-    def _lemma_6_4(self, item: Item) -> int:
-        """``C̃^i = 0`` if ``C^i = 0`` else ``Π_{u∈N(v)∩free} C̃^i_u``."""
-        if item.weight == 0:
-            return 0
-        tweight = 1
-        for child in self._free_children[item.node]:
-            tweight *= item.tchild_sum.get(child, 0)
-        return tweight
 
     # ------------------------------------------------------------------
     # queries (Sections 6.2, 6.3, 6.5)

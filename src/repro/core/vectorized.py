@@ -1,10 +1,12 @@
-"""Batched, vectorized execution of the compiled update plans.
+"""Batched, vectorized execution of the update plans.
 
-The PR 2 runners (:mod:`repro.core.plans`) execute one generated Python
+The generated runners (:mod:`repro.core.plans`) execute one Python
 function per (command, atom plan): fast per tuple, but a stream of
 thousands of commands still pays interpreter dispatch and dict traffic
-per tuple.  This module executes a whole *batch* of effective commands
-per plan with numpy:
+per tuple.  This module is the second update executor: it runs a whole
+*batch* of effective commands per plan with numpy, and
+:meth:`QHierarchicalEngine.apply_all` picks it over the runners by
+batch size (the numpy set-up only amortises over enough rows):
 
 1. the batch's rows are **int-interned** once per relation — a shared
    :class:`Interner` dictionary-encodes the active domain into int64
@@ -20,8 +22,8 @@ per plan with numpy:
    counter moves by the net in one step, and the touched items are
    re-finalised bottom-up with the same zero-aware decomposition the
    incremental runners maintain (weights depend only on final counters
-   and child sums — the same argument that makes ``bulk_load``'s
-   deferred phase 2 correct).
+   and child sums — the same argument that makes the deferred phase 2
+   of :meth:`ComponentStructure.bulk_load` correct).
 
 The win is therefore *per distinct prefix* instead of *per command*: a
 toggle-heavy stream folding to a handful of distinct keys does near-zero
@@ -30,10 +32,9 @@ stays in the ordinary :class:`~repro.core.items.Item` structures — every
 read path (enumeration, counting, deltas, binding indexes, snapshots)
 is untouched and byte-identical to the python backend.
 
-``bulk_load`` gets the same treatment: phase 1 creates each distinct
-item once with its full ``C^i_ψ`` count (per-distinct work instead of
-per-row), then the standard phase-2 finalizer sweep of
-:meth:`ComponentStructure.bulk_load` runs unchanged.
+Preprocessing is not batched here: the generated loader of
+:func:`repro.core.plans.compile_relation_loader` is faster than a numpy
+phase 1 and builds leaner items, so every backend bulk-loads through it.
 
 numpy is optional: :func:`numpy_or_none` gates availability (and honours
 ``REPRO_NO_NUMPY=1`` for fallback testing), and
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import os
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.items import Item
 from repro.errors import EngineStateError
@@ -109,10 +110,6 @@ def resolve_backend(
                 "q-hierarchical engine's compiled plans"
             )
         return "python", "engine has no vectorized kernel"
-    if not options.compiled:
-        # EngineOptions rejects vectorized+compiled=False up front, so
-        # only "auto" reaches this branch.
-        return "python", "reference path (compiled=False) is the oracle"
     if numpy_or_none() is None:
         if requested == "vectorized":
             raise EngineStateError(
@@ -394,8 +391,8 @@ class _StructureOps:
     def _refinalize(self, touched: Dict[str, Dict[Item, None]]) -> None:
         """Recompute the zero-aware decomposition of every touched item
         bottom-up, propagating weight deltas into parents (which become
-        touched in turn) — the incremental mirror of ``bulk_load``'s
-        phase 2."""
+        touched in turn) — the incremental mirror of phase 2 of
+        :meth:`ComponentStructure.bulk_load`."""
         structure = self.structure
         c_delta = 0
         t_delta = 0
@@ -488,82 +485,6 @@ class _StructureOps:
         structure.c_start += c_delta
         structure.t_start += t_delta
 
-    # -- bulk preprocessing ---------------------------------------------------
-
-    def bulk_load(self, rows_by_relation) -> None:
-        """Vectorized phase 1 of :meth:`ComponentStructure.bulk_load`:
-        create each distinct item once with its full ``C^i_ψ`` count,
-        then run the standard phase-2 finalizer sweep (no leaves are
-        fused — the sweep covers every node)."""
-        np = self.np
-        structure = self.structure
-        if structure.version or structure.item_count() or structure.c_start:
-            raise EngineStateError(
-                "bulk_load requires a pristine structure; apply() has "
-                "already run (build a fresh structure instead)"
-            )
-        if not any(
-            rows_by_relation.get(plan.relation) for plan in structure.plans
-        ):
-            return
-        encoded: Dict[str, object] = {}
-        for plan, getters, extract in zip(
-            structure.plans, self._plan_getters, self._plan_extracts
-        ):
-            rows = rows_by_relation.get(plan.relation)
-            if not rows:
-                continue
-            codes = encoded.get(plan.relation)
-            if codes is None:
-                codes = self.interner.encode_batch(np, rows)
-                encoded[plan.relation] = codes
-            self._load_plan(plan, getters, extract, rows, codes)
-        structure._finalize_bulk(frozenset())
-        structure.version += 1
-
-    def _load_plan(self, plan, getters, extract, rows, codes) -> None:
-        np = self.np
-        if plan.eq:
-            mask = codes[:, plan.eq[0][0]] == codes[:, plan.eq[0][1]]
-            for s, t in plan.eq[1:]:
-                mask &= codes[:, s] == codes[:, t]
-            selection = np.flatnonzero(mask)
-            if not len(selection):
-                return
-            path_codes = codes[selection][:, extract]
-        else:
-            selection = None
-            path_codes = codes[:, extract]
-        ones = np.ones(len(path_codes), dtype=np.int64)
-        interner_bound = len(self.interner) + 1
-        group_ids = None
-        for j, level in enumerate(plan.levels):
-            column = path_codes[:, j]
-            group_ids, uniq_count, representative, counts = self._group(
-                group_ids, column, ones, path_codes, j, interner_bound
-            )
-            reps = (
-                representative
-                if selection is None
-                else selection[representative]
-            )
-            positions = reps.tolist()
-            group_counts = counts.tolist()
-            store = level.store
-            parent_store = plan.levels[j - 1].store if j else None
-            atom_index = plan.atom_index
-            getter = getters[j]
-            for row_pos, count in zip(positions, group_counts):
-                key = getter(rows[row_pos])
-                item = store.get(key)
-                if item is None:
-                    parent = parent_store[key[:-1]] if j else None
-                    item = Item(level.node, key, parent)
-                    store[key] = item
-                item.c_atom[atom_index] = (
-                    item.c_atom.get(atom_index, 0) + count
-                )
-
 
 class VectorizedKernel:
     """The per-engine vectorized backend: one shared interner plus one
@@ -576,48 +497,6 @@ class VectorizedKernel:
             _StructureOps(np, structure, self.interner)
             for structure in structures
         ]
-
-    def bulk_load(self, rows_by_relation) -> None:
-        # Database relations come in as set-like collections; the
-        # kernels index into them by position, so materialize once.
-        listed = {
-            relation: rows if isinstance(rows, (list, tuple)) else list(rows)
-            for relation, rows in rows_by_relation.items()
-        }
-        for ops in self._ops:
-            ops.bulk_load(listed)
-
-    def apply_batch(self, commands) -> None:
-        """Apply a chunk of *effective* commands (set-semantics filtered
-        and already folded into the engine's database by the caller)."""
-        if not isinstance(commands, list):
-            commands = list(commands)
-        # Group per relation with C-level comprehensions — a Python
-        # for-loop here would cost as much as the whole kernel on
-        # plans whose vector work is trivial.
-        relations = [command.relation for command in commands]
-        distinct = set(relations)
-        grouped: Dict[str, Tuple[List[Row], List[int]]] = {}
-        if len(distinct) == 1:
-            grouped[relations[0]] = (
-                [command.row for command in commands],
-                [1 if command.op == "insert" else -1 for command in commands],
-            )
-        else:
-            rows = [command.row for command in commands]
-            signs = [
-                1 if command.op == "insert" else -1 for command in commands
-            ]
-            for name in distinct:
-                indexes = [
-                    i for i, relation in enumerate(relations)
-                    if relation == name
-                ]
-                grouped[name] = (
-                    [rows[i] for i in indexes],
-                    [signs[i] for i in indexes],
-                )
-        self.apply_groups(grouped)
 
     def apply_groups(self, grouped) -> None:
         """Apply one batch already grouped as ``relation → (rows,

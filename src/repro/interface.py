@@ -120,8 +120,8 @@ class DynamicEngine(ABC):
         The default replays every tuple as a single insertion —
         O(poly(ϕ)) each for the paper's engine, so O(poly(ϕ) · ||D0||)
         overall.  Engines with a faster batch path (e.g.
-        :class:`repro.core.engine.QHierarchicalEngine`'s
-        ``bulk_load``) override this hook.
+        :class:`repro.core.engine.QHierarchicalEngine`'s bulk loader)
+        override this hook.
         """
         for relation in database.relations():
             for row in relation.rows:
@@ -599,9 +599,8 @@ def make_engine(
     delta-IVM baseline.
 
     ``options`` (an :class:`~repro.options.EngineOptions` or a mapping)
-    plus per-field keyword sugar (``compiled=``, ``merged_loaders=``,
-    ``backend=``) tune the construction; unknown names raise with a
-    did-you-mean suggestion.
+    plus the ``backend=`` keyword sugar tune the construction; unknown
+    names raise with a did-you-mean suggestion.
     """
     # Imported lazily: repro.api builds on this module.
     from repro.api.planner import Planner, parse_view

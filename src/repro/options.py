@@ -1,29 +1,32 @@
 """One options surface for every place an engine is born.
 
-PR 2 introduced ``compiled=``, PR 2's bulk loaders ``merged_loaders=``,
-and the vectorized backend adds ``backend=`` — three tuning knobs that
-used to travel as loose keyword arguments through ``Session.view``,
-``make_engine``, the CLI and the cluster wire.  :class:`EngineOptions`
-collapses them into one frozen dataclass accepted everywhere an engine
-is constructed, with
+:class:`EngineOptions` is the frozen value accepted everywhere an engine
+is constructed — ``Session.view``, ``make_engine``, ``Planner``, the
+CLI, ``Server`` and the cluster wire — with
 
 * per-field keyword arguments kept as sugar
-  (``Session.view(..., backend="vectorized")`` still works),
-* mapping inputs (the cluster wire, the CLI's ``--option k=v``)
-  validated with did-you-mean suggestions — the same difflib pattern
+  (``Session.view(..., backend="vectorized")``),
+* mapping inputs (the cluster wire, journals) validated with
+  did-you-mean suggestions — the same difflib pattern
   :mod:`repro.api.access` uses for binding typos,
 * a stable wire form (:meth:`EngineOptions.to_wire`) so view
   registrations, the command journal and recovery replays pin the
   options an engine was originally built with.
 
-``backend`` selects how the compiled Theorem 3.2 update plans execute:
+It has one field.  ``backend`` selects which executors of the Theorem
+3.2 update plans an engine carries:
 
-* ``"python"`` — the PR 2 per-tuple generated runners;
-* ``"vectorized"`` — batched numpy kernels over int-interned tuples
-  (:mod:`repro.core.vectorized`); requires numpy and ``compiled=True``;
+* ``"python"`` — the per-tuple generated runners only;
+* ``"vectorized"`` — the runners plus the batched numpy kernel over
+  int-interned tuples (:mod:`repro.core.vectorized`), which
+  ``apply_all`` picks for batches large enough to amortise it;
+  requires numpy;
 * ``"auto"`` (default) — vectorized when numpy is importable and the
   plan qualifies, python otherwise, with the fallback reason surfaced
   through ``plan_stats()`` / ``explain()``.
+
+Preprocessing has no option: every engine bulk-loads through the one
+generated loader of :func:`repro.core.plans.compile_relation_loader`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import EngineStateError
 
-__all__ = ["EngineOptions", "BACKENDS", "resolve_options"]
+__all__ = ["EngineOptions", "BACKENDS"]
 
 #: Legal values of ``EngineOptions.backend``.
 BACKENDS = ("auto", "python", "vectorized")
@@ -42,13 +45,8 @@ BACKENDS = ("auto", "python", "vectorized")
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Engine construction tuning knobs (see module docstring)."""
+    """Engine construction options (see module docstring)."""
 
-    #: Generated per-atom runners and bulk loaders (PR 2).  ``False``
-    #: selects the seed's reference path — the differential oracle.
-    compiled: bool = True
-    #: Merge all atom plans of one relation into a single bulk loader.
-    merged_loaders: bool = True
     #: Update-plan execution backend: ``"auto" | "python" | "vectorized"``.
     backend: str = "auto"
 
@@ -59,12 +57,6 @@ class EngineOptions:
             raise EngineStateError(
                 f"unknown backend {self.backend!r}{suggestion} "
                 f"(choose from {', '.join(map(repr, BACKENDS))})"
-            )
-        if self.backend == "vectorized" and not self.compiled:
-            raise EngineStateError(
-                "backend='vectorized' emits kernels from the compiled "
-                "plans; it cannot run with compiled=False (the reference "
-                "oracle) — use backend='python' there"
             )
 
     # -- construction ---------------------------------------------------------
@@ -78,7 +70,7 @@ class EngineOptions:
 
         Overrides with value ``None`` mean "not specified" and keep the
         base value — that is what lets surfaces expose
-        ``compiled=None`` defaults without clobbering an explicit
+        ``backend=None`` defaults without clobbering an explicit
         ``options=``.  Unknown names get a did-you-mean error.
         """
         if options is None:
@@ -123,11 +115,7 @@ class EngineOptions:
 
     def to_wire(self) -> Dict[str, object]:
         """JSON-safe dict for registration ops and the journal."""
-        return {
-            "compiled": bool(self.compiled),
-            "merged_loaders": bool(self.merged_loaders),
-            "backend": self.backend,
-        }
+        return {"backend": self.backend}
 
     @classmethod
     def from_wire(cls, data: Optional[Mapping[str, Any]]) -> "EngineOptions":
@@ -142,11 +130,3 @@ class EngineOptions:
         """Whether every field holds its default — callers skip the
         wire payload then, keeping old frames byte-identical."""
         return self == type(self)()
-
-
-def resolve_options(
-    options: Optional[object] = None, **overrides: Any
-) -> EngineOptions:
-    """Module-level alias of :meth:`EngineOptions.of` (reads better at
-    call sites that funnel ``**kwargs`` sugar)."""
-    return EngineOptions.of(options, **overrides)

@@ -2052,10 +2052,9 @@ class ClusterClient:
         so recovery and migration rebuild the same binding indexes).
 
         ``options`` (:class:`repro.options.EngineOptions` or a mapping)
-        controls the engine built on the worker — compilation, merged
-        loaders, the update backend.  It rides the registration op and
-        the journal the same way, so a kill -9 replay rebuilds the view
-        with the same backend.
+        selects the update backend of the engine built on the worker.
+        It rides the registration op and the journal the same way, so a
+        kill -9 replay rebuilds the view with the same backend.
 
         The routing table is revalidated: if the view mentions a
         relation already served by another worker, the routing entry is

@@ -195,6 +195,26 @@ def _thaw(pid: int) -> None:
         pass
 
 
+def _await_stopped(pid: int, timeout: float = 0.1) -> None:
+    """Wait (bounded) until a SIGSTOPped process has actually halted.
+
+    The signal is delivered asynchronously, so without this the worker
+    can still answer the frames right behind the one that froze it.
+    Polls the state field of ``/proc/<pid>/stat`` — the one after the
+    parenthesised command name — for ``T``; where ``/proc`` is absent
+    (or the process is gone) the signal alone has to do."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as stat:
+                state = stat.read().rpartition(b")")[2].split()[0]
+        except (OSError, IndexError):
+            return
+        if state == b"T":
+            return
+        time.sleep(0.001)
+
+
 class FaultyConnection(Connection):
     """A :class:`~repro.serve.transport.Connection` that applies a
     fault script to the frames passing through it.
@@ -243,6 +263,7 @@ class FaultyConnection(Connection):
         timer = threading.Timer(duration, _thaw, args=(pid,))
         timer.daemon = True
         timer.start()
+        _await_stopped(pid)
 
     def send(self, message: object) -> None:
         with self._fault_lock:

@@ -96,7 +96,6 @@ def update_blob(
     procedure=3.0,
     floor=300000.0,
     preprocessing=4.0,
-    merged=1.1,
     native=3.0,
     numpy=True,
 ):
@@ -107,7 +106,6 @@ def update_blob(
             "update_procedure_geomean": procedure,
             "update_procedure_floor_ups": floor,
             "preprocessing_geomean": preprocessing,
-            "merged_loader_geomean": merged,
             "native_backend_geomean": native,
         },
     }
@@ -151,7 +149,7 @@ def test_relative_metric_missing_from_baseline_is_skipped(tmp_path):
     # relative metrics skip with a note; the absolute guardrails
     # (preprocessing, the procedure floor, the native geomean) still run
     assert regressions == []
-    assert sum("skip" in line for line in notes) == 3
+    assert sum("skip" in line for line in notes) == 2
     assert any("preprocessing_geomean" in line and "ok" in line for line in notes)
     assert any(
         "update_procedure_floor_ups" in line and "ok" in line for line in notes

@@ -90,6 +90,16 @@ class TestPlanCommand:
         assert status == 2
         assert "not q-hierarchical" in err
 
+    def test_backend_is_the_only_engine_flag(self, capsys):
+        status = main(["plan", "--backend", "python", "Q(x, y) :- E(x, y), T(y)"])
+        assert status == 0
+        assert "backend: python" in capsys.readouterr().out
+        for retired in ("--no-compiled", "--no-merged-loaders"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["plan", retired, "Q(x, y) :- E(x, y), T(y)"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestDemoCommand:
     def test_demo_reproduces_counts(self, capsys):

@@ -10,9 +10,9 @@ tuples in one pass.  Checked here:
   over every q-hierarchical zoo query plus shapes chosen to hit each
   invariant the derivation rests on (self-join atoms sharing a path
   prefix, an eq-filtered atom, a Boolean gate component, a quantified
-  tail below the free prefix), on compiled, reference and auto-backend
-  engines, over a 3-value domain so flips at every depth and
-  unfit-ancestor cases occur;
+  tail below the free prefix), on the shipped engine under both
+  backends and on the reference oracle, over a 3-value domain so flips
+  at every depth and unfit-ancestor cases occur;
 * ``version`` moves once per matching atom plan per effective command
   on ``apply`` and ``apply_with_delta`` alike, and the two leave
   identical structure state;
@@ -33,6 +33,8 @@ from repro.eval_static.naive import evaluate
 from repro.storage.database import Database
 from repro.storage.updates import delete, insert
 
+from reference_engine import ReferenceEngine, ReferenceStructure
+
 DOMAIN = (0, 1, 2)
 
 QUERIES = {
@@ -51,11 +53,20 @@ QUERIES.update(
     }
 )
 
+#: ``compiled=True`` is the shipped engine (generated runners) under
+#: either backend; ``compiled=False`` the reference oracle, which has no
+#: backends — its two ids run two different seeds of the stream.
 CONFIGS = [
     pytest.param(compiled, backend, id=f"compiled={compiled}-{backend}")
     for compiled in (True, False)
     for backend in ("python", "auto")
 ]
+
+
+def build_engine(compiled, query, database, backend=None):
+    if compiled:
+        return QHierarchicalEngine(query, database, backend=backend)
+    return ReferenceEngine(query, database)
 
 
 def relations_of(query):
@@ -74,7 +85,7 @@ def random_commands(query, rng, steps):
 
 def random_database(query, rng):
     """Half of all possible rows, so streams start from a bulk-loaded
-    state (the kernel's, under ``backend="auto"``)."""
+    state (insert-replayed, on the oracle)."""
     database = Database.empty_like(query)
     for name, arity in relations_of(query):
         for row in itertools.product(DOMAIN, repeat=arity):
@@ -88,9 +99,7 @@ def random_database(query, rng):
 def test_delta_matches_naive_result_diff(name, compiled, backend):
     query = QUERIES[name]
     rng = random.Random(f"{name}/{compiled}/{backend}")
-    engine = QHierarchicalEngine(
-        query, random_database(query, rng), compiled=compiled, backend=backend
-    )
+    engine = build_engine(compiled, query, random_database(query, rng), backend)
     before = evaluate(query, engine.database)
     assert engine.result_set() == before
     for command in random_commands(query, rng, steps=300):
@@ -115,8 +124,8 @@ def test_one_update_pass_per_matching_plan(name, compiled):
     query = QUERIES[name]
     rng = random.Random(f"version/{name}/{compiled}")
     database = random_database(query, rng)
-    subscribed = QHierarchicalEngine(query, database, compiled=compiled)
-    plain = QHierarchicalEngine(query, database, compiled=compiled)
+    subscribed = build_engine(compiled, query, database)
+    plain = build_engine(compiled, query, database)
 
     def versions(engine):
         return sum(structure.version for structure in engine.structures)
@@ -146,16 +155,19 @@ def test_one_update_pass_per_matching_plan(name, compiled):
 # ---------------------------------------------------------------------------
 
 
+STRUCTURES = {True: ComponentStructure, False: ReferenceStructure}
+
+
 def run_atom(structure, atom_index, is_insert, row):
     """One atom's update through whichever loop the structure uses;
     returns the report and the delta rows it stands for."""
     plan = structure.plans[atom_index]
-    if structure.compiled:
-        report = structure.runners[atom_index](is_insert, row)
-    else:
+    if isinstance(structure, ReferenceStructure):
         report = structure._apply_atom(
             is_insert, atom_index, plan.path, plan.values_of(row)
         )
+    else:
+        report = structure.runners[atom_index](is_insert, row)
     rows = []
     if report is not None:
         plan.emit_delta(report, rows)
@@ -165,7 +177,7 @@ def run_atom(structure, atom_index, is_insert, row):
 @pytest.mark.parametrize("compiled", [True, False])
 def test_runner_reports_flip_under_unfit_ancestor(compiled):
     # E_T_QF(x, y) = E(x, y) ∧ T(y): q-tree y → x, atom 0 = E, 1 = T.
-    structure = ComponentStructure(zoo.E_T_QF, compiled=compiled)
+    structure = STRUCTURES[compiled](zoo.E_T_QF)
     assert [plan.path for plan in structure.plans] == [("y", "x"), ("y",)]
 
     # E(a, b) without T(b): the x-item becomes fit (a flip at level 1),
@@ -201,9 +213,7 @@ def test_runner_reports_flip_under_unfit_ancestor(compiled):
 @pytest.mark.parametrize("compiled", [True, False])
 def test_runner_reports_nothing_without_a_free_flip(compiled):
     # Q(x, y) = R(x, y, z): z is a quantified tail below the free chain.
-    structure = ComponentStructure(
-        parse_query("Q(x, y) :- R(x, y, z)"), compiled=compiled
-    )
+    structure = STRUCTURES[compiled](parse_query("Q(x, y) :- R(x, y, z)"))
     report, rows = run_atom(structure, 0, True, (1, 2, 3))
     assert report[0] == 0 and rows == [(1, 2)]
     # A second witness flips only the quantified z-item.

@@ -1,9 +1,9 @@
 """The vectorized native backend and the EngineOptions surface.
 
 Differential guarantee: with ``backend="vectorized"`` every engine is
-*observationally identical* to the PR 2 python runners — same counts,
-same enumerations, same digests, and byte-identical per-component
-snapshots — across bulk loads, batched ``apply_all`` streams,
+*observationally identical* to the per-tuple python runners — same
+counts, same enumerations, same digests, and byte-identical
+per-component snapshots — across bulk loads, batched ``apply_all`` streams,
 ``apply_with_delta``, binding-index fallback, the serving backends,
 and a kill -9 journal replay (which rebuilds the interning tables from
 scratch on the respawned worker).
@@ -11,9 +11,10 @@ scratch on the respawned worker).
 
 from __future__ import annotations
 
+import dataclasses
+import pathlib
 import random
 import time
-import warnings
 
 import pytest
 
@@ -82,11 +83,11 @@ def _assert_identical(vec, py):
 
 def test_options_defaults_and_wire_roundtrip():
     options = EngineOptions()
-    assert options.compiled and options.merged_loaders
     assert options.backend == "auto"
     assert options.is_default
-    custom = EngineOptions(backend="python", merged_loaders=False)
+    custom = EngineOptions(backend="python")
     assert not custom.is_default
+    assert custom.to_wire() == {"backend": "python"}
     assert EngineOptions.from_wire(custom.to_wire()) == custom
     assert EngineOptions.from_wire(None) == EngineOptions()
 
@@ -96,8 +97,7 @@ def test_options_of_coerces_and_overrides():
     assert EngineOptions.of({"backend": "python"}).backend == "python"
     base = EngineOptions(backend="python")
     assert EngineOptions.of(base) is base
-    merged = EngineOptions.of(base, compiled=False)
-    assert merged.backend == "python" and not merged.compiled
+    assert EngineOptions.of(base, backend="auto").backend == "auto"
     # None overrides mean "unspecified", not "set to None".
     assert EngineOptions.of(base, backend=None).backend == "python"
 
@@ -116,21 +116,29 @@ def test_options_unknown_backend_gets_did_you_mean():
         EngineOptions(backend="cuda")
 
 
-def test_options_reject_vectorized_without_compiled_plans():
-    with pytest.raises(EngineStateError, match="compiled"):
-        EngineOptions(compiled=False, backend="vectorized")
+def test_backend_is_the_only_option():
+    assert [f.name for f in dataclasses.fields(EngineOptions)] == ["backend"]
+    # The retired knobs are unknown names on every entry point.
+    with pytest.raises(EngineStateError, match="unknown engine option 'compiled'"):
+        EngineOptions.of({"compiled": False})
+    with pytest.raises(
+        EngineStateError, match="unknown engine option 'merged_loaders'"
+    ):
+        EngineOptions.from_wire({"merged_loaders": True, "backend": "auto"})
+    with pytest.raises(TypeError, match="compiled"):
+        Session().view("v", "V(x) :- R(x)", compiled=False)
+    with pytest.raises(TypeError, match="positional"):
+        QHierarchicalEngine(PAPER_QUERIES["E_T_QF"], None, (), False)
 
 
-def test_legacy_positional_arguments_warn_and_still_work():
-    query = PAPER_QUERIES["E_T_QF"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        engine = QHierarchicalEngine(query, None, (), False)
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    assert engine.plan_stats()["compiled"] is False
-    assert engine.backend_info()["backend"] == "python"
+def test_reference_oracle_is_quarantined_in_tests():
+    source = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    mentions = [
+        str(path)
+        for path in source.rglob("*.py")
+        if "reference_engine" in path.read_text(encoding="utf-8")
+    ]
+    assert mentions == []
 
 
 def test_resolve_backend_reasons():
@@ -378,11 +386,7 @@ def test_cluster_view_options_ride_the_wire_and_replay_on_kill9():
                 )
                 victim = facade._worker_of_view("nb")
                 record = journal.view("nb")
-                assert record.options == {
-                    "compiled": True,
-                    "merged_loaders": True,
-                    "backend": "vectorized",
-                }
+                assert record.options == {"backend": "vectorized"}
                 rng = random.Random(17)
                 for step in range(120):
                     if step == 60:

@@ -15,7 +15,7 @@ Three invariant families, all differential:
   agree with brute-force filtering of the full result, and the
   pointer-walking Algorithm 1 agrees with the generator rendering.
 
-Plus the bulk-preprocessing satellites: merged same-relation loaders
+Plus the bulk-preprocessing satellites: the one generated bulk loader
 and the union / delta-IVM bulk preloads must be state-identical to
 their replay baselines.
 """
@@ -27,9 +27,11 @@ import threading
 import pytest
 
 from conftest import random_stream
+from reference_engine import ReferenceEngine
 from repro.api import Session
 from repro.core.engine import QHierarchicalEngine
 from repro.core.enumeration import algorithm1
+from repro.core.plans import compile_relation_loader
 from repro.cq import zoo
 from repro.cq.parser import parse_query
 from repro.errors import (
@@ -88,8 +90,9 @@ DELTA_QUERIES = [
 @pytest.mark.parametrize("name", DELTA_QUERIES)
 @pytest.mark.parametrize("compiled", [True, False])
 def test_qhierarchical_delta_matches_result_diff(name, compiled):
+    # compiled=False: the delta read off the reference oracle's loop.
     query = zoo.PAPER_QUERIES[name]
-    engine = QHierarchicalEngine(query, compiled=compiled)
+    engine = (QHierarchicalEngine if compiled else ReferenceEngine)(query)
     oracle = QHierarchicalEngine(query)
     rng = random.Random(hash(name) % 1000 + compiled)
     for command in random_stream(query, rng, rounds=200, domain=6):
@@ -524,28 +527,62 @@ SELFJOIN_QUERIES = [
     ("selfstar4_partial", zoo.selfjoin_star_query(4, free_leaves=2)),
 ]
 
+#: Shapes the one bulk loader must cover beyond self-joins: one plan
+#: per relation, an eq-filtered plan next to an unfiltered one, a
+#: depth-1 path, a Boolean query.
+LOADER_QUERIES = SELFJOIN_QUERIES + [
+    ("star3", zoo.star_query(3, free_leaves=3)),
+    ("eq_filtered", parse_query("Q(x, y) :- E(x, y), E(x, x)")),
+    ("depth1", parse_query("Q(x) :- T(x)")),
+    ("boolean", parse_query("Q() :- E(x, x)")),
+]
 
-@pytest.mark.parametrize("name,query", SELFJOIN_QUERIES)
-def test_merged_loaders_state_identical_to_per_atom_and_replay(name, query):
+
+def per_atom_loader(plans):
+    """The per-atom layout the merged generator replaces: the same
+    generator fed one plan at a time, one pass over the rows each."""
+    loaders = [compile_relation_loader([plan]) for plan in plans]
+
+    def load(rows):
+        for loader in loaders:
+            loader(rows)
+
+    return load
+
+
+@pytest.mark.parametrize("name,query", LOADER_QUERIES)
+def test_merged_loaders_state_identical_to_per_atom_and_replay(
+    name, query, monkeypatch
+):
+    """Bulk load ≡ the oracle's insert-by-insert replay, on the default
+    backend (so the numpy and no-numpy CI legs both reach the loader):
+    same ``snapshot()`` per structure, same ``count()``, and the loaded
+    engine keeps tracking the oracle under further updates.  Merging
+    the plans of a relation into one pass is state-neutral too."""
     rng = random.Random(len(name))
     database = Database.empty_like(query)
     for command in insert_only_stream(
         rng, query, 1500, domain=UniformDomain(12)
     ):
         database.insert(command.relation, command.row)
-    merged = QHierarchicalEngine(query, database, merged_loaders=True)
-    per_atom = QHierarchicalEngine(query, database, merged_loaders=False)
-    replay = QHierarchicalEngine(query, database, compiled=False)
+    merged = QHierarchicalEngine(query, database)
+    replay = ReferenceEngine(query, database)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.core.structure.compile_relation_loader", per_atom_loader
+        )
+        per_atom = QHierarchicalEngine(query, database)
     assert merged.count() == per_atom.count() == replay.count()
     for sm, sp, sr in zip(
         merged.structures, per_atom.structures, replay.structures
     ):
         assert sm.snapshot() == sp.snapshot() == sr.snapshot()
-    # the merged-loaded engine keeps updating correctly
+    # the bulk-loaded engine keeps updating correctly
     for command in random_stream(query, rng, rounds=100, domain=8):
-        merged.apply(command)
-        replay.apply(command)
+        assert merged.apply(command) == replay.apply(command)
     assert merged.count() == replay.count()
+    for sm, sr in zip(merged.structures, replay.structures):
+        assert sm.snapshot() == sr.snapshot()
 
 
 def test_union_bulk_preload_matches_replay():

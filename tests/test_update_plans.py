@@ -1,12 +1,13 @@
 """Differential tests for the compiled update-plan layer.
 
-The compiled path (generated runners, zero-aware incremental counters,
-bulk loaders + finalizers) must be observationally identical to the
-seed reference implementation (``compiled=False``): same ``snapshot()``
-state, same count/answer/enumerate/contains, across random effective
-update streams and bulk loads.  The reference path doubles as the
-oracle because it is the literal rendering of Section 6.4 that the
-seed test-suite (Figure 3, brute-force invariants) already pins down.
+The shipped engine (generated runners, zero-aware incremental counters,
+the bulk loader + finalizers) must be observationally identical to the
+seed reference implementation (``tests/reference_engine.py``): same
+``snapshot()`` state, same count/answer/enumerate/contains, across
+random effective update streams and bulk loads.  The reference engine
+doubles as the oracle because it is the literal rendering of Section
+6.4 that the seed test-suite (Figure 3, brute-force invariants) already
+pins down.
 """
 
 import random
@@ -23,6 +24,8 @@ from repro.errors import EngineStateError
 from repro.storage.database import Database
 from repro.workloads.distributions import UniformDomain
 from repro.workloads.streams import insert_only_stream, mixed_stream
+
+from reference_engine import ReferenceEngine
 
 QH_QUERIES = [
     query
@@ -50,8 +53,8 @@ class TestCompiledVsReference:
     def test_random_stream_identical_state(self, query):
         rng = random.Random(101)
         stream = mixed_stream(rng, query, 1500, domain=UniformDomain(25))
-        compiled = QHierarchicalEngine(query, compiled=True)
-        reference = QHierarchicalEngine(query, compiled=False)
+        compiled = QHierarchicalEngine(query)
+        reference = ReferenceEngine(query)
         for i, command in enumerate(stream):
             assert compiled.apply(command) == reference.apply(command)
             if i % 500 == 499:  # periodic deep checks along the stream
@@ -64,7 +67,7 @@ class TestCompiledVsReference:
     def test_random_stream_invariants_hold(self, query):
         rng = random.Random(57)
         stream = mixed_stream(rng, query, 800, domain=UniformDomain(15))
-        engine = QHierarchicalEngine(query, compiled=True)
+        engine = QHierarchicalEngine(query)
         for command in stream:
             engine.apply(command)
         report = check_engine(engine)
@@ -73,8 +76,8 @@ class TestCompiledVsReference:
     def test_contains_agrees_along_stream(self, query):
         rng = random.Random(33)
         stream = mixed_stream(rng, query, 600, domain=UniformDomain(10))
-        compiled = QHierarchicalEngine(query, compiled=True)
-        reference = QHierarchicalEngine(query, compiled=False)
+        compiled = QHierarchicalEngine(query)
+        reference = ReferenceEngine(query)
         for command in stream:
             compiled.apply(command)
             reference.apply(command)
@@ -91,8 +94,8 @@ class TestCompiledVsReference:
         rng = random.Random(7)
         commands = insert_only_stream(rng, query, 1200, domain=UniformDomain(20))
         database = build_database(query, commands)
-        bulk = QHierarchicalEngine(query, database, compiled=True)
-        replay = QHierarchicalEngine(query, database, compiled=False)
+        bulk = QHierarchicalEngine(query, database)
+        replay = ReferenceEngine(query, database)
         assert snapshots(bulk) == snapshots(replay)
         assert bulk.count() == replay.count()
         assert bulk.result_set() == replay.result_set()
@@ -102,8 +105,8 @@ class TestCompiledVsReference:
         rng = random.Random(13)
         commands = insert_only_stream(rng, query, 600, domain=UniformDomain(12))
         database = build_database(query, commands)
-        bulk = QHierarchicalEngine(query, database, compiled=True)
-        replay = QHierarchicalEngine(query, database, compiled=False)
+        bulk = QHierarchicalEngine(query, database)
+        replay = ReferenceEngine(query, database)
         for command in mixed_stream(rng, query, 600, domain=UniformDomain(12)):
             assert bulk.apply(command) == replay.apply(command)
         assert snapshots(bulk) == snapshots(replay)
@@ -113,7 +116,7 @@ class TestCompiledVsReference:
         rng = random.Random(3)
         commands = insert_only_stream(rng, query, 300, domain=UniformDomain(8))
         database = build_database(query, commands)
-        engine = QHierarchicalEngine(query, database, compiled=True)
+        engine = QHierarchicalEngine(query, database)
         for relation in database.relations():
             for row in relation.rows:
                 engine.delete(relation.name, row)
@@ -168,7 +171,6 @@ class TestPlanCompilation:
     def test_engine_plan_stats(self):
         engine = QHierarchicalEngine(zoo.E_T_QF)
         stats = engine.plan_stats()
-        assert stats["compiled"] is True
         assert stats["components"] == 1
         assert stats["atom_plans"] == 2
         assert stats["dispatch_width"] == {"E": 1, "T": 1}
@@ -195,10 +197,6 @@ class TestBulkLoadGuards:
         assert structure.count() == 2
         assert sorted(structure.enumerate()) == [(1, 5), (2, 5)]
 
-    def test_compiled_flag_round_trip(self):
-        assert ComponentStructure(zoo.E_T_QF, compiled=True).compiled
-        assert not ComponentStructure(zoo.E_T_QF, compiled=False).compiled
-
 
 class TestPreloadParity:
     def test_extra_empty_relation_accepted_like_replay(self):
@@ -207,8 +205,8 @@ class TestPreloadParity:
         database = Database(Schema({"E": 2, "T": 1, "UNRELATED": 2}))
         database.insert("E", (1, 2))
         database.insert("T", (2,))
-        bulk = QHierarchicalEngine(zoo.E_T_QF, database, compiled=True)
-        replay = QHierarchicalEngine(zoo.E_T_QF, database, compiled=False)
+        bulk = QHierarchicalEngine(zoo.E_T_QF, database)
+        replay = ReferenceEngine(zoo.E_T_QF, database)
         assert bulk.count() == replay.count() == 1
 
     def test_populated_unknown_relation_raises_in_both_modes(self):
@@ -217,9 +215,9 @@ class TestPreloadParity:
 
         database = Database(Schema({"E": 2, "T": 1, "UNRELATED": 2}))
         database.insert("UNRELATED", (1, 1))
-        for compiled in (True, False):
+        for engine_class in (QHierarchicalEngine, ReferenceEngine):
             with pytest.raises(SchemaError):
-                QHierarchicalEngine(zoo.E_T_QF, database, compiled=compiled)
+                engine_class(zoo.E_T_QF, database)
 
 
 class TestBucketViewLiveness:
