@@ -774,9 +774,7 @@ class Session:
         dispatch_workers: int = 0,
         dispatch_queue: int = 8192,
         codec: str = "json",
-        start_method: str = "spawn",
         supervise: bool = False,
-        multiplex: bool = True,
         request_timeout: Optional[float] = None,
         retry_budget: Optional[int] = None,
         heartbeat: Optional[float] = None,
@@ -814,18 +812,14 @@ class Session:
 
         With ``supervise=True`` (processes backend) the cluster runs
         under a :class:`~repro.serve.supervisor.Supervisor`: a
-        :class:`~repro.serve.journal.CommandJournal` records every
-        registration and update, heartbeat sweeps detect dead workers,
-        and a ``kill -9`` degrades to a bounded stall — the worker is
-        respawned, its views and rows replayed from the journal, and
-        blocked callers retry on the fresh channel.  Closing the
+        :class:`~repro.serve.journal.CommandJournal` mirrors every
+        update, heartbeat sweeps detect dead workers, and a ``kill -9``
+        degrades to a bounded stall — the worker is respawned, its
+        views re-registered from the client's view table and its rows
+        replayed from the journal, and blocked callers retry on the
+        fresh channel.  Closing the
         client stops the supervisor too.  The threads backend ignores
         the flag (an in-process server has no processes to lose).
-
-        ``multiplex`` keeps request pipelining on (the default): each
-        worker channel tags frames with request ids so many requests
-        ride in flight at once; pass ``False`` for the serial
-        one-request-at-a-time protocol.
 
         Robustness knobs (processes backend; each falls back to an
         environment variable, then a default, when ``None``):
@@ -856,7 +850,7 @@ class Session:
         """
         if observe is None:
             observe = self._observe
-        if backend in ("threads", "inprocess", "server"):
+        if backend == "threads":
             from repro.serve.server import Server
 
             return Server(
@@ -866,7 +860,7 @@ class Session:
                 dispatch_queue=dispatch_queue,
                 options=options,
             )
-        if backend in ("processes", "cluster", "multiprocess"):
+        if backend == "processes":
             from repro.serve.cluster import ShardCluster
 
             journal = None
@@ -875,16 +869,12 @@ class Session:
 
                 journal = CommandJournal()
             cluster = ShardCluster(
-                workers=shards,
-                codec=codec,
-                start_method=start_method,
-                observe=observe,
+                workers=shards, codec=codec, observe=observe
             )
             try:
                 client = cluster.client(
                     dispatch_workers=dispatch_workers,
                     dispatch_queue=dispatch_queue,
-                    multiplex=multiplex,
                     journal=journal,
                     request_timeout=request_timeout,
                     retry_budget=retry_budget,

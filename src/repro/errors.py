@@ -217,9 +217,7 @@ class DeadlineExceededError(ClusterError):
     unparked and any late reply is dropped) is retry-safe for
     idempotent reads — :class:`repro.serve.cluster.ClusterClient`
     retries those with jittered backoff up to its ``retry_budget``
-    before surfacing this error.  On the serial channel a timeout
-    loses the request/reply pairing, so the connection condemns
-    itself first.
+    before surfacing this error.
 
     Carries ``op`` (the request op that missed its deadline),
     ``worker`` (the shard index, ``-1`` below the cluster layer),

@@ -24,7 +24,8 @@ clients can hold open connections against:
   boundary), with two-phase cross-shard batches and push-streamed
   subscription deltas;
 * :mod:`repro.serve.journal` — the net-effect command journal
-  (:class:`CommandJournal`) a recovery replays from;
+  (:class:`CommandJournal`): the row mirror a recovery replays from
+  (the views come from the client's own :class:`RemoteView` table);
 * :mod:`repro.serve.supervisor` — :class:`Supervisor`: heartbeat
   health sweeps, automatic respawn-and-replay of crashed workers
   (``kill -9`` degrades to a bounded stall), load-aware placement
@@ -59,7 +60,7 @@ from repro.serve.cluster import ClusterClient, RemoteView, ShardCluster
 from repro.serve.cursors import Cursor, CursorInvalidation, bound_stream
 from repro.serve.dispatch import DispatchPool
 from repro.serve.faults import Fault, FaultPlan, FaultyConnection
-from repro.serve.journal import CommandJournal, ViewRecord
+from repro.serve.journal import CommandJournal
 from repro.serve.server import RWLock, Server
 from repro.serve.snapshot import Snapshot
 from repro.serve.subscriptions import Delta, Subscription
@@ -93,5 +94,4 @@ __all__ = [
     "Snapshot",
     "Subscription",
     "Supervisor",
-    "ViewRecord",
 ]

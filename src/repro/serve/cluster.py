@@ -15,12 +15,12 @@ Three pieces:
   worker hosts a **single-shard** :class:`Server` over the views placed
   on it and serves the existing id-based ``Server.handle`` request loop
   over the frame transport (:mod:`repro.serve.transport`).  Worker-only
-  ops (view registration with relation reporting, push subscriptions,
-  the two-phase batch protocol, row backfill) wrap around that loop
-  without touching it.
+  ops (push subscriptions, the two-phase batch protocol, row reads,
+  chunked streams) are dispatched *through* that loop, so client-error
+  shaping exists once.
 * :class:`ShardCluster` — the deployment handle: spawns the worker
-  processes (``spawn`` start method by default — fork-safe regardless
-  of client threads), hands out :class:`ClusterClient` connections,
+  processes (``spawn`` start method — fork-safe regardless of client
+  threads), hands out :class:`ClusterClient` connections,
   and terminates workers cleanly (SIGTERM, then SIGKILL stragglers).
   Workers are daemonic *and* watch a life pipe, so they exit even if
   the parent is killed -9 — aborted runs do not leak orphans.
@@ -29,12 +29,18 @@ Three pieces:
   count/...`` surface as :class:`Server`, so session-level code and
   ``benchmarks/bench_serving.py`` run unchanged against either backend.
 
-**Routing.**  The client keeps the PR-4 routing table client-side:
-views place round-robin over workers, and a relation maps to exactly
-the workers whose views mention it (revalidated on every registration —
-registering a view whose relation already lives elsewhere backfills the
-existing rows into the new worker before the view goes live).  Writes
-fan out only to those workers, in ascending worker order.
+**Routing.**  The client keeps one record per view — the
+:class:`RemoteView` that ``view()`` returns (worker, query text, pinned
+engine, relations, access patterns, options) — and derives the routing
+table from it: new views land on the alive worker serving the fewest
+views, and a relation maps to exactly the workers whose views mention
+it.  Writes fan out only to those workers, in ascending worker order.
+Whenever a view is put on a worker — registration, migration, crash
+recovery — the same routine (``_reconcile``) makes the worker's stored
+rows of the view's relations *equal* the truth (a live peer owner's
+rows, the migration source's, the journal's): missing rows are
+inserted and stale residue a previous tenancy left behind is deleted,
+so what a view answers depends on the current database alone.
 
 **Transactions.**  A batch that touches one worker uses that worker's
 local transactional batch.  A cross-shard batch runs two-phase:
@@ -66,36 +72,40 @@ code and the views lost, while the other shards keep serving.
 
 **Supervision.**  Attach a :class:`~repro.serve.supervisor.Supervisor`
 (or pass ``supervise=True`` to :meth:`repro.api.session.Session.serve`)
-and a dead worker is no longer permanent: the client records every
-registration and applied update in a
-:class:`~repro.serve.journal.CommandJournal`, the supervisor respawns
-the worker, replays its views and rows from the journal, and swaps the
-fresh connections in.  Requests that hit the dead worker *block* on a
-recovery condition (a bounded stall, ``recovery_timeout``) and then
+and a dead worker is no longer permanent: the client mirrors every
+applied update in a :class:`~repro.serve.journal.CommandJournal`, the
+supervisor respawns the worker, the client re-registers the worker's
+views from its own view table (registration order) and reconciles
+their rows against the journal, and the fresh connections swap in.
+Requests that hit the dead worker *block* on a recovery condition (a
+bounded stall of at most 30 s) and then
 retry — safe because updates are idempotent under set semantics —
 instead of raising :class:`~repro.errors.WorkerCrashedError`.  Handles
 opened against the previous incarnation (cursors, subscriptions) raise
 :class:`~repro.errors.WorkerRecoveredError` on next use: worker-side
 handle state did not survive, but re-opening is O(1).
 
-**Multiplexing.**  With ``multiplex=True`` (the default) the request
-channel is a :class:`~repro.serve.transport.MuxConnection`: requests
-carry a ``mux_id`` tag, N caller threads keep N requests in flight on
-one socket, and the worker executes them on a small per-connection
-thread pool — except the two-phase-batch ops, which run on one
-dedicated serial lane per connection because the server's write lock is
-reentrant *per thread* across the prepare→commit gap.  The supervisor's
-heartbeat probes share the client's request channels without
-head-of-line blocking behind slow fetches.
+**Multiplexing.**  The request channel is a
+:class:`~repro.serve.transport.MuxConnection`, the only request
+protocol a worker speaks (an untagged request frame is answered with a
+``TransportError``): requests carry a ``mux_id`` tag, N caller threads
+keep N requests in flight on one socket, and the worker executes them
+on a small per-connection thread pool — except the writes and the
+two-phase-batch ops, which run on one dedicated serial lane per
+connection because the server's write lock is reentrant *per thread*
+across the prepare→commit gap and push frames must leave in epoch
+order.  The supervisor's heartbeat probes share the client's request
+channels without head-of-line blocking behind slow fetches.
 
 **Migration.**  :meth:`ClusterClient.migrate_view` moves a live view
 between workers without losing a write: writers hold the shared side of
 a client-wide write gate per update/chunk/batch, the migration takes
-the exclusive side (a full drain), snapshots the view's relations via
-the ``rows`` op, re-registers on the target (same query text, same
-pinned engine), flips the routing table atomically and re-homes the
-view's subscriptions.  Placement is load-aware: new views land on the
-alive worker serving the fewest views.
+the exclusive side (a full drain), re-registers the view's record on
+the target (same query text, pinned engine, access patterns, options),
+reconciles the target's rows against the source's, re-homes the view's
+subscriptions and flips the record's worker — and with it the routing
+table — atomically.  Registration takes the same exclusive side for
+its routing publish and reconcile.
 """
 
 from __future__ import annotations
@@ -111,7 +121,18 @@ import time
 import uuid
 from contextlib import ExitStack
 from itertools import count as _counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import (
     ClusterError,
@@ -153,7 +174,10 @@ from repro.serve.transport import (
     as_row,
     as_rows,
     bind_listener,
+    command_wire,
+    commands_from_wire,
     connect,
+    error_reply,
     get_codec,
 )
 from repro.storage.database import Constant, Row
@@ -181,6 +205,20 @@ def query_to_text(query: object) -> str:
     if disjuncts is not None:
         return "; ".join(str(disjunct) for disjunct in disjuncts)
     return str(query)
+
+
+#: Protocol timings in seconds — each had one value in use across the
+#: library, tests, benchmarks and examples, so they are constants.
+_CONNECT_TIMEOUT = 10.0
+#: how long a push barrier waits for delivered deltas to land locally.
+_POLL_TIMEOUT = 30.0
+#: how long a supervised request may stall waiting for recovery (and
+#: the per-request bound on a not-yet-published recovery channel).
+_RECOVERY_TIMEOUT = 30.0
+#: base of the jittered exponential retry backoff.
+_RETRY_BACKOFF = 0.05
+#: how long a spawned worker has to report its listening address.
+_STARTUP_TIMEOUT = 30.0
 
 
 def _env_float(name: str, default: float) -> float:
@@ -288,6 +326,11 @@ class _RequestLanes:
                 pass  # the task replies (or its connection died); serve on
 
 
+#: a connection's 2PC stage: (txn id, commands, held exclusive lock).
+#: Only the connection's serial lane thread touches it.
+_Staged = List[Tuple[str, List[UpdateCommand], ExitStack]]
+
+
 class _WorkerHost:
     """One shard's process body: a single-shard Server behind sockets."""
 
@@ -333,7 +376,7 @@ class _WorkerHost:
         #: move hundreds of deltas without a per-delta syscall + client
         #: wakeup, and the reply still never overtakes its deltas.
         self._push_buffer = threading.local()
-        #: live per-connection lane sets (mux mode), for queue-depth stats.
+        #: live per-connection lane sets, for queue-depth stats.
         self._lanes: Set[_RequestLanes] = set()
 
     # -- lifecycle ------------------------------------------------------------
@@ -371,18 +414,12 @@ class _WorkerHost:
         kind = "request"
         client_id = ""
         lanes: Optional[_RequestLanes] = None
-        # Per-connection 2PC stage: (txn id, commands, held exclusive lock).
-        # In mux mode only the serial lane thread touches it.
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]] = []
+        staged: _Staged = []
         try:
             hello = conn.recv()
             if not isinstance(hello, dict) or hello.get("op") != "_hello":
                 conn.send(
-                    {
-                        "ok": False,
-                        "error": "TransportError",
-                        "message": "expected an _hello frame first",
-                    }
+                    error_reply(TransportError("expected an _hello frame first"))
                 )
                 return
             kind = str(hello.get("kind", "request"))
@@ -400,62 +437,41 @@ class _WorkerHost:
                         conn.recv()
                 except (ConnectionClosedError, TransportError, OSError):
                     return
+            lanes = _RequestLanes(f"repro-shard-{self.worker_id}-lane")
+            with self._state_lock:
+                self._lanes.add(lanes)
             while not self._stop.is_set():
                 try:
                     request = conn.recv()
                 except (ConnectionClosedError, TransportError, OSError):
                     return
-                if not isinstance(request, dict):
+                mux_id = (
+                    request.pop("mux_id", None)
+                    if isinstance(request, dict)
+                    else None
+                )
+                if mux_id is None:
                     conn.send(
-                        {
-                            "ok": False,
-                            "error": "TransportError",
-                            "message": "requests must be dicts",
-                        }
-                    )
-                    continue
-                mux_id = request.pop("mux_id", None)
-                if mux_id is not None:
-                    # Multiplexed: hand off to the lanes and go straight
-                    # back to recv() — concurrency is the whole point.
-                    if lanes is None:
-                        lanes = _RequestLanes(
-                            f"repro-shard-{self.worker_id}-lane"
+                        error_reply(
+                            TransportError(
+                                "requests must be dicts tagged with a mux_id"
+                            )
                         )
-                        with self._state_lock:
-                            self._lanes.add(lanes)
-                    lanes.submit(
-                        str(request.get("op", "")),
-                        functools.partial(
-                            self._handle_mux,
-                            conn,
-                            request,
-                            client_id,
-                            staged,
-                            int(mux_id),
-                        ),
                     )
                     continue
-                self._push_buffer.frames = {}
-                try:
-                    reply, shutdown = self._handle(request, client_id, staged)
-                finally:
-                    self._flush_push_buffer()
-                try:
-                    conn.send(reply)
-                except FrameTooLargeError as error:
-                    # The reply outgrew the frame cap; the channel is
-                    # untouched, so report it instead of dropping the
-                    # connection (which would read as a worker crash).
-                    try:
-                        conn.send(self._oversize_reply(error))
-                    except (ConnectionClosedError, TransportError, OSError):
-                        return
-                except (ConnectionClosedError, TransportError, OSError):
-                    return
-                if shutdown:
-                    self.stop()
-                    return
+                # Hand off to the lanes and go straight back to recv()
+                # — concurrency is the whole point.
+                lanes.submit(
+                    str(request.get("op", "")),
+                    functools.partial(
+                        self._handle_mux,
+                        conn,
+                        request,
+                        client_id,
+                        staged,
+                        int(mux_id),
+                    ),
+                )
         finally:
             if lanes is not None:
                 # Roll back any staged transaction on its owning thread
@@ -468,8 +484,6 @@ class _WorkerHost:
                 lanes.close()
                 with self._state_lock:
                     self._lanes.discard(lanes)
-            else:
-                self._rollback_staged(staged)
             if kind == "push" and client_id:
                 self._drop_push_client(client_id)
             conn.close()
@@ -479,41 +493,29 @@ class _WorkerHost:
         conn: Connection,
         request: Dict[str, object],
         client_id: str,
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]],
+        staged: _Staged,
         mux_id: int,
     ) -> None:
-        """One multiplexed request on a lane thread: handle, flush the
-        thread's buffered deltas, then send the tagged reply."""
+        """One request on a lane thread: handle, flush the thread's
+        buffered deltas, then send the tagged reply."""
         self._push_buffer.frames = {}
         try:
-            reply, shutdown = self._handle(request, client_id, staged)
+            reply = self._handle(request, client_id, staged)
         finally:
             self._flush_push_buffer()
         try:
-            conn.send(dict(reply, mux_id=mux_id))
-        except FrameTooLargeError as error:
             try:
-                conn.send(dict(self._oversize_reply(error), mux_id=mux_id))
-            except (ConnectionClosedError, TransportError, OSError):
-                return
+                conn.send(dict(reply, mux_id=mux_id))
+            except FrameTooLargeError as error:
+                # The reply outgrew the frame cap; the channel is
+                # untouched, so report it instead of dropping the
+                # connection (which would read as a worker crash).
+                conn.send(dict(error_reply(error), mux_id=mux_id))
         except (ConnectionClosedError, TransportError, OSError):
-            return
-        if shutdown:
-            self.stop()
-            conn.close()
+            pass  # the client is gone; its recv loop cleans up
 
     @staticmethod
-    def _oversize_reply(error: FrameTooLargeError) -> Dict[str, object]:
-        return {
-            "ok": False,
-            "error": "FrameTooLargeError",
-            "message": str(error),
-        }
-
-    @staticmethod
-    def _rollback_staged(
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]],
-    ) -> None:
+    def _rollback_staged(staged: _Staged) -> None:
         while staged:  # client vanished mid-transaction: roll back
             _txn, _commands, stack = staged.pop()
             stack.close()
@@ -553,12 +555,10 @@ class _WorkerHost:
     # -- request handling ------------------------------------------------------
 
     def _handle(
-        self,
-        request: Dict[str, object],
-        client_id: str,
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]],
-    ) -> Tuple[Dict[str, object], bool]:
-        """Trace + time one request, then dispatch to :meth:`_handle_op`.
+        self, request: Dict[str, object], client_id: str, staged: _Staged
+    ) -> Dict[str, object]:
+        """Trace + time one request around the Server's request loop,
+        with :meth:`_worker_op` as its first-refusal op table.
 
         The client's per-attempt span context travels inside the
         request dict (the ``_trace`` key, popped here); the worker opens
@@ -568,10 +568,11 @@ class _WorkerHost:
         ``repro_worker_op_seconds{op=...}``.
         """
         context = extract_trace(request)
+        dispatch = functools.partial(self._worker_op, client_id, staged)
         spans = self._spans
         registry = self._registry
         if not spans.enabled and not registry.enabled:
-            return self._handle_op(request, client_id, staged)
+            return self.server.handle(request, dispatch)
         op = str(request.get("op", ""))
         span = None
         if spans.enabled:
@@ -584,7 +585,7 @@ class _WorkerHost:
             )
         started = time.perf_counter()
         try:
-            reply, shutdown = self._handle_op(request, client_id, staged)
+            reply = self.server.handle(request, dispatch)
         except BaseException as error:
             if span is not None:
                 spans.finish(span, error=f"{type(error).__name__}: {error}")
@@ -598,127 +599,65 @@ class _WorkerHost:
                 span,
                 error=None if reply.get("ok") else str(reply.get("error")),
             )
-        return reply, shutdown
+        return reply
 
-    def _handle_op(
-        self,
-        request: Dict[str, object],
-        client_id: str,
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]],
-    ) -> Tuple[Dict[str, object], bool]:
+    def _worker_op(
+        self, client_id: str, staged: _Staged, request: Dict[str, object]
+    ) -> Optional[Dict[str, object]]:
+        """The worker-only ops; ``None`` hands the request on to the
+        Server's own op table (:meth:`Server.handle` shapes the errors
+        of both)."""
         op = request.get("op")
-        try:
-            if op == "ping":
-                # Reads/writes ride the heartbeat: the client caches
-                # them per worker so a later kill -9 still has a
-                # last-known traffic figure to fold into merged stats.
-                return (
-                    {
-                        "ok": True,
-                        "worker": self.worker_id,
-                        "pid": os.getpid(),
-                        "reads": self.server.reads,
-                        "writes": self.server.writes,
-                    },
-                    False,
-                )
-            if op == "shutdown":
-                return {"ok": True}, True
-            if op == "cluster_stats":
-                with self._state_lock:
-                    lanes_pending = sum(
-                        lanes.pending for lanes in self._lanes
-                    )
-                load = self.server.load_stats()
-                load["pending"] = int(load.get("pending", 0)) + lanes_pending
-                return (
-                    {
-                        "ok": True,
-                        "worker": self.worker_id,
-                        "pid": os.getpid(),
-                        "load": load,
-                    },
-                    False,
-                )
-            if op == "register_view":
-                view = self.server.view(
-                    str(request["name"]),
-                    request["query"],
-                    engine=str(request.get("engine", "auto")),
-                    access=request.get("access"),
-                    options=request.get("options"),
-                )
-                relations = sorted(view.query.relations)
-                return (
-                    {
-                        "ok": True,
-                        "view": view.name,
-                        "engine": view.engine_name,
-                        "backend": view.engine.backend_info()["backend"],
-                        "relations": relations,
-                        "arities": {
-                            relation: view.query.arity_of(relation)
-                            for relation in relations
-                        },
-                    },
-                    False,
-                )
-            if op == "rows":
-                rows = self.server.relation_rows(str(request["relation"]))
-                return (
-                    {"ok": True, "rows": [list(row) for row in rows]},
-                    False,
-                )
-            if op == "apply_many":
-                # Chunked wire framing for update streams: every
-                # command still runs the full per-update serving
-                # choreography (fan-out, deltas, cursor revalidation);
-                # the round trip AND the shard-lock acquisition are
-                # amortised over the chunk (Server.apply_all).  Not
-                # transactional — a failing command leaves the applied
-                # prefix in place, exactly like a client-side stream.
-                # (UpdateCommand canonicalises the row itself.)
-                results = self.server.apply_all(
-                    [
-                        insert_command(relation, row)
-                        if kind == "insert"
-                        else delete_command(relation, row)
-                        for kind, relation, row in request["commands"]  # type: ignore[misc]
-                    ]
-                )
-                return {"ok": True, "results": results}, False
-            if op == "subscribe":
-                return self._subscribe(request, client_id), False
-            if op == "push_sync":
-                handle = int(request["subscription"])  # type: ignore[arg-type]
-                sub = self.server.subscription_state(handle)
-                return {"ok": True, "delivered": sub.delivered}, False
-            if op == "batch_prepare":
-                return self._batch_prepare(request, staged), False
-            if op == "batch_commit":
-                return self._batch_commit(request, staged), False
-            if op == "batch_abort":
-                return self._batch_abort(request, staged), False
-        except ReproError as error:
-            return (
-                {
-                    "ok": False,
-                    "error": type(error).__name__,
-                    "message": str(error),
-                },
-                False,
+        if op == "ping":
+            # Reads/writes ride the heartbeat: the client caches them
+            # per worker so a later kill -9 still has a last-known
+            # traffic figure to fold into merged stats.
+            return {
+                "ok": True,
+                "worker": self.worker_id,
+                "pid": os.getpid(),
+                "reads": self.server.reads,
+                "writes": self.server.writes,
+            }
+        if op == "cluster_stats":
+            with self._state_lock:
+                lanes_pending = sum(lanes.pending for lanes in self._lanes)
+            load = self.server.load_stats()
+            load["pending"] = int(load.get("pending", 0)) + lanes_pending
+            return {
+                "ok": True,
+                "worker": self.worker_id,
+                "pid": os.getpid(),
+                "load": load,
+            }
+        if op == "rows":
+            rows = self.server.relation_rows(str(request["relation"]))
+            return {"ok": True, "rows": [list(row) for row in rows]}
+        if op == "apply_many":
+            # Chunked wire framing for update streams: every command
+            # still runs the full per-update serving choreography
+            # (fan-out, deltas, cursor revalidation); the round trip
+            # AND the shard-lock acquisition are amortised over the
+            # chunk (Server.apply_all).  Not transactional — a failing
+            # command leaves the applied prefix in place, exactly like
+            # a client-side stream.
+            results = self.server.apply_all(
+                commands_from_wire(request["commands"])
             )
-        except (KeyError, TypeError, ValueError) as error:
-            return (
-                {
-                    "ok": False,
-                    "error": type(error).__name__,
-                    "message": f"malformed request: {error!r}",
-                },
-                False,
-            )
-        # Everything else is the Server's own request loop, unchanged.
-        return self.server.handle(request), False
+            return {"ok": True, "results": results}
+        if op == "subscribe":
+            return self._subscribe(request, client_id)
+        if op == "push_sync":
+            handle = int(request["subscription"])  # type: ignore[arg-type]
+            sub = self.server.subscription_state(handle)
+            return {"ok": True, "delivered": sub.delivered}
+        if op == "batch_prepare":
+            return self._batch_prepare(request, staged)
+        if op == "batch_commit":
+            return self._batch_commit(request, staged)
+        if op == "batch_abort":
+            return self._batch_abort(request, staged)
+        return None
 
     def _subscribe(
         self, request: Dict[str, object], client_id: str
@@ -734,36 +673,17 @@ class _WorkerHost:
                 "subscription": handle,
                 "view": delta.view,
                 "epoch": delta.epoch,
-                "command": (
-                    delta.command.op,
-                    delta.command.relation,
-                    delta.command.row,
-                ),
+                "command": command_wire(delta.command),
                 "added": delta.added,
                 "removed": delta.removed,
             }
             if delta.binding:
                 payload["binding"] = delta.binding
-            frames = getattr(self._push_buffer, "frames", None)
-            if frames is not None:
-                # Inside a request handler: collect, flush-before-reply
-                # sends everything in one frame per client.
-                frames.setdefault(client_id, []).append(payload)
-                return
-            conn = self._push.get(client_id)
-            if conn is None:
-                return
-            try:
-                conn.send(dict(payload, kind="delta"))
-            except (TransportError, OSError):
-                # The client's push channel is gone: stop paying for
-                # the delta capture (reentrant: we're in the writer).
-                try:
-                    self.server.unsubscribe(handle)
-                except ReproError:
-                    pass
-                with self._state_lock:
-                    self._sub_client.pop(handle, None)
+            # Every write reaches the Server inside a lane task, and
+            # _handle_mux installed that thread's buffer: collect here,
+            # flush-before-reply sends one frame per client (and drops
+            # a client whose push channel is gone).
+            self._push_buffer.frames.setdefault(client_id, []).append(payload)
 
         # Worker-side outboxes would never be drained — the wire is the
         # outbox — so max_pending=0 keeps only the delivery counter.
@@ -790,21 +710,14 @@ class _WorkerHost:
     # -- two-phase batches -----------------------------------------------------
 
     def _batch_prepare(
-        self,
-        request: Dict[str, object],
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]],
+        self, request: Dict[str, object], staged: _Staged
     ) -> Dict[str, object]:
         if staged:
             raise EngineStateError(
                 "a transaction is already staged on this connection"
             )
         txn = str(request["txn"])
-        commands = [
-            insert_command(relation, as_row(row))
-            if kind == "insert"
-            else delete_command(relation, as_row(row))
-            for kind, relation, row in request["commands"]  # type: ignore[misc]
-        ]
+        commands = commands_from_wire(request["commands"])
         stack = ExitStack()
         stack.enter_context(self.server.exclusive())
         try:
@@ -819,9 +732,7 @@ class _WorkerHost:
         return {"ok": True, "txn": txn, "staged": len(commands)}
 
     def _batch_commit(
-        self,
-        request: Dict[str, object],
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]],
+        self, request: Dict[str, object], staged: _Staged
     ) -> Dict[str, object]:
         txn = str(request["txn"])
         if not staged or staged[0][0] != txn:
@@ -838,9 +749,7 @@ class _WorkerHost:
         return {"ok": True, "stats": stats}
 
     def _batch_abort(
-        self,
-        request: Dict[str, object],
-        staged: List[Tuple[str, List[UpdateCommand], ExitStack]],
+        self, request: Dict[str, object], staged: _Staged
     ) -> Dict[str, object]:
         txn = str(request.get("txn", ""))
         if staged and (not txn or staged[0][0] == txn):
@@ -919,20 +828,17 @@ class WorkerHandle:
 class ShardCluster:
     """Spawn and own one worker process per shard.
 
-    ``start_method`` defaults to ``"spawn"``: workers import the
-    library fresh (~0.1 s each) instead of forking whatever threads the
-    parent holds.  Pass ``"fork"`` on POSIX for faster startup when the
-    parent is single-threaded.  Workers are daemonic and watch a life
-    pipe, so they die with the parent even on SIGKILL.
+    Workers start with the ``spawn`` method: they import the library
+    fresh (~0.1 s each) instead of forking whatever threads the parent
+    holds.  They are daemonic and watch a life pipe, so they die with
+    the parent even on SIGKILL.
     """
 
     def __init__(
         self,
         workers: int = 2,
         codec: str = "json",
-        start_method: str = "spawn",
         socket_dir: Optional[str] = None,
-        startup_timeout: float = 30.0,
         observe: bool = True,
     ):
         import multiprocessing
@@ -949,7 +855,7 @@ class ShardCluster:
         self._socket_dir = socket_dir or tempfile.mkdtemp(
             prefix="repro-cluster-"
         )
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         # The read end is retained (not closed after spawning, as a
         # spawn-once cluster could): respawned workers need it too.
         # EOF fires for workers only when every *write* end closes, so
@@ -959,49 +865,62 @@ class ShardCluster:
         #: per-worker respawn counters (the ``cluster_stats`` surface).
         self.restarts: List[int] = [0] * workers
         self._respawn_seq = _counter(1)
-        pending = []
+        pending: List[Tuple[Any, Any]] = []
         try:
+            # Start them all, then wait: the imports overlap.
             for index in range(workers):
-                ready_read, ready_write = self._context.Pipe(duplex=False)
-                process = self._context.Process(
-                    target=worker_main,
-                    args=(
-                        index,
-                        ready_write,
-                        self._life_read,
-                        codec,
-                        self._socket_dir,
-                        f"worker-{index}",
-                        self.observe,
-                    ),
-                    daemon=True,
-                    name=f"repro-shard-{index}",
-                )
-                process.start()
-                ready_write.close()
-                pending.append((index, process, ready_read))
-            for index, process, ready_read in pending:
-                if not ready_read.poll(startup_timeout):
-                    raise ClusterError(
-                        f"shard worker {index} did not come up within "
-                        f"{startup_timeout}s"
-                    )
-                address = tuple(ready_read.recv())
-                ready_read.close()
-                self.workers.append(WorkerHandle(index, process, address))
+                pending.append(self._start(index))
+            for index, (process, ready) in enumerate(pending):
+                self.workers.append(self._await_ready(index, process, ready))
         except BaseException:
-            for _index, process, _ready in pending:
+            for process, _ready in pending:
                 if process.is_alive():
                     process.terminate()
             self._life_read.close()
             self._life.close()
             raise
 
+    def _start(self, index: int, suffix: str = "") -> Tuple[Any, Any]:
+        """Spawn worker ``index``; returns ``(process, ready pipe)``.
+        ``suffix`` keeps a respawn's socket off the stale path a
+        kill -9 may have left on disk."""
+        ready_read, ready_write = self._context.Pipe(duplex=False)
+        process = self._context.Process(
+            target=worker_main,
+            args=(
+                index,
+                ready_write,
+                self._life_read,
+                self.codec,
+                self._socket_dir,
+                f"worker-{index}{suffix}",
+                self.observe,
+            ),
+            daemon=True,
+            name=f"repro-shard-{index}{suffix}",
+        )
+        process.start()
+        ready_write.close()
+        return process, ready_read
+
+    @staticmethod
+    def _await_ready(index: int, process: Any, ready: Any) -> WorkerHandle:
+        """Wait for a spawned worker to report its listening address."""
+        try:
+            if not ready.poll(_STARTUP_TIMEOUT):
+                raise ClusterError(
+                    f"shard worker {index} did not come up within "
+                    f"{_STARTUP_TIMEOUT}s"
+                )
+            address = tuple(ready.recv())
+        finally:
+            ready.close()
+        return WorkerHandle(index, process, address)
+
     def client(
         self,
         dispatch_workers: int = 0,
         dispatch_queue: int = 8192,
-        multiplex: bool = True,
         journal: Optional[CommandJournal] = None,
         request_timeout: Optional[float] = None,
         retry_budget: Optional[int] = None,
@@ -1015,7 +934,6 @@ class ShardCluster:
             cluster=self,
             dispatch_workers=dispatch_workers,
             dispatch_queue=dispatch_queue,
-            multiplex=multiplex,
             journal=journal,
             request_timeout=request_timeout,
             retry_budget=retry_budget,
@@ -1023,16 +941,15 @@ class ShardCluster:
             observe=self.observe if observe is None else bool(observe),
         )
 
-    def respawn_worker(
-        self, index: int, startup_timeout: float = 30.0
-    ) -> WorkerHandle:
+    def respawn_worker(self, index: int) -> WorkerHandle:
         """Replace one worker with a fresh process at the same index.
 
         The replacement starts with an **empty** session — replaying the
         dead worker's views and rows is the supervisor's job (via the
-        command journal).  A still-running old process is killed first:
-        the caller declaring the worker dead (broken channel, wedged
-        heartbeat) outranks a zombie that still answers ``is_alive``.
+        client's view table and the command journal).  A still-running
+        old process is killed first: the caller declaring the worker
+        dead (broken channel, wedged heartbeat) outranks a zombie that
+        still answers ``is_alive``.
         """
         if self._closed:
             raise ClusterError("the cluster is closed")
@@ -1043,38 +960,13 @@ class ShardCluster:
             except OSError:
                 pass
         old.process.join(5.0)  # type: ignore[attr-defined]
-        seq = next(self._respawn_seq)
-        ready_read, ready_write = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=worker_main,
-            args=(
-                index,
-                ready_write,
-                self._life_read,
-                self.codec,
-                self._socket_dir,
-                f"worker-{index}-r{seq}",  # never rebind a stale path
-                self.observe,
-            ),
-            daemon=True,
-            name=f"repro-shard-{index}-r{seq}",
-        )
-        process.start()
-        ready_write.close()
+        process, ready = self._start(index, f"-r{next(self._respawn_seq)}")
         try:
-            if not ready_read.poll(startup_timeout):
-                raise ClusterError(
-                    f"respawned shard worker {index} did not come up "
-                    f"within {startup_timeout}s"
-                )
-            address = tuple(ready_read.recv())
+            handle = self._await_ready(index, process, ready)
         except BaseException:
             if process.is_alive():
                 process.terminate()
-            ready_read.close()
             raise
-        ready_read.close()
-        handle = WorkerHandle(index, process, address)
         self.workers[index] = handle
         self.restarts[index] += 1
         return handle
@@ -1141,15 +1033,54 @@ class ShardCluster:
 
 
 class RemoteView:
-    """Registration summary of a view living in a worker process."""
+    """The one registration record of a view living in a worker process.
+
+    ``view()`` returns it, the client's view table holds it, and
+    migration and crash recovery re-register the view from it — so a
+    moved or recovered view keeps its query text, pinned engine,
+    declared access patterns and engine options.
+    """
 
     def __init__(
-        self, name: str, engine_name: str, relations: Tuple[str, ...], worker: int
+        self,
+        name: str,
+        engine_name: str,
+        relations: Tuple[str, ...],
+        worker: int,
+        text: str,
+        access: Optional[List[List[str]]],
+        options: Optional[Dict[str, object]],
     ):
         self.name = name
+        #: the *resolved* engine name once registered, so a replay pins
+        #: the engine the planner originally chose instead of
+        #: re-running "auto".
         self.engine_name = engine_name
         self.relations = relations
+        #: current placement (flipped by migration).
         self.worker = worker
+        #: parseable rule text (see :func:`query_to_text`).
+        self.text = text
+        #: declared access patterns (wire form: variable-name lists),
+        #: so a replay rebuilds the same binding indexes.
+        self.access = access
+        #: engine options (wire form; None when the defaults applied),
+        #: so a replay rebuilds the view with the same backend.
+        self.options = options
+
+    def registration(self) -> Dict[str, object]:
+        """The request that registers this view on a worker."""
+        request: Dict[str, object] = {
+            "op": "view",
+            "name": self.name,
+            "query": self.text,
+            "engine": self.engine_name,
+        }
+        if self.access is not None:
+            request["access"] = self.access
+        if self.options is not None:
+            request["options"] = self.options
+        return request
 
     def __repr__(self) -> str:
         return (
@@ -1261,14 +1192,9 @@ class ClusterClient:
         codec: Optional[str] = None,
         dispatch_workers: int = 0,
         dispatch_queue: int = 8192,
-        connect_timeout: float = 10.0,
-        poll_timeout: float = 30.0,
-        multiplex: bool = True,
         journal: Optional[CommandJournal] = None,
-        recovery_timeout: float = 30.0,
         request_timeout: Optional[float] = None,
         retry_budget: Optional[int] = None,
-        retry_backoff: float = 0.05,
         faults: Optional[FaultPlan] = None,
         observe: bool = True,
     ):
@@ -1279,9 +1205,6 @@ class ClusterClient:
             raise ClusterError("a ClusterClient needs a cluster or addresses")
         self._cluster = cluster
         self._codec = get_codec(codec or "json")
-        self._poll_timeout = poll_timeout
-        self._connect_timeout = connect_timeout
-        self._multiplex = bool(multiplex)
         #: per-RPC deadline in seconds (env REPRO_REQUEST_TIMEOUT,
         #: default 30); <= 0 disables deadlines entirely.
         resolved_timeout = (
@@ -1299,14 +1222,10 @@ class ClusterClient:
             if retry_budget is None
             else int(retry_budget)
         )
-        self._retry_backoff = retry_backoff
         self._retry_rng = random.Random()
         self._faults = faults
-        #: command journal (recovery replay source); set at construction
-        #: so registrations are never missed.
+        #: command journal (the row mirror recovery replays from).
         self._journal = journal
-        #: how long a supervised request may stall waiting for recovery.
-        self._recovery_timeout = recovery_timeout
         #: True once a Supervisor attached: dead-worker requests then
         #: block for recovery instead of raising WorkerCrashedError.
         self.supervised = False
@@ -1316,7 +1235,7 @@ class ClusterClient:
         self.owns_cluster = False
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._conns: List[object] = []
+        self._conns: List[MuxConnection] = []
         self._push_conns: List[Connection] = []
         self._push_threads: List[threading.Thread] = []
         self._pids: List[Optional[int]] = []
@@ -1330,18 +1249,10 @@ class ClusterClient:
         #: worker → (views re-registered, journal epoch) of the most
         #: recent recovery, for precise WorkerRecoveredError reports.
         self._recovered_info: Dict[int, Tuple[Tuple[str, ...], int]] = {}
-        self._view_worker: Dict[str, int] = {}
-        self._view_engine: Dict[str, str] = {}
-        self._view_relations: Dict[str, Tuple[str, ...]] = {}
-        #: view → wire-form query text (migration re-registers from it).
-        self._view_text: Dict[str, str] = {}
-        #: view → declared access patterns (wire form: list of
-        #: variable-name lists) — recovery and migration re-register
-        #: with them so declared binding indexes survive a kill -9.
-        self._view_access: Dict[str, List[List[str]]] = {}
-        #: view → engine options (wire form) — recovery and migration
-        #: re-register with them so a replayed view keeps its backend.
-        self._view_options: Dict[str, Dict[str, object]] = {}
+        #: the view table, in registration order: the one record of
+        #: each view's placement and registration (routing derives from
+        #: it; migration and recovery re-register from it).
+        self._views: Dict[str, RemoteView] = {}
         #: default engine options (wire form) for views registered
         #: through this client when the call passes none.
         self._default_options: Optional[Dict[str, object]] = None
@@ -1416,33 +1327,27 @@ class ClusterClient:
 
     def _connect_worker(
         self, address: Address, worker: int
-    ) -> Tuple[object, Connection, Optional[int]]:
-        """Dial one worker: the request channel (mux-wrapped when
-        ``multiplex``) plus the push channel.  Returns
-        ``(request_conn, push_conn, worker_pid)``.
+    ) -> Tuple[MuxConnection, Connection, Optional[int]]:
+        """Dial one worker: the multiplexed request channel plus the
+        push channel.  Returns ``(request_conn, push_conn, worker_pid)``.
 
         When a :class:`~repro.serve.faults.FaultPlan` is installed,
         each channel is wrapped in a fault-applying connection before
         the multiplexer sees it, so scripted faults hit the raw frame
         stream exactly as a flaky network would.
         """
-        raw = connect(address, self._codec, timeout=self._connect_timeout)
+        raw = connect(address, self._codec, timeout=_CONNECT_TIMEOUT)
         raw.instrument(self.metrics_registry)
         if self._faults is not None:
             raw = self._faults.wrap(
                 raw, worker, "request", lambda w=worker: self._worker_pid(w)
             )
-        hello = {"op": "_hello", "kind": "request", "client": self.client_id}
-        conn: object
-        if self._multiplex:
-            mux = MuxConnection(raw, default_timeout=self._request_timeout)
-            reply = mux.handshake(hello)
-            mux.start()
-            conn = mux
-        else:
-            reply = raw.request(hello, timeout=self._connect_timeout)
-            conn = raw
-        push = connect(address, self._codec, timeout=self._connect_timeout)
+        conn = MuxConnection(raw, default_timeout=self._request_timeout)
+        reply = conn.handshake(
+            {"op": "_hello", "kind": "request", "client": self.client_id}
+        )
+        conn.start()
+        push = connect(address, self._codec, timeout=_CONNECT_TIMEOUT)
         push.instrument(self.metrics_registry)
         if self._faults is not None:
             push = self._faults.wrap(
@@ -1450,7 +1355,7 @@ class ClusterClient:
             )
         push.request(
             {"op": "_hello", "kind": "push", "client": self.client_id},
-            timeout=self._connect_timeout,
+            timeout=_CONNECT_TIMEOUT,
         )
         return conn, push, reply.get("pid")  # type: ignore[return-value]
 
@@ -1475,8 +1380,8 @@ class ClusterClient:
         return tuple(
             sorted(
                 name
-                for name, owner in self._view_worker.items()
-                if owner == worker
+                for name, view in self._views.items()
+                if view.worker == worker
             )
         )
 
@@ -1532,7 +1437,7 @@ class ClusterClient:
                 raise self._crashed(worker, self._unrecoverable[worker])
             if not self.supervised:
                 raise self._crashed(worker, context)
-            deadline = time.monotonic() + self._recovery_timeout
+            deadline = time.monotonic() + _RECOVERY_TIMEOUT
             while worker in self._dead:
                 if worker in self._unrecoverable:
                     raise self._crashed(worker, self._unrecoverable[worker])
@@ -1541,7 +1446,7 @@ class ClusterClient:
                     raise self._crashed(
                         worker,
                         f"recovery did not complete within "
-                        f"{self._recovery_timeout}s"
+                        f"{_RECOVERY_TIMEOUT}s"
                         + (f"; {context}" if context else ""),
                     )
                 self._cond.wait(timeout=min(remaining, 0.25))
@@ -1564,7 +1469,6 @@ class ClusterClient:
             "epochs",
             "snapshot_read",
             "stats",
-            "load_stats",
             "rows",
             "push_sync",
             "cluster_stats",
@@ -1574,7 +1478,7 @@ class ClusterClient:
 
     def _backoff_delay(self, attempt: int) -> float:
         """Jittered exponential backoff for attempt N (1-based)."""
-        base = self._retry_backoff * (2 ** max(0, attempt - 1))
+        base = _RETRY_BACKOFF * (2 ** max(0, attempt - 1))
         return min(base, 1.0) * (0.5 + self._retry_rng.random())
 
     def _finish_attempt(
@@ -1636,9 +1540,7 @@ class ClusterClient:
                 wire = inject_trace(message, span.context())
             attempt_started = time.perf_counter()
             try:
-                reply = conn.request(  # type: ignore[attr-defined]
-                    wire, timeout=self._request_timeout
-                )
+                reply = conn.request(wire, timeout=self._request_timeout)
             except FrameTooLargeError as oversize:
                 # The oversize check fired before any byte hit the
                 # wire: the worker is fine, the *payload* is the
@@ -1653,23 +1555,6 @@ class ClusterClient:
                     error=f"DeadlineExceededError: {stall}",
                 )
                 elapsed = time.monotonic() - started
-                if not isinstance(conn, MuxConnection):
-                    # A serial-channel deadline lost the request/reply
-                    # pairing; the connection condemned itself, so the
-                    # worker is unreachable until reconnected — same
-                    # handling as a broken channel.
-                    self._mark_dead(worker, stall)
-                    if self.supervised:
-                        continue
-                    raise DeadlineExceededError(
-                        f"{op!r} on shard worker {worker} got no reply "
-                        f"within {self._request_timeout}s (serial channel "
-                        f"condemned; elapsed {elapsed:.3f}s)",
-                        op=op or None,
-                        worker=worker,
-                        elapsed=elapsed,
-                        attempts=attempts,
-                    ) from stall
                 retries_left = self._retry_budget - (attempts - 1)
                 if op in self._RETRY_SAFE_OPS and retries_left > 0:
                     time.sleep(self._backoff_delay(attempts))
@@ -1724,7 +1609,7 @@ class ClusterClient:
                 return False
             conn = self._conns[worker]
         try:
-            reply = conn.request(  # type: ignore[attr-defined]
+            reply = conn.request(
                 {"op": "ping"},
                 timeout=timeout if timeout is not None else self._request_timeout,
             )
@@ -1784,13 +1669,13 @@ class ClusterClient:
     def _recover_worker(
         self, index: int, handle: WorkerHandle, epoch: int
     ) -> Tuple[str, ...]:
-        """Rebuild a respawned worker from the journal and swap its
-        channels in (the supervisor calls this; the worker is still
-        marked dead, so nothing else is sending to it).
+        """Rebuild a respawned worker and swap its channels in (the
+        supervisor calls this; the worker is still marked dead, so
+        nothing else is sending to it).
 
-        Replays the worker's view registrations (stored query text,
-        pinned engine) in journal order, then backfills the live rows
-        of every relation those views read — one bulk ``batch`` per
+        Re-registers the worker's views from the view table in
+        registration order, then reconciles every relation those views
+        read against the journal's live rows — one bulk ``batch`` per
         relation, the fastest recovery path.  Only then is the worker
         published: the dead flag clears, blocked writers retry, and the
         incarnation counter bumps so stale handles report precisely.
@@ -1813,46 +1698,27 @@ class ClusterClient:
                     span, error=f"{type(error).__name__}: {error}"
                 )
             raise
-        views: List[str] = []
+        with self._lock:
+            records = [v for v in self._views.values() if v.worker == index]
+        views = [record.name for record in records]
+        send = functools.partial(self._raw_ok, conn)
         try:
+            for record in records:
+                send(record.registration())
             if journal is not None:
-                relations: Set[str] = set()
-                for record in journal.views_on(index):
-                    replay: Dict[str, object] = {
-                        "op": "register_view",
-                        "name": record.name,
-                        "query": record.text,
-                        "engine": record.engine,
-                    }
-                    if record.access is not None:
-                        replay["access"] = record.access
-                    if record.options is not None:
-                        replay["options"] = record.options
-                    self._raw_ok(conn, replay)
-                    views.append(record.name)
-                    with self._lock:
-                        relations.update(
-                            self._view_relations.get(record.name, ())
-                        )
-                for relation in sorted(relations):
-                    rows = journal.rows(relation)
-                    if rows:
-                        self._raw_ok(
-                            conn,
-                            {
-                                "op": "batch",
-                                "commands": [
-                                    ["insert", relation, list(row)]
-                                    for row in rows
-                                ],
-                            },
-                        )
+                self._reconcile(
+                    index,
+                    sorted({r for record in records for r in record.relations}),
+                    journal.rows,
+                    f"recovering worker {index}",
+                    send=send,
+                )
         except BaseException as error:
             if span is not None:
                 self.spans.finish(
                     span, error=f"{type(error).__name__}: {error}"
                 )
-            conn.close()  # type: ignore[attr-defined]
+            conn.close()
             push.close()
             raise
         with self._cond:
@@ -1910,21 +1776,19 @@ class ClusterClient:
             span.attrs["views"] = ",".join(views)
             self.spans.finish(span)
         try:
-            old_conn.close()  # type: ignore[attr-defined]
+            old_conn.close()
             old_push.close()
         except OSError:
             pass
         return tuple(views)
 
     def _raw_ok(
-        self, conn: object, message: Dict[str, object]
+        self, conn: MuxConnection, message: Dict[str, object]
     ) -> Dict[str, object]:
         """One request on a not-yet-published channel, ok-checked.
         Bounded by the recovery timeout — a wedged replacement worker
         must fail the recovery attempt, not hang the supervisor."""
-        reply = conn.request(  # type: ignore[attr-defined]
-            message, timeout=self._recovery_timeout
-        )
+        reply = conn.request(message, timeout=_RECOVERY_TIMEOUT)
         if not reply.get("ok"):
             raise ClusterError(
                 f"recovery request {message.get('op')!r} failed: "
@@ -1957,7 +1821,7 @@ class ClusterClient:
     def _worker_of_view(self, view: str) -> int:
         with self._lock:
             try:
-                return self._view_worker[view]
+                return self._views[view].worker
             except KeyError:
                 raise EngineStateError(f"no view named {view!r}") from None
 
@@ -1976,15 +1840,10 @@ class ClusterClient:
                 return
             if not isinstance(frame, dict):
                 continue
-            kind = frame.get("kind")
-            if kind == "delta":
-                items = [frame]
-            elif kind == "deltas":
-                items = frame["items"]  # type: ignore[assignment]
-            else:
+            if frame.get("kind") != "deltas":
                 continue
             with self._cond:
-                for item in items:
+                for item in frame["items"]:
                     self._deliver_push_locked(worker, item)
                 self._cond.notify_all()
 
@@ -2026,7 +1885,7 @@ class ClusterClient:
     ) -> Optional[Dict[str, object]]:
         """Wire form of a view's engine options, or None when the
         defaults apply (default options are omitted from requests and
-        journal records so the frames stay byte-compatible)."""
+        view records so the frames stay byte-compatible)."""
         if options is None:
             if self._default_options is not None:
                 return dict(self._default_options)
@@ -2044,56 +1903,52 @@ class ClusterClient:
         access: Optional[object] = None,
         options: Optional[object] = None,
     ) -> RemoteView:
-        """Register a live view on the next worker (round-robin).
+        """Register a live view on the least-loaded alive worker.
 
         ``access`` declares access patterns up front, exactly like
-        :meth:`repro.api.session.Session.view` — the declaration rides
-        the registration op to the owning worker (and into the journal,
-        so recovery and migration rebuild the same binding indexes).
+        :meth:`repro.api.session.Session.view`, and ``options``
+        (:class:`repro.options.EngineOptions` or a mapping) selects the
+        update backend of the engine built on the worker.  Both ride
+        the registration op and stay on the returned record, so
+        recovery and migration rebuild the same binding indexes with
+        the same backend.
 
-        ``options`` (:class:`repro.options.EngineOptions` or a mapping)
-        selects the update backend of the engine built on the worker.
-        It rides the registration op and the journal the same way, so a
-        kill -9 replay rebuilds the view with the same backend.
+        Registration order never changes results — the guarantee the
+        in-process Session gives: for every relation of the view that
+        a *live peer* worker already serves, the routing entry is
+        published and the new worker's stored rows are reconciled
+        against that peer's (missing rows inserted, stale residue of a
+        previous tenancy deleted) under the exclusive side of this
+        client's write gate, exactly as :meth:`migrate_view` does — so
+        none of this client's writes, inserts or deletes, can race the
+        row snapshot.  A relation with **no** live owner has no truth
+        to reconcile against: the rows the worker already stores for
+        it stand.
 
-        The routing table is revalidated: if the view mentions a
-        relation already served by another worker, the routing entry is
-        published first (so concurrent writes fan out to the new worker
-        too — inserts are idempotent under set semantics) and then that
-        worker's existing rows are backfilled before the registration
-        returns, so registration order never changes results — the
-        same guarantee the in-process Session gives.
-
-        Caveats (the in-process Server takes every shard lock here; a
-        cluster cannot): registration assumes a single registrar at a
-        time, reads of the new view before ``view()`` returns may see a
-        partially backfilled result, and a concurrent *delete* on a
-        shared relation can race the backfill's row snapshot — quiesce
-        deletes to shared relations while registering over them.
+        The in-process Server takes every shard lock here; a cluster
+        cannot.  The write gate is per client, so registration assumes
+        one registrar at a time, other clients' writes are not drained,
+        and reads of the new view before ``view()`` returns may see a
+        partially reconciled result.
         """
         with self._lock:
-            if name in self._view_worker:
+            if name in self._views:
                 raise EngineStateError(f"a view named {name!r} already exists")
-            worker = self._next_alive_worker()
-        text = query_to_text(query)
-        access_wire = _access_wire(access)
-        options_wire = self._options_wire(options)
-        request: Dict[str, object] = {
-            "op": "register_view",
-            "name": name,
-            "query": text,
-            "engine": engine,
-        }
-        if access_wire is not None:
-            request["access"] = access_wire
-        if options_wire is not None:
-            request["options"] = options_wire
-        reply = self._request(
+            worker = self._least_loaded_worker()
+        record = RemoteView(
+            name,
+            engine,
+            (),
             worker,
-            request,
-            context=f"registering view {name!r}",
+            query_to_text(query),
+            _access_wire(access),
+            self._options_wire(options),
         )
-        relations = [str(relation) for relation in reply["relations"]]  # type: ignore[union-attr]
+        context = f"registering view {name!r}"
+        reply = self._request(worker, record.registration(), context=context)
+        # The *resolved* engine: a replay pins what the planner chose.
+        record.engine_name = str(reply["engine"])
+        record.relations = tuple(str(r) for r in reply["relations"])  # type: ignore[attr-defined]
         arities = {
             str(relation): int(arity)
             for relation, arity in dict(
@@ -2120,74 +1975,81 @@ class ClusterClient:
             except (WorkerCrashedError, ReproError):
                 pass
             raise conflict
-        # Publish the routing FIRST: from this point concurrent writes
-        # to the view's relations fan out to the new worker as well, so
-        # the backfill below cannot miss an insert that raced it (the
-        # backfill's inserts are idempotent under set semantics).
-        with self._lock:
-            backfills: List[Tuple[str, int]] = []
-            for relation in relations:
-                owners = self._routing.get(relation, ())
-                source = next(
-                    (o for o in owners if o not in self._dead and o != worker),
-                    None,
-                )
-                if source is not None and worker not in owners:
-                    backfills.append((relation, source))
-            self._view_worker[name] = worker
-            self._view_engine[name] = str(reply["engine"])
-            self._view_relations[name] = tuple(relations)
-            self._view_text[name] = text
-            if access_wire is not None:
-                self._view_access[name] = access_wire
-            if options_wire is not None:
-                self._view_options[name] = options_wire
-            self._relation_arity.update(arities)
-            for relation in relations:
-                known = set(self._routing.get(relation, ()))
-                known.add(worker)
-                self._routing[relation] = tuple(sorted(known))
-        if self._journal is not None:
-            # The *resolved* engine is journaled, so a recovery replay
-            # pins the engine the planner originally chose (and the
-            # declared access patterns, so binding indexes rebuild).
-            self._journal.record_view(
-                name,
-                text,
-                str(reply["engine"]),
-                worker,
-                access=access_wire,
-                options=options_wire,
-            )
-        for relation, source in backfills:
-            rows = self._request(
-                source,
-                {"op": "rows", "relation": relation},
-                context=f"backfilling {relation} into worker {worker}",
-            )["rows"]
-            if rows:
-                self._request(
-                    worker,
-                    {
-                        "op": "batch",
-                        "commands": [
-                            ["insert", relation, list(row)]
-                            for row in rows  # type: ignore[union-attr]
-                        ],
-                    },
-                    context=f"backfilling {relation} into worker {worker}",
-                )
-        return RemoteView(name, str(reply["engine"]), tuple(relations), worker)
+        with self._write_gate.write_locked():
+            with self._lock:
+                peers: Dict[str, int] = {}
+                for relation in record.relations:
+                    owners = self._routing.get(relation, ())
+                    peer = next(
+                        (o for o in owners if o not in self._dead), None
+                    )
+                    if peer is not None and worker not in owners:
+                        peers[relation] = peer
+                    self._routing[relation] = tuple(sorted({*owners, worker}))
+                self._views[name] = record
+                self._relation_arity.update(arities)
+            for relation, peer in peers.items():
+                self._reconcile(worker, (relation,), peer, context)
+        return record
 
-    def _next_alive_worker(self) -> int:
-        """Load-aware placement (lock held): the alive worker serving
-        the fewest views, ties broken by the lowest index — an empty
-        cluster fills 0, 1, 2, … exactly like the old round-robin, but
-        a cluster skewed by drops, crashes or migrations levels out."""
-        return self._least_loaded_worker()
+    def _reconcile(
+        self,
+        target: int,
+        relations: Iterable[str],
+        truth: Union[int, Callable[[str], Iterable[Row]]],
+        context: str,
+        send: Optional[
+            Callable[[Dict[str, object]], Dict[str, object]]
+        ] = None,
+    ) -> None:
+        """Make ``target``'s stored rows of each relation equal the
+        truth — the one way rows are installed beside a view.
+
+        ``truth`` is a worker index (that worker's ``rows`` are the
+        truth: a live peer owner, a migration source) or a callable
+        relation → rows (the journal's mirror).  Not insert-only: a
+        worker that hosted the relation before (a dropped view, an
+        earlier migration away) still stores rows deleted elsewhere
+        since, and the registration just computed the view over them —
+        so the repairs ``batch`` deletes ``have − truth`` and inserts
+        ``truth − have``, in ``repr`` order.  ``send`` replaces the
+        default ``_request`` to ``target`` (recovery talks over a
+        not-yet-published channel).
+        """
+        to_target = send or functools.partial(
+            self._request, target, context=context
+        )
+
+        def stored(
+            ask: Callable[[Dict[str, object]], Dict[str, object]],
+            relation: str,
+        ) -> Set[Row]:
+            return set(as_rows(ask({"op": "rows", "relation": relation})["rows"]))
+
+        for relation in relations:
+            if callable(truth):
+                want = set(truth(relation))
+            else:
+                want = stored(
+                    functools.partial(self._request, truth, context=context),
+                    relation,
+                )
+            have = stored(to_target, relation)
+            repairs = [
+                command_wire(delete_command(relation, row))
+                for row in sorted(have - want, key=repr)
+            ] + [
+                command_wire(insert_command(relation, row))
+                for row in sorted(want - have, key=repr)
+            ]
+            if repairs:
+                to_target({"op": "batch", "commands": repairs})
 
     def _least_loaded_worker(self, exclude: Sequence[int] = ()) -> int:
-        """The alive worker with the fewest views (lock held)."""
+        """Load-aware placement (lock held): the alive worker serving
+        the fewest views, ties broken by the lowest index — an empty
+        cluster fills 0, 1, 2, … round-robin, and a cluster skewed by
+        drops, crashes or migrations levels out."""
         counts = {
             worker: 0
             for worker in range(len(self._conns))
@@ -2195,23 +2057,16 @@ class ClusterClient:
         }
         if not counts:
             raise ClusterError("every shard worker is dead")
-        for owner in self._view_worker.values():
-            if owner in counts:
-                counts[owner] += 1
+        for view in self._views.values():
+            if view.worker in counts:
+                counts[view.worker] += 1
         return min(counts, key=lambda worker: (counts[worker], worker))
 
     def drop_view(self, name: str) -> None:
         worker = self._worker_of_view(name)
         self._request(worker, {"op": "drop_view", "name": name})
-        if self._journal is not None:
-            self._journal.drop_view(name)
         with self._lock:
-            self._view_worker.pop(name, None)
-            self._view_engine.pop(name, None)
-            self._view_relations.pop(name, None)
-            self._view_text.pop(name, None)
-            self._view_access.pop(name, None)
-            self._view_options.pop(name, None)
+            self._views.pop(name, None)
             self._rebuild_routing_locked()
             for handle, (_w, _remote, view, _inc) in list(self._cursors.items()):
                 if view == name:
@@ -2223,12 +2078,12 @@ class ClusterClient:
                     entry.local.close()
 
     def _rebuild_routing_locked(self) -> None:
-        """Re-derive relation→workers from the retained per-view
-        relation sets (caller holds the lock)."""
+        """Re-derive relation→workers from the view table (caller
+        holds the lock)."""
         fresh: Dict[str, Set[int]] = {}
-        for view_name, worker in self._view_worker.items():
-            for relation in self._view_relations.get(view_name, ()):
-                fresh.setdefault(relation, set()).add(worker)
+        for view in self._views.values():
+            for relation in view.relations:
+                fresh.setdefault(relation, set()).add(view.worker)
         self._routing = {
             relation: tuple(sorted(owners))
             for relation, owners in fresh.items()
@@ -2241,27 +2096,29 @@ class ClusterClient:
 
         The write gate's exclusive side drains in-flight writers (each
         update/chunk/batch holds the shared side), then: the view's
-        subscriptions are barrier-drained, the view is re-registered on
-        the target with its stored query text and **pinned** engine,
-        the source's relation rows are snapshotted via the ``rows`` op
-        and backfilled, the client routing table flips atomically (the
-        routing version bumps so stream-level caches re-route), the
-        subscriptions re-home onto the target (their local outboxes —
-        including undelivered deltas — survive; delivery counters
-        restart with the fresh worker-side subscription), and finally
-        the view drops from the source.  Open cursors on the migrated
-        view are invalidated — they page worker-side state that does
-        not move — and report :class:`~repro.errors.CursorInvalidatedError`
-        on the next fetch.
+        subscriptions are barrier-drained, the view's record is
+        re-registered on the target (stored query text, **pinned**
+        engine, access patterns, options), the target's relation rows
+        are reconciled against the source's, the subscriptions re-home
+        onto the target (their local outboxes — including undelivered
+        deltas — survive; delivery counters restart with the fresh
+        worker-side subscription), the record's worker flips — and the
+        routing table with it, atomically (the routing version bumps so
+        stream-level caches re-route) — and finally the view drops from
+        the source.  Open cursors on the migrated view are invalidated
+        — they page worker-side state that does not move — and report
+        :class:`~repro.errors.CursorInvalidatedError` on the next
+        fetch.
 
         ``target`` defaults to the least-loaded other alive worker.
         Returns the target worker index (== source when there is
         nowhere better to go).
         """
         with self._lock:
-            source = self._view_worker.get(name)
-            if source is None:
+            record = self._views.get(name)
+            if record is None:
                 raise EngineStateError(f"no view named {name!r}")
+            source = record.worker
             if target is None:
                 target = self._least_loaded_worker(exclude=(source,))
             if target == source:
@@ -2275,11 +2132,6 @@ class ClusterClient:
                 raise self._crashed(
                     target, f"cannot migrate view {name!r} to a dead worker"
                 )
-            text = self._view_text.get(name)
-            engine = self._view_engine.get(name, "auto")
-            relations = self._view_relations.get(name, ())
-            access = self._view_access.get(name)
-            view_options = self._view_options.get(name)
             # Stale-incarnation entries died with a previous worker
             # incarnation: there is nothing to drain or re-home on the
             # respawned process, and resurrecting them would hide the
@@ -2290,89 +2142,19 @@ class ClusterClient:
                 if entry.view == name
                 and entry.inc == self._incarnation[entry.worker]
             ]
-        if text is None:
-            raise EngineStateError(
-                f"view {name!r} has no stored query text to re-register "
-                "from"
-            )
+        context = f"migrating view {name!r} to worker {target}"
         with self._write_gate.write_locked():
             # 1. Barrier-drain the view's subscriptions: every delta the
             #    source delivered must land locally before the
             #    worker-side subscription dies with the drop below.
             for handle, entry in subs:
-                delivered = int(
-                    self._request(
-                        entry.worker,
-                        {"op": "push_sync", "subscription": entry.remote},
-                        context=f"migrating view {name!r}",
-                    )["delivered"]  # type: ignore[arg-type]
+                self._await_delivered(
+                    entry, f"{context}: draining subscription {handle}"
                 )
-                deadline = time.monotonic() + self._poll_timeout
-                with self._cond:
-                    while (
-                        entry.received < delivered
-                        and entry.worker not in self._dead
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise ClusterError(
-                                f"migration of {name!r} timed out draining "
-                                f"subscription {handle} ({entry.received} of "
-                                f"{delivered} deltas)"
-                            )
-                        self._cond.wait(timeout=remaining)
-            # 2. Re-register on the target (same text, pinned engine)
-            #    and *reconcile* the target's relation state against
-            #    the source's snapshot — not insert-only backfill: a
-            #    worker that hosted this relation before (an earlier
-            #    migration away, a dropped view) still holds rows that
-            #    were deleted elsewhere since, and the registration
-            #    just computed the view over them.
-            register: Dict[str, object] = {
-                "op": "register_view",
-                "name": name,
-                "query": text,
-                "engine": engine,
-            }
-            if access is not None:
-                register["access"] = access
-            if view_options is not None:
-                register["options"] = view_options
-            self._request(
-                target,
-                register,
-                context=f"migrating view {name!r} to worker {target}",
-            )
-            for relation in relations:
-                truth = {
-                    as_row(row)
-                    for row in self._request(
-                        source,
-                        {"op": "rows", "relation": relation},
-                        context=f"migrating view {name!r}",
-                    )["rows"]  # type: ignore[union-attr]
-                }
-                stale = {
-                    as_row(row)
-                    for row in self._request(
-                        target,
-                        {"op": "rows", "relation": relation},
-                        context=f"migrating view {name!r}",
-                    )["rows"]  # type: ignore[union-attr]
-                }
-                repairs = [
-                    ["delete", relation, list(row)]
-                    for row in sorted(stale - truth, key=repr)
-                ] + [
-                    ["insert", relation, list(row)]
-                    for row in sorted(truth - stale, key=repr)
-                ]
-                if repairs:
-                    self._request(
-                        target,
-                        {"op": "batch", "commands": repairs},
-                        context=f"migrating view {name!r}",
-                    )
+            # 2. Re-register the record on the target and reconcile the
+            #    target's relation state against the source's.
+            self._request(target, record.registration(), context=context)
+            self._reconcile(target, record.relations, source, context)
             # 3. Re-home the subscriptions onto the target.  No write
             #    can interleave (the gate is held), so no delta is lost
             #    between the old subscription and the new one.
@@ -2384,11 +2166,7 @@ class ClusterClient:
                 }
                 if entry.binding:
                     resubscribe["binding"] = entry.binding
-                reply = self._request(
-                    target,
-                    resubscribe,
-                    context=f"migrating view {name!r}",
-                )
+                reply = self._request(target, resubscribe, context=context)
                 with self._cond:
                     self._by_remote.pop((entry.worker, entry.remote), None)
                     self._closed_remotes.add((entry.worker, entry.remote))
@@ -2401,7 +2179,7 @@ class ClusterClient:
             # 4. Flip the routing atomically; invalidate the view's
             #    cursors (worker-side paging state does not move).
             with self._lock:
-                self._view_worker[name] = target
+                record.worker = target
                 self._rebuild_routing_locked()
                 self._routing_version += 1
                 for handle, (
@@ -2420,10 +2198,8 @@ class ClusterClient:
                                 "reopen it"
                             )
                         )
-            if self._journal is not None:
-                self._journal.move_view(name, target)
             # 5. Drop from the source — best-effort: if the source dies
-            #    right here, the journal already says the view lives on
+            #    right here, the record already says the view lives on
             #    the target, so a recovery will not resurrect it.
             try:
                 self._request(source, {"op": "drop_view", "name": name})
@@ -2439,19 +2215,25 @@ class ClusterClient:
     def delete(self, relation: str, row: Sequence[Constant]) -> bool:
         return self.apply(delete_command(relation, row))
 
+    def _route(self, relation: str) -> Tuple[int, ...]:
+        """The workers whose views mention ``relation``, ascending
+        (lock held) — or the session's error for an unserved one."""
+        workers = self._routing.get(relation)
+        if workers is None:
+            known = ", ".join(sorted(self._routing)) or "(none)"
+            raise SchemaError(
+                f"no registered view uses relation {relation!r}; "
+                f"known relations: {known}"
+            )
+        return workers
+
     def apply(self, command: UpdateCommand) -> bool:
         """Fan one update out to the workers whose views mention the
         relation (ascending worker order), mirroring the sharded
         Server's routing."""
         with self._write_gate.read_locked():
             with self._lock:
-                workers = self._routing.get(command.relation)
-                if workers is None:
-                    known = ", ".join(sorted(self._routing)) or "(none)"
-                    raise SchemaError(
-                        f"no registered view uses relation "
-                        f"{command.relation!r}; known relations: {known}"
-                    )
+                workers = self._route(command.relation)
             # Journal FIRST: if a worker applies the command and dies
             # before a journal-after-success record could land, the
             # recovery replay would silently drop the row.  Journal-
@@ -2529,20 +2311,14 @@ class ClusterClient:
             with self._lock:
                 routing: Dict[str, Tuple[int, ...]] = {}
                 for command in chunk_commands:
-                    if command.relation in routing:
-                        continue
-                    workers = self._routing.get(command.relation)
-                    if workers is None:
-                        known = ", ".join(sorted(self._routing)) or "(none)"
-                        raise SchemaError(
-                            f"no registered view uses relation "
-                            f"{command.relation!r}; known relations: {known}"
+                    if command.relation not in routing:
+                        routing[command.relation] = self._route(
+                            command.relation
                         )
-                    routing[command.relation] = workers
             groups: Dict[int, List[Tuple[object, ...]]] = {}
             primaries: Dict[int, List[bool]] = {}
             for command in chunk_commands:
-                wire = (command.op, command.relation, command.row)
+                wire = command_wire(command)
                 for index, worker in enumerate(routing[command.relation]):
                     groups.setdefault(worker, []).append(wire)
                     primaries.setdefault(worker, []).append(index == 0)
@@ -2607,20 +2383,12 @@ class ClusterClient:
             return self._batch_routed(commands)
 
     def _batch_routed(self, commands: List[UpdateCommand]) -> Dict[str, int]:
-        groups: Dict[int, List[List[object]]] = {}
+        groups: Dict[int, List[Tuple[object, ...]]] = {}
         for command in commands:
             with self._lock:
-                workers = self._routing.get(command.relation)
-            if workers is None:
-                known = ", ".join(sorted(self._routing)) or "(none)"
-                raise SchemaError(
-                    f"no registered view uses relation "
-                    f"{command.relation!r}; known relations: {known}"
-                )
+                workers = self._route(command.relation)
             for worker in workers:
-                groups.setdefault(worker, []).append(
-                    [command.op, command.relation, list(command.row)]
-                )
+                groups.setdefault(worker, []).append(command_wire(command))
         order = sorted(groups)
         if len(order) == 1:
             worker = order[0]
@@ -2808,20 +2576,21 @@ class ClusterClient:
         )
         return [as_row(row) for row in reply["rows"]]  # type: ignore[union-attr]
 
+    def _stale_locked(self, worker: int, inc: int) -> bool:
+        """Whether a handle opened against incarnation ``inc`` of
+        ``worker`` has lost its remote half — the worker is dead or was
+        recovered since (caller holds the lock)."""
+        return worker in self._dead or inc != self._incarnation[worker]
+
     def close_cursor(self, cursor: int) -> None:
         with self._lock:
             self._cursor_tombstones.pop(cursor, None)
             entry = self._cursors.pop(cursor, None)
             if entry is not None:
                 worker, remote, _view, inc = entry
-                stale = (
-                    worker in self._dead
-                    or inc != self._incarnation[worker]
-                )
-        if entry is None:
-            return
-        if stale:
-            return  # the remote handle died with its incarnation
+                stale = self._stale_locked(worker, inc)
+        if entry is None or stale:
+            return  # unknown, or the remote handle died with its incarnation
         try:
             self._request(worker, {"op": "close_cursor", "cursor": remote})
         except WorkerCrashedError:
@@ -2903,6 +2672,33 @@ class ClusterClient:
                     f"unknown subscription handle {subscription}"
                 ) from None
 
+    def _await_delivered(self, entry: _SubEntry, context: str) -> None:
+        """The push barrier: ask the worker how many deltas it
+        delivered for the subscription (worker delivery is synchronous,
+        so the count covers every write that returned), then wait —
+        bounded — until that many landed locally or the worker died."""
+        delivered = int(
+            self._request(
+                entry.worker,
+                {"op": "push_sync", "subscription": entry.remote},
+                context=context,
+            )["delivered"]  # type: ignore[arg-type]
+        )
+        deadline = time.monotonic() + _POLL_TIMEOUT
+        with self._cond:
+            while (
+                entry.received < delivered
+                and entry.worker not in self._dead
+            ):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ClusterError(
+                        f"push barrier timed out ({context}): received "
+                        f"{entry.received} of {delivered} deltas within "
+                        f"{_POLL_TIMEOUT}s"
+                    )
+                self._cond.wait(timeout=remaining)
+
     def poll(
         self, subscription: int, max_items: Optional[int] = None
     ) -> List[Delta]:
@@ -2921,28 +2717,11 @@ class ClusterClient:
             f"subscription {subscription} on view {entry.view!r}",
         )
         with entry.poll_lock:
-            target = int(
-                self._request(
-                    entry.worker,
-                    {"op": "push_sync", "subscription": entry.remote},
-                    context=f"subscription {subscription} on view "
-                    f"{entry.view!r}",
-                )["delivered"]  # type: ignore[arg-type]
+            self._await_delivered(
+                entry,
+                f"subscription {subscription} on view {entry.view!r}",
             )
-            deadline = time.monotonic() + self._poll_timeout
             with self._cond:
-                while (
-                    entry.received < target
-                    and entry.worker not in self._dead
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ClusterError(
-                            f"poll barrier timed out: subscription "
-                            f"{subscription} received {entry.received} of "
-                            f"{target} deltas within {self._poll_timeout}s"
-                        )
-                    self._cond.wait(timeout=remaining)
                 raw, entry.raw = entry.raw, []
             # Lazy path: decode the arrived payloads now, on the
             # consumer's clock, and hand them to the local outbox.
@@ -2958,10 +2737,7 @@ class ClusterClient:
                 self._by_remote.pop((entry.worker, entry.remote), None)
                 self._closed_remotes.add((entry.worker, entry.remote))
                 self._orphan_deltas.pop((entry.worker, entry.remote), None)
-                stale = (
-                    entry.worker in self._dead
-                    or entry.inc != self._incarnation[entry.worker]
-                )
+                stale = self._stale_locked(entry.worker, entry.inc)
         if entry is None:
             return
         entry.local.close()
@@ -3008,14 +2784,28 @@ class ClusterClient:
         worker = self._worker_of_view(view)
         return str(self._request(worker, {"op": "explain", "view": view})["explain"])
 
-    def epochs(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
+    def _ask_all(self, op: str) -> Dict[int, Optional[Dict[str, Any]]]:
+        """One argument-less ``op`` to every worker: worker → reply,
+        ``None`` for a worker that is dead, dies mid-sweep or misses
+        its deadline — a sweep reports the cluster as it is instead of
+        failing on its weakest member."""
+        replies: Dict[int, Optional[Dict[str, Any]]] = {}
         for worker in range(len(self._conns)):
+            replies[worker] = None
             with self._lock:
                 if worker in self._dead:
                     continue
-            reply = self._request(worker, {"op": "epochs"})
-            merged.update(reply["epochs"])  # type: ignore[arg-type]
+            try:
+                replies[worker] = self._request(worker, {"op": op})
+            except (WorkerCrashedError, DeadlineExceededError):
+                pass
+        return replies
+
+    def epochs(self) -> Dict[str, int]:
+        merged: Dict[str, int] = {}
+        for reply in self._ask_all("epochs").values():
+            if reply is not None:
+                merged.update(reply["epochs"])
         return merged
 
     # -- snapshot-consistent cross-shard reads ---------------------------------
@@ -3114,15 +2904,13 @@ class ClusterClient:
         naming the worker and the epochs it was pinned at.
         """
         with self._lock:
-            names = (
-                sorted(self._view_worker) if views is None else list(views)
-            )
+            names = sorted(self._views) if views is None else list(views)
             by_worker: Dict[int, List[str]] = {}
             for name in names:
-                owner = self._view_worker.get(name)
-                if owner is None:
+                record = self._views.get(name)
+                if record is None:
                     raise EngineStateError(f"no view named {name!r}")
-                by_worker.setdefault(owner, []).append(name)
+                by_worker.setdefault(record.worker, []).append(name)
         if not names:
             return Snapshot({}, {}, pin_attempts=0)
         rereads = 0
@@ -3209,16 +2997,10 @@ class ClusterClient:
         scrapes) — so a kill -9 never makes the cluster's cumulative
         traffic appear to shrink.
         """
-        per_worker: Dict[int, object] = {}
-        for worker in range(len(self._conns)):
-            with self._lock:
-                if worker in self._dead:
-                    per_worker[worker] = None
-                    continue
-            try:
-                per_worker[worker] = self._request(worker, {"op": "stats"})["stats"]
-            except (WorkerCrashedError, DeadlineExceededError):
-                per_worker[worker] = None
+        per_worker: Dict[int, object] = {
+            worker: None if reply is None else reply["stats"]
+            for worker, reply in self._ask_all("stats").items()
+        }
         live = [stats for stats in per_worker.values() if isinstance(stats, dict)]
         reads = sum(int(stats.get("reads", 0)) for stats in live)
         writes = sum(int(stats.get("writes", 0)) for stats in live)
@@ -3239,11 +3021,12 @@ class ClusterClient:
                 if cached is not None:
                     reads += cached["reads"]
                     writes += cached["writes"]
+            views = list(self._views.values())
         report: Dict[str, object] = {
             "workers": len(self._conns),
             "dead_workers": list(self.dead_workers),
-            "views": dict(self._view_engine),
-            "view_worker": dict(self._view_worker),
+            "views": {view.name: view.engine_name for view in views},
+            "view_worker": {view.name: view.worker for view in views},
             "reads": reads,
             "writes": writes,
             "open_cursors": len(self._cursors),
@@ -3253,13 +3036,7 @@ class ClusterClient:
             "cluster": self.cluster_stats(),
         }
         if self._pool is not None:
-            report["dispatch"] = {
-                "workers": self._pool.workers,
-                "submitted": self._pool.submitted,
-                "delivered": self._pool.delivered,
-                "pending": self._pool.pending,
-                "high_water": self._pool.high_water,
-            }
+            report["dispatch"] = self._pool.stats()
         return report
 
     def metrics(self) -> Dict[str, object]:
@@ -3280,14 +3057,8 @@ class ClusterClient:
         "slow": [...], "drift": [...], "retired_snapshots": int}``.
         """
         per_worker: Dict[int, Optional[Dict[str, object]]] = {}
-        for worker in range(len(self._conns)):
-            with self._lock:
-                if worker in self._dead:
-                    per_worker[worker] = None
-                    continue
-            try:
-                reply = self._request(worker, {"op": "metrics"})
-            except (WorkerCrashedError, DeadlineExceededError, ReproError):
+        for worker, reply in self._ask_all("metrics").items():
+            if reply is None:
                 per_worker[worker] = None
                 continue
             snap = reply.get("metrics")
@@ -3338,30 +3109,24 @@ class ClusterClient:
 
         This is the *cheap counts-only* sweep (one ``cluster_stats``
         RPC per worker, each served by the worker's allocation-light
-        ``load_stats``).  For latency distributions, span logs and
+        ``Server.load_stats``).  For latency distributions, span logs and
         guarantee-probe drift reports use :meth:`metrics`, which
         scrapes and merges the full per-process registries instead."""
         out: Dict[object, Optional[Dict[str, object]]] = {}
-        for worker in range(len(self._conns)):
+        for worker, reply in self._ask_all("cluster_stats").items():
+            if reply is None:
+                out[worker] = None
+                continue
+            info = dict(reply.get("load") or {})
+            info["pid"] = reply.get("pid")
             with self._lock:
-                if worker in self._dead:
-                    out[worker] = None
-                    continue
-                restarts = (
+                info["restarts"] = (
                     self._cluster.restarts[worker]
                     if self._cluster is not None
                     and worker < len(self._cluster.restarts)
                     else self._incarnation[worker]
                 )
-            try:
-                reply = self._request(worker, {"op": "cluster_stats"})
-            except (WorkerCrashedError, ReproError):
-                out[worker] = None
-                continue
-            info = dict(reply.get("load") or {})  # type: ignore[arg-type]
-            info["pid"] = reply.get("pid")
-            info["restarts"] = restarts
-            info["incarnation"] = self._incarnation[worker]
+                info["incarnation"] = self._incarnation[worker]
             out[worker] = info
         supervisor = self._supervisor
         out["supervisor"] = (
@@ -3373,14 +3138,10 @@ class ClusterClient:
 
     def ping(self) -> Dict[int, Optional[int]]:
         """Liveness probe: worker index → pid (None when dead)."""
-        out: Dict[int, Optional[int]] = {}
-        for worker in range(len(self._conns)):
-            try:
-                reply = self._request(worker, {"op": "ping"})
-                out[worker] = int(reply["pid"])  # type: ignore[arg-type]
-            except WorkerCrashedError:
-                out[worker] = None
-        return out
+        return {
+            worker: None if reply is None else int(reply["pid"])
+            for worker, reply in self._ask_all("ping").items()
+        }
 
     # -- session adoption (Session.serve backend="processes") ------------------
 
@@ -3426,20 +3187,11 @@ class ClusterClient:
             entries = list(self._subs.items())
         for handle, entry in entries:
             with self._lock:
-                if (
-                    entry.worker in self._dead
-                    or entry.inc != self._incarnation[entry.worker]
-                ):
-                    continue  # dead or stale: no more deltas will come
-            target = int(
-                self._request(
-                    entry.worker,
-                    {"op": "push_sync", "subscription": entry.remote},
-                )["delivered"]  # type: ignore[arg-type]
+                if self._stale_locked(entry.worker, entry.inc):
+                    continue  # no more deltas will come
+            self._await_delivered(
+                entry, f"subscription {handle} on view {entry.view!r}"
             )
-            with self._cond:
-                while entry.received < target and entry.worker not in self._dead:
-                    self._cond.wait(timeout=self._poll_timeout)
         if self._pool is not None:
             self._pool.drain()
 
@@ -3475,7 +3227,7 @@ class ClusterClient:
             dead = len(self._dead)
         return (
             f"ClusterClient(workers={len(self._conns)}, dead={dead}, "
-            f"views={len(self._view_worker)}, "
+            f"views={len(self._views)}, "
             f"cursors={len(self._cursors)}, "
             f"subscriptions={len(self._subs)})"
         )

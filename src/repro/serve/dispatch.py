@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from time import perf_counter
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from repro.obs.registry import Counter
 
@@ -234,6 +234,17 @@ class DispatchPool:
     def pending(self) -> int:
         with self._cond:
             return self._pending_total
+
+    def stats(self) -> Dict[str, int]:
+        """The ``dispatch`` block of ``Server.stats()`` and
+        ``ClusterClient.stats()``."""
+        return {
+            "workers": self.workers,
+            "submitted": self.submitted,
+            "delivered": self.delivered,
+            "pending": self.pending,
+            "high_water": self.high_water,
+        }
 
     def close(self) -> None:
         """Drain, then stop the workers (idempotent)."""

@@ -1,17 +1,20 @@
-"""The cluster command journal: what a recovered worker must replay.
+"""The cluster command journal: the rows a recovered worker replays.
 
 A shard worker process holds three kinds of state a ``kill -9`` wipes
-out: the **views** registered on it (name, query text, engine), the
-**rows** of the relations those views read, and per-client handle state
-(cursor positions, subscription outboxes).  The first two are exactly
-re-derivable from the command stream the client already routed — the
-:class:`CommandJournal` records them as the stream flows, and the
-:class:`~repro.serve.supervisor.Supervisor` replays them into a freshly
-spawned worker.  Handle state is deliberately *not* journaled: cursors
-and subscriptions are cheap to re-open (O(1) by the paper's
-guarantees), so recovery reports them precisely
-(:class:`~repro.errors.WorkerRecoveredError`) instead of pretending the
-crash never happened.
+out: the **views** registered on it, the **rows** of the relations
+those views read, and per-client handle state (cursor positions,
+subscription outboxes).  The views are re-registered from the client's
+own view table — the one :class:`~repro.serve.cluster.RemoteView`
+record per view that ``view()`` returns, migration flips and recovery
+replays in registration order.  The rows are exactly re-derivable from
+the command stream the client already routed: the
+:class:`CommandJournal` mirrors them as the stream flows, and the
+:class:`~repro.serve.supervisor.Supervisor` has the client reconcile a
+freshly spawned worker against that mirror.  Handle state is
+deliberately *not* journaled: cursors and subscriptions are cheap to
+re-open (O(1) by the paper's guarantees), so recovery reports them
+precisely (:class:`~repro.errors.WorkerRecoveredError`) instead of
+pretending the crash never happened.
 
 The journal is **net-effect compacted**, the same idea as
 :func:`repro.storage.updates.compress_commands`: instead of an
@@ -35,102 +38,32 @@ row set.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.storage.database import Row
 from repro.storage.updates import UpdateCommand
 
-__all__ = ["CommandJournal", "ViewRecord"]
-
-
-class ViewRecord:
-    """One journaled view registration: enough to re-register it."""
-
-    __slots__ = ("name", "text", "engine", "worker", "access", "options")
-
-    def __init__(
-        self,
-        name: str,
-        text: str,
-        engine: str,
-        worker: int,
-        access: Optional[List[List[str]]] = None,
-        options: Optional[Dict[str, object]] = None,
-    ):
-        self.name = name
-        #: parseable rule text (see ``query_to_text``) — the wire form.
-        self.text = text
-        #: the *resolved* engine name, so the replay pins the same
-        #: engine the planner originally chose instead of re-running
-        #: "auto" against a potentially different library version.
-        self.engine = engine
-        #: current placement (updated by migration / recovery).
-        self.worker = worker
-        #: declared access patterns (wire form), so the replay rebuilds
-        #: the same binding indexes the registration declared.
-        self.access = access
-        #: engine options (wire form; None when defaults applied), so
-        #: the replay rebuilds the view with the same backend.
-        self.options = options
-
-    def __repr__(self) -> str:
-        return (
-            f"ViewRecord({self.name!r}, engine={self.engine!r}, "
-            f"worker={self.worker})"
-        )
+__all__ = ["CommandJournal"]
 
 
 class CommandJournal:
-    """Net-effect journal of a cluster's registrations and updates.
+    """Net-effect journal of a cluster's updates: the row mirror.
 
     Attach one to a :class:`~repro.serve.cluster.ClusterClient`
     (``cluster.client(journal=...)`` or ``Session.serve(...,
-    supervise=True)``) and it records every successful registration,
-    drop, update, stream chunk and committed batch.  The supervisor
-    reads it to rebuild a crashed worker; :meth:`rows` /
-    :meth:`views_on` are also handy introspection for tests.
+    supervise=True)``) and it records every update, stream chunk and
+    batch *before* the client dispatches it.  Recovery reconciles a
+    respawned worker against :meth:`rows`, which is also handy
+    introspection for tests.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._views: Dict[str, ViewRecord] = {}
         self._rows: Dict[str, Set[Row]] = {}
         #: recovery epoch — bumped once per recovered worker.
         self.epoch = 0
         #: total update commands folded in (observability).
         self.commands_seen = 0
-
-    # -- registrations ------------------------------------------------------
-
-    def record_view(
-        self,
-        name: str,
-        text: str,
-        engine: str,
-        worker: int,
-        access: Optional[List[List[str]]] = None,
-        options: Optional[Dict[str, object]] = None,
-    ) -> None:
-        with self._lock:
-            self._views[name] = ViewRecord(
-                name, text, engine, worker, access=access, options=options
-            )
-            # Relations become journal-tracked on first registration so
-            # rows() is well-defined even before the first update.
-            # (The caller tells us relation names via record/record_many;
-            # registration alone cannot know them without re-parsing, so
-            # tracking starts lazily — empty is the correct answer.)
-
-    def drop_view(self, name: str) -> None:
-        with self._lock:
-            self._views.pop(name, None)
-
-    def move_view(self, name: str, worker: int) -> None:
-        """Migration/recovery placement flip."""
-        with self._lock:
-            record = self._views.get(name)
-            if record is not None:
-                record.worker = worker
 
     # -- updates ------------------------------------------------------------
 
@@ -182,24 +115,6 @@ class CommandJournal:
         with self._lock:
             return tuple(sorted(self._rows))
 
-    def views_on(self, worker: int) -> List[ViewRecord]:
-        """The views placed on one worker, in registration order —
-        the order the recovery replay re-registers them."""
-        with self._lock:
-            return [
-                record
-                for record in self._views.values()
-                if record.worker == worker
-            ]
-
-    def view(self, name: str) -> Optional[ViewRecord]:
-        with self._lock:
-            return self._views.get(name)
-
-    def views(self) -> List[ViewRecord]:
-        with self._lock:
-            return list(self._views.values())
-
     def bump_epoch(self) -> int:
         with self._lock:
             self.epoch += 1
@@ -208,8 +123,7 @@ class CommandJournal:
     def __repr__(self) -> str:
         with self._lock:
             return (
-                f"CommandJournal(views={len(self._views)}, "
-                f"relations={len(self._rows)}, "
+                f"CommandJournal(relations={len(self._rows)}, "
                 f"rows={sum(len(r) for r in self._rows.values())}, "
                 f"epoch={self.epoch}, seen={self.commands_seen})"
             )

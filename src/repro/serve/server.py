@@ -68,6 +68,7 @@ from repro.serve.cursors import Cursor
 from repro.serve.dispatch import DispatchPool
 from repro.serve.snapshot import Snapshot
 from repro.serve.subscriptions import Delta, Subscription
+from repro.serve.transport import commands_from_wire, error_reply
 from repro.storage.database import Constant, Row
 from repro.storage.updates import (
     UpdateCommand,
@@ -637,14 +638,17 @@ class Server:
             return {v.name: v.epoch for v in self._session.views}
 
     def snapshot_read(
-        self, views: Sequence[str]
+        self, views: Optional[Sequence[str]] = None
     ) -> Dict[str, Tuple[List[Row], int]]:
-        """One *internally consistent* read of several views: rows (in
-        the deterministic ``result_rows`` order) plus the epoch each
-        view was read at, all under a single all-shard read lock so no
-        write interleaves between the views.  The worker op behind the
-        cluster's snapshot protocol."""
+        """One *internally consistent* read of several views (default:
+        every view, by name): rows (in the deterministic
+        ``result_rows`` order) plus the epoch each view was read at,
+        all under a single all-shard read lock so no write interleaves
+        between the views.  The worker op behind the cluster's snapshot
+        protocol."""
         with self._read_all():
+            if views is None:
+                views = sorted(v.name for v in self._session.views)
             out: Dict[str, Tuple[List[Row], int]] = {}
             for name in views:
                 view = self._session[name]
@@ -663,22 +667,11 @@ class Server:
         cluster client's ``snapshot()`` offers the same surface over
         the epoch-validated double-collect protocol.
         """
-        with self._read_all():
-            if views is None:
-                names = sorted(v.name for v in self._session.views)
-            else:
-                names = list(views)
-            rows: Dict[str, List[Row]] = {}
-            epochs: Dict[str, int] = {}
-            for name in names:
-                view = self._session[name]
-                self._reads.inc()
-                rows[name] = sorted(view.result_set(), key=repr)
-                epochs[name] = view.epoch
+        pinned = self.snapshot_read(views)
         return Snapshot(
-            rows,
-            epochs,
-            workers={name: -1 for name in names},
+            {name: rows for name, (rows, _epoch) in pinned.items()},
+            {name: epoch for name, (_rows, epoch) in pinned.items()},
+            workers={name: -1 for name in pinned},
             pin_attempts=1,
         )
 
@@ -711,13 +704,7 @@ class Server:
                 "shard_writes": [c.value for c in self._shard_writes],
             }
             if self._pool is not None:
-                report["dispatch"] = {
-                    "workers": self._pool.workers,
-                    "submitted": self._pool.submitted,
-                    "delivered": self._pool.delivered,
-                    "pending": self._pool.pending,
-                    "high_water": self._pool.high_water,
-                }
+                report["dispatch"] = self._pool.stats()
             return report
 
     def load_stats(self) -> Dict[str, object]:
@@ -797,22 +784,31 @@ class Server:
     # the request loop
     # ------------------------------------------------------------------
 
-    def handle(self, request: Dict[str, object]) -> Dict[str, object]:
+    def handle(
+        self,
+        request: Dict[str, object],
+        dispatch: Optional[
+            Callable[[Dict[str, object]], Optional[Dict[str, object]]]
+        ] = None,
+    ) -> Dict[str, object]:
         """Serve one plain-dict request; never raises for client errors.
 
         Successful replies carry ``ok: True`` plus op-specific fields;
         failures carry ``ok: False``, the error class name and message
         — and for invalidated cursors the precise invalidation report.
+
+        ``dispatch`` is a host's own op table (the cluster worker's
+        push/2PC/backfill ops): it sees the request first and returns
+        ``None`` for ops it does not own, so its errors are shaped by
+        the same clauses as the server's.
         """
         try:
-            return self._dispatch(dict(request))
+            request = dict(request)
+            reply = dispatch(request) if dispatch is not None else None
+            return self._dispatch(request) if reply is None else reply
         except CursorInvalidatedError as error:
             report = error.invalidation
-            reply: Dict[str, object] = {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            }
+            reply = error_reply(error)
             if report is not None:
                 reply["invalidation"] = {
                     "view": report.view,
@@ -823,19 +819,11 @@ class Server:
                 }
             return reply
         except ReproError as error:
-            return {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            }
+            return error_reply(error)
         except (KeyError, TypeError, ValueError) as error:
             # Malformed requests (missing fields, wrong shapes) are
             # client errors too — a transport loop must not die on them.
-            return {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": f"malformed request: {error!r}",
-            }
+            return error_reply(error, f"malformed request: {error!r}")
 
     def serve(
         self, requests: Iterable[Dict[str, object]]
@@ -854,11 +842,18 @@ class Server:
                 access=request.get("access"),
                 options=request.get("options"),
             )
+            # Relations + arities are what a cluster client routes by.
+            relations = sorted(registered.query.relations)
             return {
                 "ok": True,
                 "view": registered.name,
                 "engine": registered.engine_name,
                 "backend": registered.engine.backend_info()["backend"],
+                "relations": relations,
+                "arities": {
+                    relation: registered.query.arity_of(relation)
+                    for relation in relations
+                },
             }
         if op == "open_cursor":
             handle = self.open_cursor(
@@ -911,16 +906,12 @@ class Server:
             self.unsubscribe(request["subscription"])
             return {"ok": True}
         if op in ("insert", "delete"):
-            maker = insert_command if op == "insert" else delete_command
-            changed = self.apply(maker(request["relation"], request["row"]))
+            changed = self.apply(
+                UpdateCommand(op, request["relation"], request["row"])
+            )
             return {"ok": True, "changed": changed}
         if op == "batch":
-            commands = [
-                insert_command(rel, row)
-                if kind == "insert"
-                else delete_command(rel, row)
-                for kind, rel, row in request["commands"]
-            ]
+            commands = commands_from_wire(request["commands"])
             return {"ok": True, "stats": self.batch(commands)}
         if op == "count":
             return {"ok": True, "count": self.count(request["view"])}
@@ -961,8 +952,6 @@ class Server:
             }
         if op == "stats":
             return {"ok": True, "stats": self.stats()}
-        if op == "load_stats":
-            return {"ok": True, "load": self.load_stats()}
         if op == "metrics":
             return {"ok": True, **self.metrics()}
         raise EngineStateError(f"unknown request op {op!r}")

@@ -17,18 +17,21 @@ lifecycle on behalf of one :class:`~repro.serve.cluster.ClusterClient`:
 2. **Respawn** — :meth:`ShardCluster.respawn_worker` starts a fresh
    process at the same index (new incarnation, new socket).
 3. **Replay** — :meth:`ClusterClient._recover_worker` re-registers the
-   worker's views from the :class:`~repro.serve.journal.CommandJournal`
-   (stored query text, pinned engine) and backfills the journal's
-   net-effect row sets with one bulk batch per relation.  Because the
-   client journals **before** it dispatches and cluster updates are
-   idempotent under set semantics, the at-least-once replay is
-   exactly-once in effect: the recovered worker's state is
-   byte-identical to what an uninterrupted run would hold.
+   worker's views from the client's own view table (the one
+   :class:`~repro.serve.cluster.RemoteView` record per view: stored
+   query text, pinned engine, access patterns, options — in
+   registration order) and reconciles the worker's relations against
+   the :class:`~repro.serve.journal.CommandJournal`'s net-effect row
+   mirror, one bulk batch per relation.  Because the client journals
+   **before** it dispatches and cluster updates are idempotent under
+   set semantics, the at-least-once replay is exactly-once in effect:
+   the recovered worker's state is byte-identical to what an
+   uninterrupted run would hold.
 
 While a recovery is in flight, supervised clients degrade to a
 **bounded stall** instead of an error: writers and readers block in
-:meth:`ClusterClient._await_alive` (up to ``recovery_timeout``) and
-retry on the fresh channel.  Only per-handle state is lost — cursors
+:meth:`ClusterClient._await_alive` (up to 30 s) and retry on the fresh
+channel.  Only per-handle state is lost — cursors
 and subscriptions opened against the dead incarnation report a precise
 :class:`~repro.errors.WorkerRecoveredError` (worker id, recovered
 views, journal epoch) so callers re-open them, O(1) each by the
@@ -70,19 +73,19 @@ class Supervisor:
         The :class:`ClusterClient` to recover.  Attaching flips the
         client from fail-fast to bounded-stall on dead workers.
     journal:
-        The :class:`CommandJournal` recoveries replay from.  Defaults
-        to the client's own journal; a client without one gets this
-        journal attached (and its current view registrations seeded)
-        so recording starts now.  Rows applied *before* supervision
-        began are not retroactively journaled — start supervision
-        before writing, as ``Session.serve(supervise=True)`` does.
+        The :class:`CommandJournal` recoveries replay rows from.
+        Defaults to the client's own journal; a client without one gets
+        this journal attached so recording starts now (its views need
+        no seeding — the client's view table already is the
+        registration record).  Rows applied *before* supervision began
+        are not retroactively journaled — start supervision before
+        writing, as ``Session.serve(supervise=True)`` does.
     heartbeat:
         Seconds between health sweeps.  ``None`` reads the
         ``REPRO_SUP_HEARTBEAT`` environment variable (default 1.0).
     heartbeat_timeout:
         Per-probe reply timeout — a worker that is alive but silent for
-        this long is treated as dead (multiplexed channels only; serial
-        channels detect only closed connections).  ``None`` reads
+        this long is treated as dead.  ``None`` reads
         ``REPRO_SUP_PING_TIMEOUT`` (default 5.0).
     max_restarts:
         Recoveries per worker before it is declared unrecoverable.
@@ -94,8 +97,6 @@ class Supervisor:
         crash-looping worker stops hot-spinning respawns.  ``None``
         reads ``REPRO_SUP_RESTART_BACKOFF`` (default 0.0, the
         pre-existing immediate-retry behaviour).
-    startup_timeout:
-        Seconds to wait for a respawned worker's ready handshake.
     """
 
     def __init__(
@@ -107,7 +108,6 @@ class Supervisor:
         heartbeat_timeout: Optional[float] = None,
         max_restarts: Optional[int] = None,
         restart_backoff: Optional[float] = None,
-        startup_timeout: float = 30.0,
     ) -> None:
         self.cluster = cluster
         self.client = client
@@ -134,7 +134,6 @@ class Supervisor:
             if restart_backoff is None
             else float(restart_backoff)
         )
-        self.startup_timeout = float(startup_timeout)
         #: completed recoveries, oldest first:
         #: ``{"worker", "pid", "views", "epoch", "seconds", "attempt"}``.
         self.recoveries: List[Dict[str, object]] = []
@@ -144,7 +143,14 @@ class Supervisor:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._started = False
-        self._seed_journal()
+        with client._lock:
+            if client._journal is None:
+                client._journal = journal
+            elif client._journal is not journal:
+                raise ClusterError(
+                    "client already records to a different journal; pass "
+                    "that journal to the Supervisor instead"
+                )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -244,9 +250,7 @@ class Supervisor:
             time.sleep(min(self.restart_backoff * 2 ** (attempt - 2), 30.0))
         started = time.monotonic()
         try:
-            handle = self.cluster.respawn_worker(
-                index, startup_timeout=self.startup_timeout
-            )
+            handle = self.cluster.respawn_worker(index)
             epoch = self.journal.bump_epoch()
             views = self.client._recover_worker(index, handle, epoch)
         except Exception as error:
@@ -290,7 +294,9 @@ class Supervisor:
                     for w in range(client.workers)
                     if w not in dead
                 }
-                placement = dict(client._view_worker)
+                placement = {
+                    name: view.worker for name, view in client._views.items()
+                }
             for owner in placement.values():
                 if owner in counts:
                     counts[owner] += 1
@@ -337,42 +343,6 @@ class Supervisor:
             "journal_epoch": self.journal.epoch,
             "journal_commands": self.journal.commands_seen,
         }
-
-    # -- internals ------------------------------------------------------------
-
-    def _seed_journal(self) -> None:
-        """Adopt the client: share one journal and backfill its views.
-
-        A client built without a journal only starts recording once the
-        supervisor hands it one; views registered before that moment
-        are seeded here from the client's own records so a recovery can
-        still re-register them (their *rows* are gone — see the class
-        docstring).
-        """
-        client = self.client
-        with client._lock:
-            if client._journal is None:
-                client._journal = self.journal
-            elif client._journal is not self.journal:
-                raise ClusterError(
-                    "client already records to a different journal; pass "
-                    "that journal to the Supervisor instead"
-                )
-            texts = dict(client._view_text)
-            engines = dict(client._view_engine)
-            placement = dict(client._view_worker)
-            access = dict(client._view_access)
-            view_options = dict(client._view_options)
-        for name, worker in placement.items():
-            if self.journal.view(name) is None and name in texts:
-                self.journal.record_view(
-                    name,
-                    texts[name],
-                    engines.get(name, "auto"),
-                    worker,
-                    access=access.get(name),
-                    options=view_options.get(name),
-                )
 
     def __enter__(self) -> "Supervisor":
         return self.start()

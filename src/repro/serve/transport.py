@@ -33,15 +33,15 @@ with a diagnosable message instead of OOMing the worker.
 
 Two connection disciplines share the framing:
 
-* :class:`Connection` — the serial channel.  ``request()`` (send one
+* :class:`Connection` — one framed socket.  ``request()`` (send one
   message, read one reply) holds the connection lock for the whole
-  round trip, so any number of client threads can share one request
-  channel at one-in-flight; the push channel is written by one worker
-  thread and read by one client thread, no multiplexing needed.
-* :class:`MuxConnection` — the multiplexed channel.  Every request is
-  tagged with a connection-unique id (the ``"mux_id"`` field), a
-  background reader thread matches out-of-order replies back to their
-  waiting callers, and any number of requests ride the socket
+  round trip; the cluster uses it for the ``_hello`` handshakes and as
+  the push channel, which is written by one worker thread and read by
+  one client thread, no multiplexing needed.
+* :class:`MuxConnection` — the cluster's request channel.  Every
+  request is tagged with a connection-unique id (the ``"mux_id"``
+  field), a background reader thread matches out-of-order replies back
+  to their waiting callers, and any number of requests ride the socket
   concurrently — a slow ``fetch`` no longer head-of-line-blocks a
   supervisor health probe sharing the connection.  Frames without a
   ``mux_id`` are handed to the optional ``on_push`` callback.
@@ -55,7 +55,7 @@ import socket
 import struct
 import threading
 from itertools import count as _counter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConnectionClosedError,
@@ -63,6 +63,7 @@ from repro.errors import (
     FrameTooLargeError,
     TransportError,
 )
+from repro.storage.updates import UpdateCommand
 
 __all__ = [
     "MAX_FRAME",
@@ -78,6 +79,9 @@ __all__ = [
     "connect",
     "as_row",
     "as_rows",
+    "command_wire",
+    "commands_from_wire",
+    "error_reply",
 ]
 
 #: Built-in ceiling on one frame's payload — fail fast on corrupt
@@ -689,7 +693,7 @@ def connect(
 
 
 # ---------------------------------------------------------------------------
-# row canonicalisation (JSON flattens tuples to arrays)
+# message shapes: rows (JSON flattens tuples to arrays), commands, errors
 # ---------------------------------------------------------------------------
 
 
@@ -701,3 +705,32 @@ def as_row(value: object) -> Tuple[object, ...]:
 def as_rows(values: object) -> Tuple[Tuple[object, ...], ...]:
     """A wire row list back to a tuple of canonical row tuples."""
     return tuple(tuple(value) for value in values)  # type: ignore[union-attr]
+
+
+def command_wire(command: UpdateCommand) -> Tuple[str, str, Tuple[object, ...]]:
+    """One update command's wire form ``(op, relation, row)`` — tuples
+    encode as arrays in both codecs, no copies needed."""
+    return (command.op, command.relation, command.row)
+
+
+def commands_from_wire(items: object) -> List[UpdateCommand]:
+    """A wire command list back to commands.  An op other than
+    ``insert``/``delete`` is an :class:`~repro.errors.UpdateError`
+    (:class:`UpdateCommand` validates it), never silently the other
+    op; the command canonicalises its own row."""
+    return [
+        UpdateCommand(str(op), str(relation), row)
+        for op, relation, row in items  # type: ignore[attr-defined]
+    ]
+
+
+def error_reply(
+    error: BaseException, message: Optional[str] = None
+) -> Dict[str, object]:
+    """The ``ok: False`` reply naming ``error``'s class (what the
+    client rebuilds the exception from) and its message."""
+    return {
+        "ok": False,
+        "error": type(error).__name__,
+        "message": str(error) if message is None else message,
+    }

@@ -6,6 +6,7 @@ the identical command stream: the cluster must agree on results, deltas
 separate worker processes behind the socket transport.
 """
 
+import inspect
 import random
 import threading
 import time
@@ -21,7 +22,10 @@ from repro.errors import (
     UpdateError,
     WorkerCrashedError,
 )
-from repro.serve.cluster import ShardCluster, query_to_text
+from repro.serve import cluster as cluster_module
+from repro.serve.cluster import ClusterClient, ShardCluster, query_to_text
+from repro.serve.faults import Fault, FaultPlan
+from repro.serve.supervisor import Supervisor
 from repro.storage.updates import delete, insert
 
 pytestmark = pytest.mark.cluster
@@ -574,7 +578,6 @@ def test_session_serve_processes_migrates_views_and_rows():
 @pytest.fixture
 def supervised():
     from repro.serve.journal import CommandJournal
-    from repro.serve.supervisor import Supervisor
 
     with ShardCluster(workers=2) as deployment:
         journal = CommandJournal()
@@ -701,7 +704,6 @@ def test_unsupervised_client_still_fails_fast(crashable):
 
 def test_max_restarts_declares_unrecoverable():
     from repro.serve.journal import CommandJournal
-    from repro.serve.supervisor import Supervisor
 
     with ShardCluster(workers=2) as cluster:
         journal = CommandJournal()
@@ -879,13 +881,12 @@ def test_migrate_view_skips_stale_incarnation_subs(supervised):
     assert deltas and deltas[-1].added == ((2,),)
 
 
-@pytest.mark.parametrize("multiplex", [False, True])
-def test_oversize_frames_do_not_condemn_the_worker(monkeypatch, multiplex):
+def test_oversize_frames_do_not_condemn_the_worker(monkeypatch):
     from repro.errors import FrameTooLargeError
 
     monkeypatch.setenv("REPRO_MAX_FRAME", "4096")
     with ShardCluster(workers=1) as deployment:
-        with deployment.client(multiplex=multiplex) as facade:
+        with deployment.client() as facade:
             facade.view("of", "V(x, y) :- OF(x, y)")
             # Outgoing direction: the request never hits the wire, the
             # caller hears about the payload, the channel stays up.
@@ -901,3 +902,264 @@ def test_oversize_frames_do_not_condemn_the_worker(monkeypatch, multiplex):
                 facade.result_set("of")
             assert facade.dead_workers == ()
             assert facade.count("of") == 400
+
+
+def test_untagged_request_frame_gets_a_transport_error(cluster):
+    # The multiplexed channel is the only request protocol: a frame
+    # without a mux_id is answered (not dropped, not served serially).
+    from repro.serve.transport import connect, get_codec
+
+    with connect(cluster.workers[0].address, get_codec(cluster.codec)) as raw:
+        hello = raw.request({"op": "_hello", "kind": "request", "client": "t"})
+        assert hello["ok"]
+        reply = raw.request({"op": "ping"}, timeout=5.0)
+        assert reply["ok"] is False
+        assert reply["error"] == "TransportError"
+        assert "mux_id" in reply["message"]
+
+
+@pytest.mark.parametrize("op", ["batch", "apply_many", "batch_prepare"])
+def test_unknown_wire_command_kind_never_deletes(client, op):
+    name, rel = unique("typo"), unique("RT")
+    client.view(name, f"V(x) :- {rel}(x)")
+    client.insert(rel, (1,))
+    worker = client._worker_of_view(name)
+    request = {"op": op, "txn": "t", "commands": [["upsert", rel, [1]]]}
+    with pytest.raises(UpdateError, match="upsert"):
+        client._request(worker, request)
+    assert client.result_set(name) == {(1,)}
+    # a refused prepare staged nothing and holds no lock
+    assert client.insert(rel, (2,))
+
+
+# ---------------------------------------------------------------------------
+# one install path: registration reconciles like migration does
+# ---------------------------------------------------------------------------
+
+
+def test_registration_deletes_stale_residue_of_a_dropped_view(fresh):
+    _cluster, facade = fresh
+    facade.view("A", "V(x, y) :- E(x, y)")
+    facade.view("B", "W(x, y) :- E(x, y)")
+    assert (facade._worker_of_view("A"), facade._worker_of_view("B")) == (0, 1)
+    facade.insert("E", (1, 2))
+    facade.drop_view("A")  # worker 0 keeps its copy of E(1, 2)...
+    facade.delete("E", (1, 2))  # ...and this reaches worker 1 only
+    registered = facade.view("C", "U(x, y) :- E(x, y)")
+    assert registered.worker == 0
+    # (1, 2) is not in D, so no view may answer it.
+    assert facade.result_set("C") == set()
+    assert facade.result_set("B") == set()
+    # From here both replicas of E take every write and stay equal.
+    facade.insert("E", (3, 4))
+    assert facade.result_set("C") == {(3, 4)}
+    assert facade.result_digest("C") == facade.result_digest("B")
+
+
+def test_registration_without_a_live_owner_keeps_the_workers_rows(fresh):
+    _cluster, facade = fresh
+    facade.view("A", "V(x, y) :- E(x, y)")
+    facade.insert("E", (1, 2))
+    facade.drop_view("A")
+    # No live view serves E: there is no truth to reconcile against,
+    # so the rows worker 0 still stores stand.
+    assert facade.view("C", "U(x, y) :- E(x, y)").worker == 0
+    assert facade.result_set("C") == {(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# what the single copies promise: sweeps, the barrier deadline, the surface
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sweep", ["epochs", "ping", "stats", "cluster_stats", "metrics"]
+)
+def test_sweeps_return_on_the_first_call_past_a_killed_worker(crashable, sweep):
+    cluster, facade = crashable
+    facade.view("a", "V(x) :- RA(x)")
+    facade.view("b", "V(x) :- RB(x)")
+    victim = facade._worker_of_view("b")
+    cluster.kill_worker(victim)
+    _await_death(cluster, victim)
+    assert facade.dead_workers == ()  # no request has noticed yet
+    result = getattr(facade, sweep)()
+    if sweep == "epochs":
+        assert set(result) == {"a"}
+    elif sweep in ("ping", "cluster_stats"):
+        assert result[victim] is None and result[1 - victim] is not None
+    else:
+        per_worker = result["per_worker"]
+        assert per_worker[victim] is None and per_worker[1 - victim] is not None
+    assert facade.dead_workers == (victim,)
+
+
+def test_ping_reports_a_missed_deadline_as_absent(cluster):
+    # Frame 2 on worker 0's request channel is the reply to the first
+    # request after the hello: the ping below.
+    plan = FaultPlan([Fault("drop", frame=2, worker=0, channel="request")])
+    with cluster.client(
+        faults=plan, request_timeout=0.3, retry_budget=0
+    ) as facade:
+        pids = facade.ping()
+        assert pids[0] is None and pids[1] is not None
+        assert facade.dead_workers == ()  # a clean deadline, not a crash
+        assert facade.ping()[0] is not None
+
+
+def test_drain_and_poll_share_the_barrier_deadline(monkeypatch):
+    monkeypatch.setattr(cluster_module, "_POLL_TIMEOUT", 0.3)
+    # Frame 2 on the push channel is the first deltas frame (frame 1 is
+    # the hello reply): the worker counts a delivery that never lands.
+    plan = FaultPlan(
+        [Fault("drop", frame=2, worker=0, channel="push", direction="recv")]
+    )
+    with ShardCluster(workers=1) as deployment:
+        with deployment.client(faults=plan) as facade:
+            facade.view("bd", "V(x) :- BD(x)")
+            handle = facade.subscribe("bd")
+            facade.insert("BD", (1,))
+            with pytest.raises(ClusterError, match="push barrier timed out") as polled:
+                facade.poll(handle)
+            with pytest.raises(ClusterError, match="push barrier timed out") as drained:
+                facade.drain()
+            assert str(drained.value) == str(polled.value)
+
+
+def _parameters(function):
+    return list(inspect.signature(function).parameters)[1:]  # drop self
+
+
+def test_serving_signatures_are_frozen():
+    assert _parameters(ClusterClient.__init__) == [
+        "cluster",
+        "addresses",
+        "codec",
+        "dispatch_workers",
+        "dispatch_queue",
+        "journal",
+        "request_timeout",
+        "retry_budget",
+        "faults",
+        "observe",
+    ]
+    assert _parameters(ShardCluster.__init__) == [
+        "workers",
+        "codec",
+        "socket_dir",
+        "observe",
+    ]
+    assert _parameters(ShardCluster.client) == [
+        "dispatch_workers",
+        "dispatch_queue",
+        "journal",
+        "request_timeout",
+        "retry_budget",
+        "faults",
+        "observe",
+    ]
+    assert _parameters(Supervisor.__init__) == [
+        "cluster",
+        "client",
+        "journal",
+        "heartbeat",
+        "heartbeat_timeout",
+        "max_restarts",
+        "restart_backoff",
+    ]
+    assert _parameters(Session.serve) == [
+        "backend",
+        "shards",
+        "dispatch_workers",
+        "dispatch_queue",
+        "codec",
+        "supervise",
+        "request_timeout",
+        "retry_budget",
+        "heartbeat",
+        "heartbeat_timeout",
+        "restart_backoff",
+        "max_restarts",
+        "faults",
+        "observe",
+        "options",
+    ]
+    # The retired knobs are unknown names on every entry point.
+    with pytest.raises(TypeError, match="start_method"):
+        ShardCluster(workers=1, start_method="fork")
+    with pytest.raises(TypeError, match="multiplex"):
+        ClusterClient(addresses=[("tcp", "127.0.0.1", 1)], multiplex=False)
+    with pytest.raises(TypeError, match="multiplex"):
+        Session().serve(backend="processes", multiplex=False)
+    with pytest.raises(TypeError, match="start_method"):
+        Session().serve(backend="processes", start_method="fork")
+    with pytest.raises(EngineStateError, match="unknown serving backend"):
+        Session().serve(backend="cluster")
+    with pytest.raises(EngineStateError, match="unknown serving backend"):
+        Session().serve(backend="inprocess")
+
+
+def _public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+def test_server_and_cluster_client_mirror_one_surface():
+    # The mirrored surface written down once, until a Protocol both
+    # implement replaces this list (ROADMAP, "One serving surface").
+    server, client = _public(Server), _public(ClusterClient)
+    assert sorted(server & client) == [
+        "answer",
+        "apply",
+        "batch",
+        "close",
+        "close_cursor",
+        "contains",
+        "count",
+        "delete",
+        "drain",
+        "drop_view",
+        "epochs",
+        "explain",
+        "fetch",
+        "insert",
+        "metrics",
+        "open_cursor",
+        "poll",
+        "result_digest",
+        "result_set",
+        "snapshot",
+        "stats",
+        "subscribe",
+        "subscription_state",
+        "unsubscribe",
+        "view",
+    ]
+    assert sorted(server - client) == [
+        "apply_all",
+        "cursor_state",
+        "digest",
+        "dispatcher",
+        "exclusive",
+        "handle",
+        "load_stats",
+        "reads",
+        "relation_rows",
+        "result_rows",
+        "serve",
+        "session",
+        "shard_of",
+        "shards",
+        "snapshot_read",
+        "writes",
+    ]
+    assert sorted(client - server) == [
+        "adopt_session",
+        "apply_stream",
+        "attach_supervisor",
+        "cluster_stats",
+        "dead_workers",
+        "migrate_view",
+        "ping",
+        "probe_worker",
+        "workers",
+    ]

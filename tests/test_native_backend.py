@@ -379,14 +379,16 @@ def test_cluster_view_options_ride_the_wire_and_replay_on_kill9():
                 cluster, facade, journal=journal, heartbeat=0.1
             ).start()
             try:
-                reply_backend = facade.view(
+                record = facade.view(
                     "nb",
                     "V(x, y) :- R(x, y), S(y)",
                     options={"backend": "vectorized"},
                 )
-                victim = facade._worker_of_view("nb")
-                record = journal.view("nb")
+                victim = record.worker
+                # The one registration record carries the options a
+                # recovery re-registers with.
                 assert record.options == {"backend": "vectorized"}
+                assert record.registration()["options"] == record.options
                 rng = random.Random(17)
                 for step in range(120):
                     if step == 60:

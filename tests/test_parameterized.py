@@ -520,12 +520,12 @@ class TestClusterBackend:
             backend="processes", shards=2, supervise=True
         )
         try:
-            client.view("feed", QH_TEXT, access={"me"})
+            record = client.view("feed", QH_TEXT, access={"me"})
             for command in feed_commands():
                 client.apply(command)
-            record = client._journal.view("feed")
             assert record.access == [["me"]]
-            victim = client._worker_of_view("feed")
+            assert record.registration()["access"] == [["me"]]
+            victim = record.worker
             cluster = client._cluster
             cluster.kill_worker(victim)
             deadline = time.monotonic() + 5.0

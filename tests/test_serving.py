@@ -704,6 +704,20 @@ def test_server_request_loop_roundtrip():
     assert server.handle({"op": "count", "view": "v"})["count"] == 2
 
 
+def test_unknown_wire_command_kind_is_an_update_error():
+    # The decoder used to spell "insert if kind == 'insert' else
+    # delete", so any typo deleted the row and answered ok: True.
+    server = Server()
+    server.view("v", "V(x, y) :- E(x, y)")
+    server.insert("E", (1, 2))
+    reply = server.handle(
+        {"op": "batch", "commands": [["upsert", "E", [1, 2]]]}
+    )
+    assert reply["ok"] is False and reply["error"] == "UpdateError"
+    assert "upsert" in reply["message"]
+    assert server.result_set("v") == {(1, 2)}
+
+
 def test_server_multithreaded_readers_and_writers():
     server = Server()
     server.view("v", "V(x, y) :- E(x, y), T(y)")

@@ -47,21 +47,6 @@ def test_journal_record_many_reports_per_command():
     assert effective == [True, False, False]
 
 
-def test_journal_views_on_preserves_registration_order():
-    journal = CommandJournal()
-    journal.record_view("b", "V(x) :- R(x)", "qhierarchical", 0)
-    journal.record_view("a", "W(x) :- S(x)", "qhierarchical", 0)
-    journal.record_view("c", "U(x) :- T(x)", "counting", 1)
-    assert [r.name for r in journal.views_on(0)] == ["b", "a"]
-    assert [r.name for r in journal.views_on(1)] == ["c"]
-    journal.move_view("a", 1)
-    assert [r.name for r in journal.views_on(1)] == ["a", "c"]
-    journal.drop_view("b")
-    assert journal.views_on(0) == []
-    assert journal.view("c").engine == "counting"
-    assert journal.view("b") is None
-
-
 def test_journal_epoch_and_forget():
     journal = CommandJournal()
     assert journal.bump_epoch() == 1
@@ -136,16 +121,37 @@ def test_recovery_replays_views_and_rows(rig):
         assert facade.result_digest(name) == digest
 
 
+def test_recovery_reregisters_in_registration_order(rig):
+    cluster, facade, journal = rig
+    # Names chosen so registration order is not name order.
+    for name in ("b", "c", "a"):
+        facade.view(name, f"V(x) :- R_{name}(x)")
+        facade.insert(f"R_{name}", (1,))
+    assert [facade._worker_of_view(n) for n in ("b", "c", "a")] == [0, 1, 0]
+    supervisor = Supervisor(cluster, facade, journal=journal)
+    facade.attach_supervisor(supervisor)
+    _kill_and_flag(cluster, facade, 0)
+    assert supervisor.sweep() == [0]
+    assert supervisor.recoveries[-1]["views"] == ("b", "a")
+    # The worker's own session lists its views in the order it got them.
+    assert list(facade.stats()["per_worker"][0]["views"]) == ["b", "a"]
+    # A migrated view keeps its place in the registration order.
+    facade.migrate_view("b", target=1)
+    _kill_and_flag(cluster, facade, 1)
+    assert supervisor.sweep() == [1]
+    assert supervisor.recoveries[-1]["views"] == ("b", "c")
+    for name in ("a", "b", "c"):
+        assert facade.result_set(name) == {(1,)}
+
+
 def test_supervisor_seeds_journal_from_preexisting_views():
     with ShardCluster(workers=2) as cluster:
         with cluster.client() as facade:  # no journal: nothing recorded
             facade.view("pre", "V(x) :- PRE(x)")
             supervisor = Supervisor(cluster, facade)
-            # Seeding registered the view so a recovery can re-register
-            # it, and attached the journal so rows record from now on.
-            assert supervisor.journal.view("pre").worker == (
-                facade._worker_of_view("pre")
-            )
+            # The view needs no seeding — the client's own table is the
+            # registration record — and the journal is attached, so
+            # rows record from now on.
             assert facade._journal is supervisor.journal
             facade.attach_supervisor(supervisor)
             facade.insert("PRE", (1,))

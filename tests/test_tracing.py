@@ -80,7 +80,7 @@ def test_every_rpc_op_shows_up_as_a_cross_process_pair(client):
     assert worker_spans
 
     driven = {
-        "register_view",
+        "view",
         "insert",
         "delete",
         "count",
@@ -120,7 +120,7 @@ def test_spans_survive_mux_out_of_order_replies():
     plan = FaultPlan(
         faults=(
             # Frame 4 on worker 0's request channel = the reply to the
-            # first count after hello(1), register_view(2), insert(3) —
+            # first count after hello(1), view(2), insert(3) —
             # held 0.6s, so later counts on the same mux lane overtake.
             Fault(
                 action="delay",

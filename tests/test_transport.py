@@ -11,6 +11,7 @@ from repro.errors import (
     ConnectionClosedError,
     DeadlineExceededError,
     TransportError,
+    UpdateError,
 )
 from repro.serve.transport import (
     MAX_FRAME,
@@ -20,12 +21,16 @@ from repro.serve.transport import (
     as_rows,
     available_codecs,
     bind_listener,
+    command_wire,
+    commands_from_wire,
     connect,
     default_max_frame,
+    error_reply,
     get_codec,
     recv_frame,
     send_frame,
 )
+from repro.storage.updates import delete, insert
 
 
 def test_json_codec_roundtrip():
@@ -198,6 +203,29 @@ def test_row_canonicalisation():
     assert as_row([1, "a", 2]) == (1, "a", 2)
     assert as_rows([[1, 2], ["x", "y"]]) == ((1, 2), ("x", "y"))
     assert as_rows([]) == ()
+
+
+def test_command_wire_roundtrip_and_unknown_kind():
+    commands = [insert("E", (1, "a")), delete("E", (2, "b"))]
+    wire = [command_wire(command) for command in commands]
+    assert wire == [("insert", "E", (1, "a")), ("delete", "E", (2, "b"))]
+    # JSON flattens the tuples to arrays; decoding re-canonicalises.
+    flattened = [["insert", "E", [1, "a"]], ["delete", "E", [2, "b"]]]
+    assert commands_from_wire(wire) == commands_from_wire(flattened) == commands
+    with pytest.raises(UpdateError, match="upsert"):
+        commands_from_wire([["insert", "E", [1]], ["upsert", "E", [1]]])
+    with pytest.raises(ValueError):
+        commands_from_wire([["insert", "E"]])  # malformed, not a command
+
+
+def test_error_reply_names_the_class():
+    assert error_reply(UpdateError("bad op")) == {
+        "ok": False,
+        "error": "UpdateError",
+        "message": "bad op",
+    }
+    reply = error_reply(KeyError("row"), "malformed request: KeyError('row')")
+    assert reply["error"] == "KeyError" and reply["message"].startswith("malformed")
 
 
 # ---------------------------------------------------------------------------
