@@ -31,7 +31,17 @@ from __future__ import annotations
 
 from dataclasses import replace
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.api.access import (
     AccessPattern,
@@ -53,6 +63,20 @@ from repro.storage.updates import (
 
 __all__ = ["Session", "View", "Batch"]
 
+#: :class:`repro.serve.subscriptions.Delta`, bound on first use:
+#: ``repro.serve`` imports this module, so the import cannot run at
+#: module load, and the per-write path must not pay for it per call.
+_Delta: Optional[type] = None
+
+
+def _delta_type() -> type:
+    global _Delta
+    if _Delta is None:
+        from repro.serve.subscriptions import Delta
+
+        _Delta = Delta
+    return _Delta
+
 
 class View:
     """A named live query registered with a :class:`Session`.
@@ -70,7 +94,11 @@ class View:
         # Serving-layer state: live cursors to notify around updates and
         # delta subscribers to fan changes out to (repro.serve).
         self._cursors: List[object] = []
-        self._subscriptions: List[object] = []
+        # Copy-on-write: (un)registration replaces the tuple, so a
+        # delivery iterating it is undisturbed by a callback that
+        # subscribes or unsubscribes mid-flight — without a per-write
+        # copy.
+        self._subscriptions: Tuple[Any, ...] = ()
         # Access-pattern state: classified (query, pattern) pairs —
         # declared via Session.view(access=...) or inferred from the
         # first bound use — plus the bound-subscriber index
@@ -310,7 +338,7 @@ class View:
             for subscribers in by_values.values()
             for subscription in subscribers
         ]
-        return tuple(self._subscriptions) + tuple(bound)
+        return self._subscriptions + tuple(bound)
 
     @property
     def open_cursors(self) -> Tuple[object, ...]:
@@ -341,7 +369,7 @@ class View:
                 values, []
             ).append(subscription)
         else:
-            self._subscriptions.append(subscription)
+            self._subscriptions += (subscription,)
 
     def _drop_subscription(self, subscription) -> None:
         binding = getattr(subscription, "binding", None)
@@ -362,10 +390,9 @@ class View:
             if not by_values:
                 del self._bound_subs[key]
             return
-        try:
-            self._subscriptions.remove(subscription)
-        except ValueError:
-            pass
+        self._subscriptions = tuple(
+            kept for kept in self._subscriptions if kept is not subscription
+        )
 
     def _deliver(self, command: UpdateCommand) -> None:
         """Apply one effective update with full serving choreography.
@@ -381,12 +408,15 @@ class View:
         subscribers are notified last, so a callback observing the view
         sees the post-update state.
         """
-        for cursor in list(self._cursors):
-            cursor._before_view_update(command)
-        want_delta = bool(self._subscriptions) or bool(self._bound_subs)
+        if self._cursors:
+            for cursor in list(self._cursors):
+                cursor._before_view_update(command)
+        subscriptions = self._subscriptions
+        engine = self._engine
+        want_delta = bool(subscriptions) or bool(self._bound_subs)
         if not want_delta and self._cursors:
             want_delta = getattr(
-                self._engine, "supports_cheap_delta", False
+                engine, "supports_cheap_delta", False
             ) and any(not cursor.snapshot for cursor in self._cursors)
         # Sampled update timing: every update decrements the countdown,
         # only the one driving it below zero pays the two clock reads
@@ -399,35 +429,32 @@ class View:
             if probe.update_countdown < 0:
                 probe.update_countdown = probe.update_stride - 1
                 timed = True
+        pair = None
         if want_delta:
-            from repro.serve.subscriptions import Delta
-
             if timed:
                 started = perf_counter()
-                added, removed = self._engine.apply_with_delta(command)
+                added, removed = engine.apply_with_delta(command)
                 probe.record_update(perf_counter() - started)
             else:
-                added, removed = self._engine.apply_with_delta(command)
-            delta = Delta(
-                view=self.name,
-                epoch=self._engine.epoch,
-                command=command,
-                added=tuple(added),
-                removed=tuple(removed),
-            )
+                added, removed = engine.apply_with_delta(command)
+            pair = (tuple(added), tuple(removed))
+        elif timed:
+            started = perf_counter()
+            engine.apply(command)
+            probe.record_update(perf_counter() - started)
         else:
-            if timed:
-                started = perf_counter()
-                self._engine.apply(command)
-                probe.record_update(perf_counter() - started)
-            else:
-                self._engine.apply(command)
-            delta = None
-        pair = (delta.added, delta.removed) if delta is not None else None
-        for cursor in list(self._cursors):
-            cursor._after_view_update(command, pair)
-        if delta is not None and delta.size:
-            for subscription in list(self._subscriptions):
+            engine.apply(command)
+        if self._cursors:
+            for cursor in list(self._cursors):
+                cursor._after_view_update(command, pair)
+        if pair is None or not (subscriptions or self._bound_subs):
+            return
+        added, removed = pair
+        if added or removed:
+            delta = (_Delta or _delta_type())(
+                self.name, engine.epoch, command, added, removed
+            )
+            for subscription in subscriptions:
                 subscription._dispatch(delta)
             if self._bound_subs:
                 self._fan_out_bound(delta)
@@ -446,8 +473,7 @@ class View:
         subscribers — the one-pass fan-out the paper's O(δ) delta
         enables.
         """
-        from repro.serve.subscriptions import Delta
-
+        Delta = _Delta or _delta_type()
         for key, by_values in list(self._bound_subs.items()):
             positions = self._bound_positions[key]
             touched: Dict[Tuple, Tuple[List[Row], List[Row]]] = {}

@@ -116,6 +116,11 @@ class QHierarchicalEngine(DynamicEngine):
                 )
             self._structures.append(self.structure_class(component, qtree))
 
+        # A connected query is its one component: its structure's delta
+        # is the output delta as it stands (same free order).
+        self._sole: Optional[ComponentStructure] = (
+            self._structures[0] if len(self._structures) == 1 else None
+        )
         self._by_relation: Dict[str, List[ComponentStructure]] = {}
         for structure in self._structures:
             for relation in structure.query.relations:
@@ -254,30 +259,36 @@ class QHierarchicalEngine(DynamicEngine):
         """
         relation = command.relation
         row = tuple(command.row)
-        if command.is_insert:
+        is_insert = command.op == "insert"
+        if is_insert:
             if not self._db.insert(relation, row):
                 return (), ()
-            is_insert = True
+            counters = self._obs_insert
         else:
             if not self._db.delete(relation, row):
                 return (), ()
-            is_insert = False
+            counters = self._obs_delete
         self._epoch += 1
-        if self._obs_registry is not None:
+        if counters is not None:
             # This path bypasses insert()/delete(), so the effective
             # update is counted here to keep the series complete.
-            self._count_update(relation, "insert" if is_insert else "delete")
-        component_delta: Dict[int, Tuple[Tuple[Row, ...], Tuple[Row, ...]]] = {}
-        for structure in self._by_relation.get(relation, ()):
-            component_delta[id(structure)] = structure.apply_with_delta(
-                is_insert, relation, row
+            counters[relation].value += 1
+        sole = self._sole
+        if sole is not None:
+            added, removed = sole.apply_with_delta(is_insert, relation, row)
+        else:
+            component_delta = {
+                id(structure): structure.apply_with_delta(
+                    is_insert, relation, row
+                )
+                for structure in self._by_relation.get(relation, ())
+            }
+            expanded = self._expand_delta(
+                component_delta, 0 if is_insert else 1
             )
-        pick = 0 if is_insert else 1
-        expanded = self._expand_delta(component_delta, pick)
-        added, removed = (
-            (expanded, ()) if is_insert else ((), expanded)
-        )
-        self._maintain_binding_indexes(added, removed)
+            added, removed = (expanded, ()) if is_insert else ((), expanded)
+        if self._binding_indexes:
+            self._maintain_binding_indexes(added, removed)
         return added, removed
 
     def _expand_delta(
@@ -290,14 +301,10 @@ class QHierarchicalEngine(DynamicEngine):
         ``pick`` selects the delta side (0 = added, 1 = removed).  The
         factor for components *before* the pivot is their pre-update
         result (current adjusted by their own delta), *after* the pivot
-        their current result — see :meth:`apply_with_delta`.  A lone
-        component's free order is the query's, so its delta is the
-        output delta as it stands.
+        their current result — see :meth:`apply_with_delta`, which
+        keeps single-component queries out of here.
         """
         structures = self._structures
-        if len(structures) == 1:
-            delta = component_delta.get(id(structures[0]))
-            return delta[pick] if delta else ()
         out: List[Row] = []
         for c, pivot in enumerate(structures):
             delta = component_delta.get(id(pivot))

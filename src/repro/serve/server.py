@@ -8,16 +8,27 @@ reader–writer lock — and requests route by what they touch:
 * reads of one view (``count``/``answer``/``contains``/``fetch``) take
   only that view's shard read lock;
 * an update takes the write locks of exactly the shards holding views
-  that mention the updated relation (the relation→shard map is derived
-  from the views' dependency sets), so updates to disjoint relations
+  that mention the updated relation, so updates to disjoint relations
   proceed in parallel instead of serialising behind one writer —
   ``shards=1`` is the seed's single-writer behaviour;
 * view registration, drops and transactional batches take every shard
   (they change the routing itself, or must look atomic across views).
 
-Multi-shard write locks are always acquired in ascending shard order,
-so concurrent writers cannot deadlock.  Within one shard the lock keeps
-the writer-preference and writer-reentrancy of the seed ``RWLock``.
+The routing is **published, not recomputed**: registration (already
+under every write lock) stores one immutable :class:`Route` per
+relation — ascending shard ids plus their lock objects — and a write
+reads it without a lock, acquires its locks in order, and *revalidates
+by identity*: if the relation's published route is no longer the object
+it read, a ``view()``/``drop_view()`` raced it and it retries with the
+fresh one.  Ascending acquisition order means concurrent multi-shard
+writers cannot deadlock.  Within one shard the lock keeps the
+writer-preference and writer-reentrancy of the seed ``RWLock``.
+
+Every per-command operation is written flat — ``acquire`` / ``try`` /
+``finally`` / ``release`` on the lock's plain methods, no
+context-manager generators — so a served write or read costs its engine
+call plus a small, fixed number of Python frames
+(``tests/test_hot_path_budget.py`` counts them).
 
 Subscription deltas are delivered synchronously in the writer thread by
 default; ``dispatch_workers=N`` moves the fan-out onto a bounded
@@ -46,16 +57,20 @@ queue) can be bolted on without touching the core::
 from __future__ import annotations
 
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
+from threading import get_ident
 from typing import (
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from repro.api.session import Session, View
@@ -78,6 +93,8 @@ from repro.storage.updates import (
 
 __all__ = ["Server", "RWLock"]
 
+T = TypeVar("T")
+
 
 class RWLock:
     """A reader–writer lock with writer preference, writer-reentrant.
@@ -91,59 +108,152 @@ class RWLock:
     synchronous subscription callbacks run inside the write path
     (:meth:`Server.apply` → delta dispatch), and a callback that reads
     the server back (``server.count(...)``) must not deadlock on the
-    lock its own writer is holding.
+    lock its own writer is holding.  Reentrancy is recorded *per
+    acquisition*: :meth:`acquire_read` returns whether it was such a
+    re-entry and :meth:`release_read` takes that flag back, so a read
+    hold that outlives its thread's write hold still releases as the
+    no-op it was acquired as.
+
+    The protocol is four plain methods over one mutex and one condition
+    — the per-command paths of :class:`Server` call them directly
+    around a ``try``/``finally``; :meth:`read_locked` /
+    :meth:`write_locked` wrap the same methods as context managers for
+    everything else.  An uncontended acquire/release pair never enters
+    the condition: waiters are counted, and only a release that can
+    admit one notifies.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._readers = 0
+        self._readers_waiting = 0
         self._writer_thread: Optional[int] = None
         self._writer_depth = 0
         self._writers_waiting = 0
 
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer_thread == me:
-                reentrant = True  # the writer reads its own state freely
-            else:
-                reentrant = False
-                while self._writer_thread is not None or self._writers_waiting:
-                    self._cond.wait()
-                self._readers += 1
-        try:
-            yield
-        finally:
-            if not reentrant:
-                with self._cond:
-                    self._readers -= 1
-                    if self._readers == 0:
-                        self._cond.notify_all()
+    # Only a thread itself ever stores its own ident in _writer_thread
+    # (and only it clears it again), so the lock-free "am I the writer"
+    # checks below can be true for the holder alone; _writer_depth is
+    # touched by the holder only.
 
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer_thread == me:
-                self._writer_depth += 1
-            else:
+    def acquire_read(self) -> bool:
+        """Take the read side; returns True iff this was a re-entry by
+        the writing thread (hand the flag to :meth:`release_read`)."""
+        if self._writer_thread == get_ident():
+            return True  # the writer reads its own state freely
+        with self._lock:
+            if self._writer_thread is not None or self._writers_waiting:
+                self._readers_waiting += 1
+                try:
+                    while (
+                        self._writer_thread is not None
+                        or self._writers_waiting
+                    ):
+                        self._cond.wait()
+                finally:
+                    self._readers_waiting -= 1
+            self._readers += 1
+        return False
+
+    def release_read(self, reentrant: bool) -> None:
+        if reentrant:
+            return
+        with self._lock:
+            self._readers -= 1
+            if not self._readers and self._writers_waiting:
+                self._cond.notify_all()
+
+    def acquire_write(self) -> None:
+        me = get_ident()
+        if self._writer_thread == me:
+            self._writer_depth += 1
+            return
+        with self._lock:
+            if self._writer_thread is not None or self._readers:
                 self._writers_waiting += 1
                 try:
                     while self._writer_thread is not None or self._readers:
                         self._cond.wait()
-                    self._writer_thread = me
-                    self._writer_depth = 1
                 finally:
                     self._writers_waiting -= 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer_depth -= 1
-                if self._writer_depth == 0:
-                    self._writer_thread = None
-                    self._cond.notify_all()
+            self._writer_thread = me
+            self._writer_depth = 1
+
+    def release_write(self) -> None:
+        self._writer_depth -= 1
+        if self._writer_depth:
+            return
+        with self._lock:
+            self._writer_thread = None
+            if self._writers_waiting or self._readers_waiting:
+                self._cond.notify_all()
+
+    def read_locked(self) -> "_ReadHold":
+        return _ReadHold(self)
+
+    def write_locked(self) -> "_WriteHold":
+        return _WriteHold(self)
+
+
+class _ReadHold:
+    """``with lock.read_locked():`` — one read acquisition."""
+
+    __slots__ = ("_lock", "_reentrant")
+
+    def __init__(self, lock: RWLock) -> None:
+        self._lock = lock
+        self._reentrant = False
+
+    def __enter__(self) -> None:
+        self._reentrant = self._lock.acquire_read()
+
+    def __exit__(self, *exc: object) -> None:
+        self._lock.release_read(self._reentrant)
+
+
+class _WriteHold:
+    """``with lock.write_locked():`` — one write acquisition."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: RWLock) -> None:
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        self._lock.acquire_write()
+
+    def __exit__(self, *exc: object) -> None:
+        self._lock.release_write()
+
+
+@contextmanager
+def _write_held(locks: Sequence[RWLock]) -> Iterator[None]:
+    """Exclusive holds on ``locks``, taken in the order given (callers
+    pass ascending shard order — the global deadlock-avoidance protocol
+    for multi-shard writes) and released in reverse.  For the
+    per-chunk and whole-server paths; :meth:`Server.apply` inlines the
+    same loop."""
+    held = 0
+    try:
+        for lock in locks:
+            lock.acquire_write()
+            held += 1
+        yield
+    finally:
+        while held:
+            held -= 1
+            locks[held].release_write()
+
+
+class _Route(NamedTuple):
+    """Where one relation's writes go: the shards holding views that
+    mention it, ascending, and those shards' locks.  Immutable and
+    published whole — a writer that read a route revalidates it by
+    identity after locking (see :meth:`Server.apply`)."""
+
+    shards: Tuple[int, ...]
+    locks: Tuple[RWLock, ...]
 
 
 class Server:
@@ -151,6 +261,12 @@ class Server:
 
     ``shards`` partitions the views across that many RW locks (see the
     module docstring; 1 reproduces the seed's single-writer protocol).
+    A write locks exactly the shards of its relation's published route
+    — one lock when every view mentioning the relation shares a shard —
+    and revalidates the route by identity once it holds them; a read
+    takes its view's shard read lock and revalidates the placement the
+    same way.  The reentrancy rule is the lock's: the writing thread
+    may re-enter both sides of the shards it holds.
     ``dispatch_workers`` > 0 enables the async subscription dispatch
     pool (``dispatch_queue`` bounds its backlog — the back-pressure
     knob).  With multiple shards, use async dispatch when callbacks
@@ -182,7 +298,12 @@ class Server:
         self._shard_of_view: Dict[str, int] = {}
         self._shard_of_cursor: Dict[int, int] = {}
         self._shard_of_subscription: Dict[int, int] = {}
-        self._relation_shards: Dict[str, Tuple[int, ...]] = {}
+        # relation → its published write route; replaced (never
+        # mutated) under every write lock, read lock-free by writers.
+        self._routes: Dict[str, _Route] = {}
+        # Unknown relation: the session will raise SchemaError; route to
+        # shard 0 so the error path still runs under a lock.
+        self._default_route = self._route_over((0,))
         self._placed = 0  # round-robin view placement counter
         # Observability: the server's read/write totals live on the
         # session's metrics registry (one scrape sees them next to the
@@ -254,28 +375,33 @@ class Server:
     # shard routing
     # ------------------------------------------------------------------
 
+    def _route_over(self, shards: Iterable[int]) -> _Route:
+        ids = tuple(sorted(shards))
+        return _Route(ids, tuple(self._shards[i] for i in ids))
+
     def _place_view(self, view: View) -> int:
-        """Assign a view to a shard (round-robin) and index its
-        relations; caller holds all write locks."""
+        """Assign a view to a shard (round-robin) and publish the
+        widened routes of its relations; caller holds all write locks."""
         shard = self._placed % len(self._shards)
         self._placed += 1
         self._shard_of_view[view.name] = shard
         for relation in view.query.relations:
-            known = set(self._relation_shards.get(relation, ()))
-            known.add(shard)
-            self._relation_shards[relation] = tuple(sorted(known))
+            route = self._routes.get(relation)
+            shards = route.shards if route is not None else ()
+            if shard not in shards:
+                self._routes[relation] = self._route_over(shards + (shard,))
         return shard
 
     def _reindex_relations(self) -> None:
-        """Rebuild the relation→shards map (after a view drop);
+        """Republish every relation's route (after a view drop);
         caller holds all write locks."""
         fresh: Dict[str, set] = {}
         for view in self._session.views:
             shard = self._shard_of_view[view.name]
             for relation in view.query.relations:
                 fresh.setdefault(relation, set()).add(shard)
-        self._relation_shards = {
-            relation: tuple(sorted(ids)) for relation, ids in fresh.items()
+        self._routes = {
+            relation: self._route_over(ids) for relation, ids in fresh.items()
         }
 
     def shard_of(self, view: str) -> int:
@@ -285,11 +411,12 @@ class Server:
         except KeyError:
             raise EngineStateError(f"no view named {view!r}") from None
 
-    @contextmanager
-    def _view_locked(self, view: str, write: bool = False) -> Iterator[None]:
-        """One view's shard lock, revalidated after acquisition.
+    def _read_view(self, view: str, read: Callable[..., T], *args: object) -> T:
+        """``read(view, *args)`` under the view's shard read lock,
+        revalidated after acquisition — the one path every single-view
+        read takes.
 
-        The routing maps are read without a lock, so a concurrent
+        The placement map is read without a lock, so a concurrent
         ``view()`` / ``drop_view()`` (which hold *all* shards) can move
         the name between our read and our acquisition — re-check under
         the lock and retry with the fresh placement.  Unknown views
@@ -299,27 +426,26 @@ class Server:
         while True:
             shard = self._shard_of_view.get(view, 0)
             lock = self._shards[shard]
-            with lock.write_locked() if write else lock.read_locked():
+            reentrant = lock.acquire_read()
+            try:
                 if self._shard_of_view.get(view, 0) == shard:
-                    yield
-                    return
+                    return read(self._session[view], *args)
+            finally:
+                lock.release_read(reentrant)
 
-    @contextmanager
-    def _write_shards(self, ids: Sequence[int]) -> Iterator[None]:
-        """Exclusive locks on the given shards, ascending order (the
-        global deadlock-avoidance protocol for multi-shard writes)."""
-        with ExitStack() as stack:
-            for shard in sorted(set(ids)):
-                stack.enter_context(self._shards[shard].write_locked())
-            yield
+    def _write_view(self, view: str) -> RWLock:
+        """One view's shard write lock, revalidated like
+        :meth:`_read_view`; the caller releases it with ``finally:
+        lock.release_write()``."""
+        while True:
+            shard = self._shard_of_view.get(view, 0)
+            lock = self._shards[shard]
+            lock.acquire_write()
+            if self._shard_of_view.get(view, 0) == shard:
+                return lock
+            lock.release_write()
 
-    @contextmanager
-    def _write_all(self) -> Iterator[None]:
-        with self._write_shards(range(len(self._shards))):
-            yield
-
-    @contextmanager
-    def exclusive(self) -> Iterator[None]:
+    def exclusive(self) -> ContextManager[None]:
         """Every shard's write lock, publicly.
 
         The cluster's two-phase batch protocol holds this across its
@@ -328,16 +454,18 @@ class Server:
         a multi-operation critical section over the whole server can
         use it the same way.
         """
-        with self._write_all():
-            yield
+        return _write_held(self._shards)
 
-    def _shards_for_relation(self, relation: str) -> Tuple[int, ...]:
-        ids = self._relation_shards.get(relation)
-        if ids is None:
-            # Unknown relation: the session will raise SchemaError; take
-            # shard 0 so the error path still runs under a lock.
-            return (0,)
-        return ids
+    @contextmanager
+    def _read_all(self) -> Iterator[None]:
+        held: List[Tuple[RWLock, bool]] = []
+        try:
+            for lock in self._shards:
+                held.append((lock, lock.acquire_read()))
+            yield
+        finally:
+            for lock, reentrant in reversed(held):
+                lock.release_read(reentrant)
 
     # ------------------------------------------------------------------
     # view registration (exclusive everywhere: changes the routing)
@@ -353,7 +481,7 @@ class Server:
     ) -> View:
         if options is None:
             options = self._default_options
-        with self._write_all():
+        with self.exclusive():
             registered = self._session.view(
                 name, query, engine=engine, access=access, options=options
             )
@@ -361,7 +489,7 @@ class Server:
             return registered
 
     def drop_view(self, name: str) -> None:
-        with self._write_all():
+        with self.exclusive():
             dropped = self._session[name]
             self._session.drop_view(name)
             for handle, cursor in list(self._cursors.items()):
@@ -393,7 +521,8 @@ class Server:
         write lock: registering the cursor must not race an in-flight
         update's cursor notifications.
         """
-        with self._view_locked(view, write=True):
+        lock = self._write_view(view)
+        try:
             cursor = self._session[view].cursor(
                 binding=binding, snapshot=snapshot, **variables
             )
@@ -403,22 +532,27 @@ class Server:
             # the placement is stable under the held lock
             self._shard_of_cursor[handle] = self._shard_of_view[view]
             return handle
+        finally:
+            lock.release_write()
 
     def fetch(self, cursor: int, n: int) -> List[Row]:
         """The cursor's next ``n`` tuples (see :meth:`Cursor.fetch`)."""
-        shard = self._shard_of_cursor.get(cursor, 0)
-        with self._shards[shard].read_locked():
-            self._reads.inc()
+        lock = self._shards[self._shard_of_cursor.get(cursor, 0)]
+        reentrant = lock.acquire_read()
+        try:
+            self._reads.value += 1
             handle_lock = self._cursor_locks.get(cursor)
             if handle_lock is None:
                 raise EngineStateError(f"unknown cursor handle {cursor}")
             with handle_lock:
                 return self._cursors[cursor].fetch(n)
+        finally:
+            lock.release_read(reentrant)
 
     def cursor_state(self, cursor: int) -> Cursor:
         """The cursor object behind a handle (introspection)."""
-        shard = self._shard_of_cursor.get(cursor, 0)
-        with self._shards[shard].read_locked():
+        lock = self._shards[self._shard_of_cursor.get(cursor, 0)]
+        with lock.read_locked():
             try:
                 return self._cursors[cursor]
             except KeyError:
@@ -427,13 +561,16 @@ class Server:
                 ) from None
 
     def close_cursor(self, cursor: int) -> None:
-        shard = self._shard_of_cursor.get(cursor, 0)
-        with self._shards[shard].write_locked():
+        lock = self._shards[self._shard_of_cursor.get(cursor, 0)]
+        lock.acquire_write()
+        try:
             handle = self._cursors.pop(cursor, None)
             self._cursor_locks.pop(cursor, None)
             self._shard_of_cursor.pop(cursor, None)
             if handle is not None:
                 handle.close()
+        finally:
+            lock.release_write()
 
     def _release_cursor(self, handle: int) -> None:
         self._cursors.pop(handle, None)
@@ -462,7 +599,8 @@ class Server:
         u=3)`` or ``binding=``) makes it a *parameterized* subscription
         receiving only that binding's O(δ)-restricted deltas.
         """
-        with self._view_locked(view, write=True):
+        lock = self._write_view(view)
+        try:
             subscription = self._session[view].subscribe(
                 callback=callback,
                 max_pending=max_pending,
@@ -474,6 +612,8 @@ class Server:
             self._subscriptions[handle] = subscription
             self._shard_of_subscription[handle] = self._shard_of_view[view]
             return handle
+        finally:
+            lock.release_write()
 
     def poll(self, subscription: int, max_items: Optional[int] = None) -> List[Delta]:
         """Drain a subscription's outbox.
@@ -503,12 +643,15 @@ class Server:
             ) from None
 
     def unsubscribe(self, subscription: int) -> None:
-        shard = self._shard_of_subscription.get(subscription, 0)
-        with self._shards[shard].write_locked():
+        lock = self._shards[self._shard_of_subscription.get(subscription, 0)]
+        lock.acquire_write()
+        try:
             target = self._subscriptions.pop(subscription, None)
             self._shard_of_subscription.pop(subscription, None)
             if target is not None:
                 target.close()
+        finally:
+            lock.release_write()
 
     # ------------------------------------------------------------------
     # updates (exclusive on the touched shards only)
@@ -521,55 +664,84 @@ class Server:
         return self.apply(delete_command(relation, row))
 
     def apply(self, command: UpdateCommand) -> bool:
-        # Same revalidate-after-acquire dance as _view_locked: a view
-        # registered between our routing read and our lock acquisition
-        # could widen the relation's shard set, and mutating its engine
-        # without holding its shard would race that shard's readers.
+        # Read the relation's published route, take its locks in
+        # ascending shard order, then revalidate by identity: a view
+        # registered between the read and the acquisition republishes
+        # the route (it could widen the shard set, and mutating its
+        # engine without holding its shard would race that shard's
+        # readers), so a stale route means retry with the fresh one.
+        relation = command.relation
+        default = self._default_route
         while True:
-            shard_ids = self._shards_for_relation(command.relation)
-            with self._write_shards(shard_ids):
-                if self._shards_for_relation(command.relation) == shard_ids:
-                    self._shard_writes[shard_ids[0]].inc()
+            route = self._routes.get(relation, default)
+            locks = route.locks
+            held = 0
+            try:
+                for lock in locks:
+                    lock.acquire_write()
+                    held += 1
+                if self._routes.get(relation, default) is route:
+                    self._shard_writes[route.shards[0]].value += 1
                     return self._session.apply(command)
+            finally:
+                while held:
+                    held -= 1
+                    locks[held].release_write()
 
     def apply_all(self, commands: Sequence[UpdateCommand]) -> List[bool]:
         """Apply an update stream under one lock acquisition.
 
-        Takes the union of the touched relations' shards once (in
-        ascending order — the usual deadlock protocol), then applies
-        each command in order with the full per-command fan-out, delta
-        capture and cursor choreography.  This is the serving-layer
-        analogue of wire-level chunking: a remote stream that already
-        arrived as a block should not pay the reader–writer lock dance
-        per tuple.  Readers of the touched shards wait for the whole
-        chunk, so size chunks for milliseconds, not seconds.  Not
-        transactional: a failing command (unknown relation, bad arity)
-        aborts the rest but leaves the applied prefix in place —
-        :meth:`batch` is the all-or-nothing path.
+        Routes each *distinct* relation of the chunk once, takes the
+        union of their shards (in ascending order — the usual deadlock
+        protocol), then applies each command in order with the full
+        per-command fan-out, delta capture and cursor choreography,
+        counting it on its own relation's primary shard.  This is the
+        serving-layer analogue of wire-level chunking: a remote stream
+        that already arrived as a block should not pay the
+        reader–writer lock dance per tuple.  Readers of the touched
+        shards wait for the whole chunk, so size chunks for
+        milliseconds, not seconds.  Not transactional: a failing
+        command (unknown relation, bad arity) aborts the rest but
+        leaves the applied prefix in place — :meth:`batch` is the
+        all-or-nothing path.
 
         Returns one effectiveness flag per command.
         """
         commands = list(commands)
         if not commands:
             return []
+        relations = {command.relation for command in commands}
+        default = self._default_route
         while True:
-            shard_ids: set = set()
-            for command in commands:
-                shard_ids.update(self._shards_for_relation(command.relation))
-            with self._write_shards(sorted(shard_ids)):
-                fresh: set = set()
-                for command in commands:
-                    fresh.update(self._shards_for_relation(command.relation))
-                if fresh != shard_ids:
+            routes = {
+                relation: self._routes.get(relation, default)
+                for relation in relations
+            }
+            shard_ids = sorted(
+                {shard for route in routes.values() for shard in route.shards}
+            )
+            with _write_held([self._shards[shard] for shard in shard_ids]):
+                if any(
+                    self._routes.get(relation, default) is not route
+                    for relation, route in routes.items()
+                ):
                     continue  # a view() raced our routing read; retry
-                self._shard_writes[min(shard_ids)].inc(len(commands))
-                return [self._session.apply(command) for command in commands]
+                writes = {
+                    relation: self._shard_writes[route.shards[0]]
+                    for relation, route in routes.items()
+                }
+                apply = self._session.apply
+                flags: List[bool] = []
+                for command in commands:
+                    writes[command.relation].value += 1
+                    flags.append(apply(command))
+                return flags
 
     def batch(self, commands: Iterable[UpdateCommand]) -> Dict[str, int]:
         """Apply a transactional, net-effect-compressed batch.
 
         Takes every shard: the batch must look atomic to all views."""
-        with self._write_all():
+        with self.exclusive():
             self._shard_writes[0].inc()
             with self._session.batch() as batch:
                 batch.apply_all(commands)
@@ -580,47 +752,39 @@ class Server:
     # ------------------------------------------------------------------
 
     def count(self, view: str) -> int:
-        with self._view_locked(view):
-            self._reads.inc()
-            return self._session[view].count()
+        self._reads.value += 1
+        return self._read_view(view, View.count)
 
     def answer(self, view: str) -> bool:
-        with self._view_locked(view):
-            self._reads.inc()
-            return self._session[view].answer()
+        self._reads.value += 1
+        return self._read_view(view, View.answer)
 
     def contains(self, view: str, row: Sequence[Constant]) -> bool:
-        with self._view_locked(view):
-            self._reads.inc()
-            return self._session[view].contains(row)
+        self._reads.value += 1
+        return self._read_view(view, View.contains, row)
 
     def explain(self, view: str) -> str:
-        with self._view_locked(view):
-            return self._session[view].explain().render()
+        return self._read_view(view, lambda live: live.explain().render())
 
     def result_rows(self, view: str) -> List[Row]:
         """The view's full result, deterministically ordered (by repr —
         stable across processes, which is what the cluster's replay
         checks compare).  O(|result|); a verification surface, not a
         paging one — use cursors for that."""
-        with self._view_locked(view):
-            self._reads.inc()
-            return sorted(self._session[view].result_set(), key=repr)
+        return sorted(self.result_set(view), key=repr)
 
     def result_set(self, view: str) -> set:
         """The view's materialised result (same surface as
         :meth:`repro.serve.cluster.ClusterClient.result_set`, so
         backend-agnostic code can verify against either)."""
-        with self._view_locked(view):
-            self._reads.inc()
-            return self._session[view].result_set()
+        self._reads.value += 1
+        return self._read_view(view, View.result_set)
 
     def digest(self, view: str) -> str:
         """Order-independent result fingerprint (see
         :meth:`repro.interface.DynamicEngine.result_digest`)."""
-        with self._view_locked(view):
-            self._reads.inc()
-            return self._session[view].engine.result_digest()
+        self._reads.value += 1
+        return self._read_view(view, View.result_digest)
 
     def result_digest(self, view: str) -> str:
         """Alias of :meth:`digest` matching the cluster client's name."""
@@ -674,13 +838,6 @@ class Server:
             workers={name: -1 for name in pinned},
             pin_attempts=1,
         )
-
-    @contextmanager
-    def _read_all(self) -> Iterator[None]:
-        with ExitStack() as stack:
-            for lock in self._shards:
-                stack.enter_context(lock.read_locked())
-            yield
 
     def stats(self) -> Dict[str, object]:
         """A structural + traffic summary of this server.

@@ -1,0 +1,59 @@
+"""A served operation costs its engine call plus a bounded number of
+Python frames.
+
+Counts Python-level ``call`` events (``sys.setprofile``) around one
+warmed, subscribed ``Server.apply`` and one ``Server.count`` — a count,
+not a timer, so it repeats exactly and cannot flake on a shared box.
+The path measures 20 and 8 calls (the parent of the flattening: 52 and
+24); the budgets leave a few frames of slack for interpreter
+differences, and a context-manager generator (six calls), an
+``ExitStack`` or a per-write helper creeping back onto the per-command
+path overshoots them.
+"""
+
+import sys
+
+from repro.cq import zoo
+from repro.serve import Server
+from repro.storage.updates import delete, insert
+
+APPLY_BUDGET = 24
+COUNT_BUDGET = 10
+
+
+def python_calls(operation, *args):
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        operation(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_subscribed_apply_and_count_stay_within_their_frame_budgets():
+    server = Server(shards=2)
+    server.view("v", zoo.E_T_QF)
+    seen = []
+    server.subscribe("v", callback=seen.append)
+    server.insert("T", (1,))
+    moves_one_tuple = insert("E", (7, 1))
+    # Warm the path: lazy imports, item-trie nodes, method caches.
+    server.apply(moves_one_tuple)
+    server.apply(delete("E", (7, 1)))
+    server.count("v")
+    del seen[:]
+
+    apply_calls = python_calls(server.apply, moves_one_tuple)
+    assert [d.added for d in seen] == [((7, 1),)]
+    count_calls = python_calls(server.count, "v")
+    assert server.count("v") == 1
+
+    assert apply_calls <= APPLY_BUDGET, apply_calls
+    assert count_calls <= COUNT_BUDGET, count_calls

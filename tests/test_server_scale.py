@@ -26,6 +26,7 @@ import pytest
 from repro.api import Session
 from repro.errors import EngineStateError
 from repro.serve import DispatchPool, Server
+from repro.serve.server import RWLock
 from repro.storage.updates import insert
 
 N_VIEWS = 4
@@ -63,7 +64,7 @@ def expected_result(server, index):
 def test_views_place_round_robin_and_writes_route_by_relation():
     server = disjoint_server(shards=4)
     assert [server.shard_of(f"v{i}") for i in range(4)] == [0, 1, 2, 3]
-    assert server._relation_shards["E2"] == (2,)
+    assert server._routes["E2"].shards == (2,)
     server.insert("E3", (1, 1))
     assert server._shard_writes == [0, 0, 0, 1]  # only shard 3 wrote
     stats = server.stats()
@@ -74,7 +75,7 @@ def test_shared_relation_fans_out_across_shards():
     server = Server(shards=2)
     server.view("a", "A(x, y) :- E(x, y), L(y)")  # shard 0
     server.view("b", "B(x) :- E(x, x)")  # shard 1: E is shared
-    assert server._relation_shards["E"] == (0, 1)
+    assert server._routes["E"].shards == (0, 1)
     server.insert("L", (2,))
     server.insert("E", (1, 2))
     server.insert("E", (3, 3))
@@ -157,7 +158,7 @@ def test_drop_view_reroutes_relations():
     server.drop_view("v0")
     with pytest.raises(EngineStateError):
         server.shard_of("v0")
-    assert "E0" not in server._relation_shards
+    assert "E0" not in server._routes
     server.insert("E1", (1, 1))  # routing still works after reindex
     assert server.count("v1") == 0
 
@@ -378,6 +379,23 @@ def test_apply_all_matches_per_command_apply():
     assert chunked.apply_all([]) == []
 
 
+def test_apply_all_counts_each_command_on_its_own_primary_shard():
+    def two_views():
+        server = Server(shards=2)
+        server.view("a", "V(x) :- A(x)")  # shard 0
+        server.view("b", "V(x) :- B(x)")  # shard 1
+        return server, [server.subscribe("a"), server.subscribe("b")]
+
+    commands = [insert("A", (1,)), insert("A", (2,)), insert("B", (3,))]
+    chunked, chunked_subs = two_views()
+    oracle, oracle_subs = two_views()
+    assert chunked.apply_all(commands) == [oracle.apply(c) for c in commands]
+    assert chunked._shard_writes == oracle._shard_writes == [2, 1]
+    for name, ours, theirs in zip("ab", chunked_subs, oracle_subs):
+        assert chunked.result_set(name) == oracle.result_set(name)
+        assert chunked.poll(ours) == oracle.poll(theirs)
+
+
 def test_apply_all_delivers_deltas_and_choreographs_cursors():
     server = Server(Session())
     server.view("a", "V(x) :- RA(x)")
@@ -407,3 +425,218 @@ def test_apply_all_error_keeps_applied_prefix():
         )
     # stream semantics: the prefix before the failure is applied
     assert server.session["a"].result_set() == {(1,)}
+
+
+# ---------------------------------------------------------------------------
+# the reader–writer lock protocol, directly
+# ---------------------------------------------------------------------------
+
+
+def _started(target):
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+def _joined(thread):
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def test_rwlock_readers_hold_together():
+    lock = RWLock()
+    both_inside = threading.Barrier(2, timeout=5)
+
+    def reader():
+        with lock.read_locked():
+            both_inside.wait()  # breaks unless both hold the read side
+
+    threads = [_started(reader) for _ in range(2)]
+    for thread in threads:
+        _joined(thread)
+    assert not both_inside.broken and lock._readers == 0
+
+
+def test_rwlock_waiting_writer_blocks_new_readers():
+    lock = RWLock()
+    order: List[str] = []
+    late_reader_in = threading.Event()
+
+    def writer():
+        with lock.write_locked():
+            order.append("writer")
+
+    def late_reader():
+        with lock.read_locked():
+            order.append("reader")
+            late_reader_in.set()
+
+    with lock.read_locked():
+        writing = _started(writer)
+        _wait_until(lambda: lock._writers_waiting == 1)
+        reading = _started(late_reader)
+        # readers are admitted next to readers — unless a writer waits
+        assert not late_reader_in.wait(timeout=0.05)
+        assert order == []
+    _joined(writing)
+    _joined(reading)
+    assert order == ["writer", "reader"]
+
+
+def test_rwlock_writer_reenters_both_sides_until_depth_zero():
+    lock = RWLock()
+    other_in = threading.Event()
+
+    def other_writer():
+        with lock.write_locked():
+            other_in.set()
+
+    with lock.write_locked():
+        with lock.write_locked():
+            with lock.read_locked():
+                assert lock._writer_depth == 2 and lock._readers == 0
+            other = _started(other_writer)
+            _wait_until(lambda: lock._writers_waiting == 1)
+        # depth is back to 1, not 0: the other writer stays out
+        assert not other_in.wait(timeout=0.05)
+    assert other_in.wait(timeout=5)
+    _joined(other)
+    assert lock._writer_thread is None and lock._writer_depth == 0
+
+
+def test_rwlock_reentrant_read_outliving_its_write_hold_balances():
+    # Reentrancy is recorded per acquisition: a read taken under the
+    # write hold releases as a no-op even once the write hold is gone.
+    lock = RWLock()
+    write_hold = lock.write_locked()
+    write_hold.__enter__()
+    read_hold = lock.read_locked()
+    read_hold.__enter__()
+    write_hold.__exit__(None, None, None)
+    read_hold.__exit__(None, None, None)
+    assert lock._readers == 0 and lock._writer_thread is None
+    admitted = threading.Event()
+
+    def writer():
+        with lock.write_locked():
+            admitted.set()
+
+    _joined(_started(writer))
+    assert admitted.is_set()
+
+
+def test_rwlock_stress_loses_no_update_and_tears_no_read():
+    # More threads than cores and a tiny switch interval: a writer's
+    # two-step update is torn for any reader the lock wrongly admits,
+    # and two writers admitted together lose an increment.
+    import sys
+
+    lock = RWLock()
+    state = {"a": 0, "b": 0}
+    torn: List[tuple] = []
+    writers_done = threading.Event()
+    rounds, n_writers = 300, 4
+
+    def writer():
+        for _ in range(rounds):
+            with lock.write_locked():
+                seen = state["a"]
+                state["a"] = seen + 1
+                with lock.read_locked():  # re-entry must not admit anyone
+                    time.sleep(0)
+                state["b"] = state["b"] + 1
+
+    def reader():
+        while not writers_done.is_set():
+            with lock.read_locked():
+                a = state["a"]
+                time.sleep(0)  # dwell: let a wrongly admitted writer run
+                b = state["b"]
+                if a != b:
+                    torn.append((a, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [_started(reader) for _ in range(4)]
+        writers = [_started(writer) for _ in range(n_writers)]
+        for thread in writers:
+            thread.join(timeout=30)
+        writers_done.set()
+        for thread in writers + readers:
+            _joined(thread)
+    finally:
+        sys.setswitchinterval(interval)
+    assert state == {"a": rounds * n_writers, "b": rounds * n_writers}
+    assert torn == []
+    assert lock._readers == 0 and lock._writer_thread is None
+
+
+def test_exclusive_held_across_two_calls_lets_batch_through():
+    # The cluster's 2PC shape: prepare enters exclusive(), a later call
+    # on the same thread commits through batch(), a third releases.
+    from contextlib import ExitStack
+
+    server = disjoint_server(shards=2)
+    held = ExitStack()
+    held.enter_context(server.exclusive())
+    outsider_done = threading.Event()
+
+    def outsider():
+        server.insert("E1", (9, 9))
+        outsider_done.set()
+
+    thread = _started(outsider)
+    stats = server.batch([insert("E0", (1, 1)), insert("T0", (1,))])
+    assert stats["applied"] == 2 and server.count("v0") == 1
+    assert not outsider_done.wait(timeout=0.05)
+    held.close()
+    assert outsider_done.wait(timeout=5)
+    _joined(thread)
+
+
+def test_view_registered_between_route_read_and_lock_is_revalidated():
+    # The registration race, made deterministic: just before apply()
+    # takes shard 0 for E, a view() widens E's shard set to (0, 1).
+    # The write must notice, retry, and hold *both* shards while the
+    # session fans it out.
+    server = Server(shards=2)
+    server.view("a", "A(x, y) :- E(x, y)")  # shard 0
+    me = threading.get_ident()
+    held_during_delivery: List[bool] = []
+
+    def widen():
+        server.view("b", "B(x) :- E(x, x)")  # shard 1, shares E
+        server.subscribe(
+            "b",
+            callback=lambda delta: held_during_delivery.append(
+                all(lock._writer_thread == me for lock in server._shards)
+            ),
+        )
+
+    fired: List[bool] = []
+    lock = server._shards[0]
+    for entry in ("acquire_write", "write_locked"):
+        original = getattr(lock, entry, None)
+        if original is None:
+            continue
+
+        def once(*args, _original=original):
+            if not fired:
+                fired.append(True)
+                widen()
+            return _original(*args)
+
+        setattr(lock, entry, once)
+
+    assert server.insert("E", (3, 3))
+    assert fired and held_during_delivery == [True]
+    assert server.count("a") == 1 and server.count("b") == 1
+    assert server.shard_of("b") == 1

@@ -255,6 +255,52 @@ def test_subscription_close_stops_delivery():
     assert [d.added for d in subscription.poll()] == [(((1,),))]
 
 
+def _replayed(deltas, onto=()):
+    mirror = set(onto)
+    for d in deltas:
+        mirror |= set(d.added)
+        mirror -= set(d.removed)
+    return mirror
+
+
+def test_subscriber_set_mutated_from_inside_a_callback():
+    # Delivery iterates the subscriber set while callbacks may change
+    # it: a callback closing its own subscription still gets the
+    # triggering delta (and nothing after); closing a *later* sibling
+    # stops that sibling from receiving the triggering delta; a
+    # subscription registered mid-delivery first sees the next write.
+    session = Session()
+    view = session.view("v", "V(x) :- R(x)")
+    subs = {}
+    late = []
+
+    def first_callback(delta):
+        if delta.added == ((2,),):
+            subs["first"].close()
+            subs["victim"].close()
+            late.append(view.subscribe())
+            late.append(view.result_set())  # what the newcomer starts from
+
+    subs["first"] = view.subscribe(callback=first_callback)
+    subs["victim"] = view.subscribe()
+    subs["bystander"] = view.subscribe()
+    for value in (1, 2, 3):
+        session.insert("R", (value,))
+    session.delete("R", (1,))
+
+    assert [d.added for d in subs["first"].poll()] == [((1,),), ((2,),)]
+    assert [d.added for d in subs["victim"].poll()] == [((1,),)]
+    late_log = late[0].poll()
+    assert [(d.added, d.removed) for d in late_log] == [
+        (((3,),), ()),
+        ((), ((1,),)),
+    ]
+    assert view.result_set() == {(2,), (3,)}
+    assert _replayed(subs["bystander"].poll()) == view.result_set()
+    assert _replayed(late_log, onto=late[1]) == view.result_set()
+    assert view.subscriptions == (subs["bystander"], late[0])
+
+
 # ---------------------------------------------------------------------------
 # cursors
 # ---------------------------------------------------------------------------
