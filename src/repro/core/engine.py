@@ -17,7 +17,11 @@ query and maintains it under updates with
   :mod:`repro.core.vectorized` instead when one is attached (the
   ``backend`` option — the engine's only one),
 * O(1) counting / Boolean answering,
-* O(poly(ϕ)) delay enumeration.
+* O(poly(ϕ)) delay enumeration — the generated Algorithm 1 walker of
+  :func:`repro.core.plans.compile_walker`: a connected query hands its
+  component's walker (and membership probe) back as is, one resume per
+  tuple; bound reads run the walker compiled for their set of bound
+  variables, cached on first use.
 
 The seed's literal implementation of both phases (insert-by-insert
 replay; binding dicts and full Lemma 6.3/6.4 product recomputation)
@@ -29,8 +33,10 @@ package.
 Non-connected queries are handled exactly as Section 6's preamble
 prescribes: one :class:`~repro.core.structure.ComponentStructure` per
 connected component, ``|ϕ(D)| = Π_i |ϕ_i(D)|``, Boolean answer the
-conjunction, and enumeration the nested-loop product re-assembled into
-the query's output-variable order.
+conjunction, and enumeration the nested-loop product — compiled as the
+components' loop nests concatenated into one walker that writes the
+tuple in the query's output-variable order (a Boolean component is a
+``C_start > 0`` guard in front of it).
 
 Feeding a non-q-hierarchical query raises
 :class:`~repro.errors.NotQHierarchicalError` carrying the Definition
@@ -44,6 +50,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.plans import bound_walk, compile_walker, tuple_getter
 from repro.core.qtree import QTree, try_build_q_tree
 from repro.core.structure import ComponentStructure
 from repro.core.vectorized import (
@@ -135,21 +142,36 @@ class QHierarchicalEngine(DynamicEngine):
             for plan, runner in zip(structure.plans, structure.runners):
                 self._dispatch.setdefault(plan.relation, []).append(runner)
 
-        # Where each component's free variables land in the output tuple.
+        # Where each component's free variables land in the output
+        # tuple (Boolean ones contribute no positions) — the delta
+        # expansion iterates every component.
         out_position = {v: i for i, v in enumerate(self._query.free)}
-        self._free_structures: List[ComponentStructure] = [
-            s for s in self._structures if s.query.free
-        ]
-        self._out_positions: List[Tuple[int, ...]] = [
-            tuple(out_position[v] for v in s.query.free)
-            for s in self._free_structures
-        ]
-        # Same layout over *all* structures (Boolean ones contribute no
-        # positions) — the delta expansion iterates every component.
         self._struct_positions: List[Tuple[int, ...]] = [
             tuple(out_position[v] for v in s.query.free)
             for s in self._structures
         ]
+
+        # Reads.  A connected query *is* its component (same free
+        # order), so it shares the structure's walker cache and
+        # membership probe as they stand; a product compiles its own
+        # walkers over all components and splits a probed row with one
+        # C-level getter per free component.
+        sole = self._sole
+        self._walkers: Dict[Tuple[str, ...], object] = (
+            sole._walkers
+            if sole is not None
+            else {(): compile_walker(self._structures, self._query.free)}
+        )
+        self._arity = len(self._query.free)
+        self._component_probes: List[Tuple[object, object]] = [
+            (structure.contains, tuple_getter(positions))
+            for structure, positions in zip(
+                self._structures, self._struct_positions
+            )
+            if positions
+        ]
+        if sole is not None:
+            self.contains = sole.contains
 
         # The vectorized backend: batched numpy kernels over the same
         # item state (see repro.core.vectorized).  Built only when the
@@ -343,9 +365,10 @@ class QHierarchicalEngine(DynamicEngine):
     def _assemble(self, factories: Sequence[object]) -> Iterator[Row]:
         """Product over *all* components from explicit stream factories.
 
-        Unlike :meth:`_product` there is no ``answer()`` gate — Boolean
-        factors participate as ``()``-or-nothing streams so the factors
-        can represent past states.
+        The one product not compiled into a walker: its factors are
+        *past* states (a component's result adjusted by its delta), not
+        fit lists, and Boolean factors participate as ``()``-or-nothing
+        streams.  Only :meth:`_expand_delta` comes here.
         """
         assembly: List[object] = [None] * len(self._query.free)
         positions = self._struct_positions
@@ -380,39 +403,11 @@ class QHierarchicalEngine(DynamicEngine):
         return total
 
     def enumerate(self) -> Iterator[Row]:
-        """Constant-delay enumeration (Algorithm 1 + component product)."""
-        return self._product([s.enumerate for s in self._free_structures])
-
-    def _product(self, factories: Sequence[object]) -> Iterator[Row]:
-        """Nested-loop component product over per-component streams.
-
-        ``factories`` is aligned with ``self._free_structures``; each
-        is a zero-argument callable returning a fresh iterator of that
-        component's tuples.  Boolean components gate via ``answer()``.
-        """
-        for structure in self._structures:
-            if not structure.answer():
-                return
-
-        arity = len(self._query.free)
-        if arity == 0:
-            yield ()
-            return
-
-        assembly: List[object] = [None] * arity
-        out_positions = self._out_positions
-
-        def product(index: int) -> Iterator[Row]:
-            if index == len(factories):
-                yield tuple(assembly)
-                return
-            positions = out_positions[index]
-            for row in factories[index]():
-                for position, value in zip(positions, row):
-                    assembly[position] = value
-                yield from product(index + 1)
-
-        yield from product(0)
+        """Constant-delay enumeration: the generated Algorithm 1 walker
+        (:func:`~repro.core.plans.compile_walker`) — the component's
+        own for a connected query, the component nests concatenated for
+        a product."""
+        return self._walkers[()]()
 
     def _enumerate_bound_fallback(
         self, binding: Dict[str, Constant]
@@ -422,44 +417,34 @@ class QHierarchicalEngine(DynamicEngine):
         The structural bound path behind
         :meth:`repro.interface.DynamicEngine.enumerate_bound` (which
         validates the names and consults registered binding indexes
-        first).  Splits the binding across components and delegates to
-        :meth:`ComponentStructure.enumerate_bound`: bound variables
-        forming an ancestor-closed set in their component's q-tree are
-        pinned with O(1) item probes (constant delay per tuple); the
-        rest degrade to fit-list filters.  Output tuples carry the
-        bound values in place, over the query's full output arity.
+        first): the walker compiled for this *set* of bound variables
+        (cached; first use compiles it), started on the bound values.
+        Bound variables forming an ancestor-closed set in their
+        component's q-tree are pinned with O(1) item probes (constant
+        delay per tuple); the rest degrade to fit-list filters.  Output
+        tuples carry the bound values in place, over the query's full
+        output arity.
         """
-        factories = []
-        for structure in self._free_structures:
-            sub = {
-                v: binding[v] for v in structure.query.free if v in binding
-            }
-            if sub:
-                factories.append(lambda s=structure, b=sub: s.enumerate_bound(b))
-            else:
-                factories.append(structure.enumerate)
-        return self._product(factories)
+        return bound_walk(
+            self._walkers, self._structures, self._query.free, binding
+        )
 
     def contains(self, row: Row) -> bool:
         """Membership test ``ā ∈ ϕ(D)`` in O(poly(ϕ)) time.
 
-        Splits the tuple across components positionally and asks each
+        A connected query answers with its structure's probe directly
+        (bound over this method at construction).  A product splits the
+        tuple across components positionally and asks each
         :meth:`ComponentStructure.contains`; Boolean components must be
         satisfied.  Used by the UCQ union engine to deduplicate with
         constant overhead per candidate.
         """
-        row = tuple(row)
-        if len(row) != len(self._query.free):
+        if len(row) != self._arity:
             return False
-        for structure in self._structures:
-            if not structure.query.free and not structure.answer():
+        for probe, sub_row in self._component_probes:
+            if not probe(sub_row(row)):
                 return False
-        for structure, positions in zip(
-            self._free_structures, self._out_positions
-        ):
-            if not structure.contains(tuple(row[p] for p in positions)):
-                return False
-        return True
+        return self.answer()
 
     # ------------------------------------------------------------------
     # introspection
@@ -487,7 +472,8 @@ class QHierarchicalEngine(DynamicEngine):
         }
 
     def plan_stats(self) -> Dict[str, object]:
-        """Compiled update-plan statistics (surfaced by ``explain()``)."""
+        """Compiled update-plan and enumerator statistics (surfaced by
+        ``explain()``)."""
         per_structure = [s.plan_stats() for s in self._structures]
         return {
             "backend": self._backend,
@@ -501,4 +487,10 @@ class QHierarchicalEngine(DynamicEngine):
                 relation: len(pairs)
                 for relation, pairs in sorted(self._dispatch.items())
             },
+            # The enumerator: loops in the generated Algorithm 1 nest,
+            # and the bound-variable sets a walker was compiled for.
+            "free_depth": sum(s["free_depth"] for s in per_structure),
+            "bound_walkers": sorted(
+                ",".join(bound) for bound in self._walkers if bound
+            ),
         }

@@ -1,12 +1,14 @@
 """A literal, pointer-walking implementation of Algorithm 1.
 
-:meth:`ComponentStructure.enumerate` streams results with a recursive
-generator — the natural Python rendering of nested linked-list loops.
-This module implements Algorithm 1 *exactly as printed* (the ``Set``
+:meth:`ComponentStructure.enumerate` streams results from a *generated*
+walker (:func:`repro.core.plans.compile_walker`): one flat generator per
+q-tree, its loop nest unrolled over the free document order.  This
+module implements Algorithm 1 *exactly as printed* (the ``Set``
 function and ``visit`` procedure, lines 1–28), advancing ``next``
-pointers on the fit lists.  The test suite checks both enumerators
-produce identical sequences, tuple for tuple — which is the paper's
-Lemma 6.2 made executable.
+pointers on the fit lists — the one hand-written fit-list walk in the
+package, and the oracle the generated ones are held to: the test suite
+checks both produce identical sequences, tuple for tuple, which is the
+paper's Lemma 6.2 made executable.
 
 ``pinned`` extends the walk with the serving layer's free access
 pattern: an ancestor-closed set of free variables is fixed to constants

@@ -1,4 +1,4 @@
-"""Compiled per-atom update plans for the Section 6 data structure.
+"""Compiled update plans and enumerators for the Section 6 data structure.
 
 The paper's update procedure is parameterised by the updated atom: it
 needs the atom's repeated-variable pattern, the root path of its
@@ -28,10 +28,22 @@ product re-computation.  :class:`repro.core.structure.ComponentStructure`
 consumes the plans; :class:`repro.core.engine.QHierarchicalEngine`
 additionally flattens them into a per-relation dispatch table so an
 update touches exactly the plans that mention the relation.
+
+The *read* half is compiled the same way.  :func:`compile_walker` emits
+Algorithm 1 for one free document order as a single flat generator —
+nested ``while`` loops over the fit lists' ``next`` pointers, constants
+in locals, the output tuple written literally, one resume per tuple —
+for a component, for a product of components, and for every set of
+bound output variables callers actually use (:func:`bound_walk` keeps
+one walker per set; an ancestor-closed bound prefix is pinned with a
+store probe per node, anything else filters its fit list inline).
+:func:`repro.core.enumeration.algorithm1` stays the hand-written walk
+the generated ones are tested against, order included.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.items import FitList, Item
@@ -45,6 +57,8 @@ __all__ = [
     "LevelPlan",
     "compile_plans",
     "compile_runner",
+    "compile_walker",
+    "bound_walk",
     "compile_relation_loader",
     "plan_summary",
 ]
@@ -52,6 +66,21 @@ __all__ = [
 #: Prefix-cache sentinel for generated loaders: compares unequal to
 #: every constant, so the first row always misses.
 _MISS = object()
+
+
+def tuple_getter(indexes: Sequence[int]) -> "object":
+    """``row → tuple(row[i] for i in indexes)`` as a C-level callable
+    (``itemgetter`` returns a bare value for a single index, so that
+    case wraps).  ``indexes`` must not be empty."""
+    if len(indexes) == 1:
+        single = itemgetter(indexes[0])
+        return lambda row: (single(row),)
+    return itemgetter(*indexes)
+
+
+def _tuple_literal(parts: Sequence[str]) -> str:
+    """Source of the tuple display over ``parts`` (``(a,)`` for one)."""
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 class LevelPlan:
@@ -404,7 +433,7 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
     # Downward walk: locate or create the item chain.
     for j in range(depth):
         level = plan.levels[j]
-        key = "(" + ", ".join(f"v{i}" for i in range(j + 1)) + ("," if j == 0 else "") + ")"
+        key = _tuple_literal([f"v{i}" for i in range(j + 1)])
         parent = f"i{j - 1}" if j else "None"
         emit(f"    k{j} = {key}")
         emit(f"    i{j} = _S{j}.get(k{j})")
@@ -507,6 +536,138 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
         )
     exec(compile(source, f"<plan {plan.relation}#{plan.atom_index}>", "exec"), namespace)
     return namespace["_runner"]
+
+
+_STALE_WALK = (
+    "structure was updated during enumeration; restart the enumeration "
+    "to observe the new result"
+)
+
+
+def compile_walker(
+    structures: Sequence[object],
+    free: Sequence[str],
+    bound: Sequence[str] = (),
+) -> "object":
+    """Generate Algorithm 1 for one free document order — the
+    enumeration counterpart of :func:`compile_runner`.
+
+    ``structures`` are the component structures whose product is
+    enumerated (one for a connected query), ``free`` the output
+    variable order, ``bound`` the output variables fixed by the caller.
+    The result is **one flat generator function** taking the bound
+    values as positional arguments, in ``bound`` order:
+
+    * one ``while item is not None`` loop per unbound free q-tree node,
+      nested in document order, component after component, each
+      following the ``next`` pointers of the fit list under its parent's
+      current item — so the emitted sequence is tuple for tuple the one
+      :func:`repro.core.enumeration.algorithm1` produces, and a
+      multi-component product is the component nests concatenated;
+    * every component gates on ``C_start > 0`` first, which is all a
+      Boolean component contributes;
+    * a bound node whose ancestors are all bound (an ancestor-closed,
+      *pinned* prefix — the free-access-pattern primitive) is one store
+      probe before the nest and no loop, so the delay stays O(k); a
+      bound node below an unbound ancestor is an inline
+      ``key[-1] != wanted: continue`` over its fit list;
+    * constants live in locals and the output tuple is written
+      literally in ``free`` order — no binding dict, no per-level
+      generator frame, one resume per tuple;
+    * the structures' ``version`` stamps are read at the first
+      ``next()`` and re-checked after every resume, so a walk that
+      outlives an update raises :class:`~repro.errors.EngineStateError`
+      instead of following relinked pointers.
+
+    The generated source is kept on the function's ``source`` attribute
+    for ``explain()`` consumers and debuggers.
+    """
+    argument = {v: f"b{k}" for k, v in enumerate(bound)}
+    lines: List[str] = [f"def _walk({', '.join(argument.values())}):"]
+    emit = lines.append
+    namespace: Dict[str, object] = {"_Err": EngineStateError}
+
+    for c, structure in enumerate(structures):
+        namespace[f"_st{c}"] = structure
+        namespace[f"_start{c}"] = structure.start
+        emit(f"    if _st{c}.c_start <= 0: return")
+    for c in range(len(structures)):
+        emit(f"    ver{c} = _st{c}.version")
+    stale = " or ".join(
+        f"_st{c}.version != ver{c}" for c in range(len(structures))
+    )
+
+    # Slot s = the s-th free node in nest order; i{s} holds its current
+    # item, c{s} its constant.  Pinned slots resolve here, before the
+    # nest (their keys depend on the arguments alone).
+    slot: Dict[str, int] = {}
+    pinned: set = set()
+    loops: List[Tuple[int, str, Optional[str]]] = []
+    for c, structure in enumerate(structures):
+        tree = structure.qtree
+        for node in structure.free_order:
+            s = slot[node] = len(slot)
+            up = tree.parent[node]
+            if node in argument and (up is None or up in pinned):
+                pinned.add(node)
+                namespace[f"_S{s}"] = structure._items[node]
+                key = _tuple_literal([argument[v] for v in tree.path[node]])
+                emit(f"    i{s} = _S{s}.get({key})")
+                emit(f"    if i{s} is None or not i{s}.in_list: return")
+                emit(f"    c{s} = i{s}.key[-1]")
+            else:
+                head = (
+                    f"_start{c}" if up is None else f"i{slot[up]}.lists[{node!r}]"
+                )
+                loops.append((s, f"{head}.head", argument.get(node)))
+
+    pad = "    "
+    value = {s: f"c{s}" for s in slot.values()}
+    for s, head, wanted in loops:
+        emit(f"{pad}i{s} = {head}")
+        emit(f"{pad}while i{s} is not None:")
+        pad += "    "
+        if wanted is not None:  # None is a legal constant: compare, don't test
+            emit(f"{pad}c{s} = i{s}.key[-1]")
+            emit(f"{pad}if c{s} != {wanted}:")
+            emit(f"{pad}    i{s} = i{s}.next")
+            emit(f"{pad}    continue")
+        elif s == loops[-1][0]:
+            value[s] = f"i{s}.key[-1]"  # innermost: read once, in the tuple
+        else:
+            emit(f"{pad}c{s} = i{s}.key[-1]")
+    emit(f"{pad}yield {_tuple_literal([value[slot[v]] for v in free])}")
+    emit(f"{pad}if {stale}: raise _Err({_STALE_WALK!r})")
+    for s, _head, _wanted in reversed(loops):
+        emit(f"{pad}i{s} = i{s}.next")
+        pad = pad[:-4]
+
+    source = "\n".join(lines)
+    label = ",".join(free) + ("|" + ",".join(bound) if bound else "")
+    exec(compile(source, f"<walker {label}>", "exec"), namespace)
+    walker = namespace["_walk"]
+    walker.source = source
+    return walker
+
+
+def bound_walk(
+    walkers: Dict[Tuple[str, ...], object],
+    structures: Sequence[object],
+    free: Sequence[str],
+    binding,
+) -> Iterator[Row]:
+    """Start the walker for ``binding``'s variable set on its values.
+
+    ``walkers`` is the owner's cache, keyed by the bound variables in
+    ``free`` order; a set seen for the first time is compiled here, so
+    the compiled variants are exactly the access patterns callers use.
+    ``binding`` must name variables of ``free`` only.
+    """
+    bound = tuple(v for v in free if v in binding)
+    walker = walkers.get(bound)
+    if walker is None:
+        walker = walkers[bound] = compile_walker(structures, free, bound)
+    return walker(*[binding[v] for v in bound])
 
 
 def loader_fuses_leaf(plan: AtomPlan) -> bool:
@@ -679,10 +840,7 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
             yield from descendants(child)
 
     def key_tuple(key_positions: Sequence[int]) -> str:
-        inner = ", ".join(f"r{pos}" for pos in key_positions)
-        if len(key_positions) == 1:
-            inner += ","
-        return f"({inner})"
+        return _tuple_literal([f"r{pos}" for pos in key_positions])
 
     def emit_terminal(pad: str, index: int, parent: Optional[_TrieLevel]) -> None:
         plan = plans[index]

@@ -40,7 +40,16 @@ The structure answers:
 
 * ``answer()``  — ``C_start > 0``                    in O(1),
 * ``count()``   — ``C̃_start`` (``C_start`` if quantifier-free)  in O(1),
-* ``enumerate()`` — Algorithm 1 with O(k) delay per tuple.
+* ``enumerate()`` — Algorithm 1 with O(k) delay per tuple,
+* ``enumerate_bound()`` — the same walk with free variables fixed,
+* ``contains()`` — k item probes.
+
+The reads are generated like the updates: ``enumerate()`` returns the
+structure's compiled walker (:func:`~repro.core.plans.compile_walker`,
+one flat generator over the fit lists' ``next`` pointers, one resume
+per tuple) and ``enumerate_bound()`` one compiled per bound-variable
+set on first use; ``contains()`` builds each node key with a C-level
+getter compiled at construction.
 """
 
 from __future__ import annotations
@@ -50,12 +59,15 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.core.items import FitList, Item
 from repro.core.plans import (
     AtomPlan,
+    bound_walk,
     compile_finalizer,
     compile_plans,
     compile_relation_loader,
     compile_runner,
+    compile_walker,
     loader_fuses_leaf,
     plan_summary,
+    tuple_getter,
 )
 from repro.core.qtree import QTree, build_q_tree
 from repro.cq.query import ConjunctiveQuery
@@ -95,14 +107,15 @@ class ComponentStructure:
         # call used to recompute from the q-tree, cached once.
         self._doc_order: List[str] = tree.document_order()
         self._free_order: List[str] = tree.free_document_order()
+        self._arity = len(component.free)
         free_position = {v: i for i, v in enumerate(component.free)}
         # Free nodes only ever have free ancestors (Definition 4.1(2)),
-        # so each root-path value can be read straight off the output
-        # tuple — no binding dict needed in contains().
-        self._contains_probes: List[Tuple[Dict[Row, Item], Tuple[int, ...]]] = [
+        # so each root-path key is a projection of the output tuple —
+        # one C-level getter per free node, no binding dict in contains().
+        self._contains_probes: List[Tuple[Dict[Row, Item], object]] = [
             (
                 self._items[node],
-                tuple(free_position[v] for v in tree.path[node]),
+                tuple_getter([free_position[v] for v in tree.path[node]]),
             )
             for node in self._free_order
         ]
@@ -130,6 +143,14 @@ class ComponentStructure:
         for plan, runner in zip(self.plans, self.runners):
             self._dispatch.setdefault(plan.relation, []).append((plan, runner))
 
+        #: bound-variable tuple (in free order) → generated fit-list
+        #: walker (see compile_walker).  ``()`` is Algorithm 1 itself,
+        #: compiled here; bound variants are added by enumerate_bound on
+        #: first use, so the set mirrors the access patterns in use.
+        self._walkers: Dict[Tuple[str, ...], object] = {
+            (): compile_walker((self,), component.free)
+        }
+
     @property
     def free_order(self) -> List[str]:
         """Cached ``qtree.free_document_order()`` (do not mutate)."""
@@ -139,7 +160,13 @@ class ComponentStructure:
         """Compiled-plan statistics for ``explain()`` and benchmarks."""
         stats = plan_summary(self.plans)
         stats["nodes"] = len(self._items)
+        stats["free_depth"] = len(self._free_order)
         return stats
+
+    def walker_sources(self) -> Dict[Tuple[str, ...], str]:
+        """Generated enumerator sources by bound-variable tuple (``()``
+        is Algorithm 1 itself) — what actually runs, for debugging."""
+        return {bound: walk.source for bound, walk in self._walkers.items()}
 
     # ------------------------------------------------------------------
     # updates (Section 6.4 / 6.5)
@@ -316,40 +343,13 @@ class ComponentStructure:
 
         Tuples are emitted over the component's free-variable order; a
         Boolean component yields ``()`` once when satisfied.  The
-        structure must not be updated while a generator is live.
+        stream is the structure's generated walker
+        (:func:`~repro.core.plans.compile_walker`): one flat generator
+        following the fit lists' ``next`` pointers, one resume per
+        tuple.  The structure must not be updated while a generator is
+        live — a stale walk raises :class:`EngineStateError` on resume.
         """
-        if not self._has_free:
-            if self.c_start > 0:
-                yield ()
-            return
-
-        order = self._free_order
-        parent_of = self.qtree.parent
-        free_tuple = self.query.free
-        current: Dict[str, Item] = {}
-        version = self.version
-
-        def descend(depth: int) -> Iterator[Row]:
-            if self.version != version:
-                raise EngineStateError(
-                    "structure was updated during enumeration; restart "
-                    "enumerate() to observe the new result"
-                )
-            if depth == len(order):
-                yield tuple(current[v].constant for v in free_tuple)
-                return
-            node = order[depth]
-            up = parent_of[node]
-            fit_list = (
-                self.start if up is None else current[up].lists.get(node)
-            )
-            if fit_list is None:
-                return
-            for item in fit_list:
-                current[node] = item
-                yield from descend(depth + 1)
-
-        yield from descend(0)
+        return self._walkers[()]()
 
     def enumerate_bound(
         self, binding: Mapping[str, Constant]
@@ -367,76 +367,19 @@ class ComponentStructure:
         and correct, but the delay is no longer constant (the planner's
         binding order tells callers which prefixes pin).
 
-        Tuples are emitted over the component's free-variable order,
-        with the bound values in place.
+        One walker is compiled per bound-variable *set*, on first use,
+        and kept (``_walkers``); the values are its arguments, so a
+        repeated access pattern costs a dict probe and a call.  Tuples
+        are emitted over the component's free-variable order, with the
+        bound values in place.
         """
-        if not binding:
-            yield from self.enumerate()
-            return
         unknown = [v for v in binding if v not in self.free]
         if unknown:
             raise QueryStructureError(
                 f"cannot bind {sorted(unknown)}: not free variables of "
                 f"component {self.query.name!r}"
             )
-        order = self._free_order
-        parent_of = self.qtree.parent
-        path_of = self.qtree.path
-
-        pinnable = set()
-        for node in order:
-            up = parent_of[node]
-            if node in binding and (up is None or up in pinnable):
-                pinnable.add(node)
-        pinned: Dict[str, Item] = {}
-        filters: Dict[str, Constant] = {}
-        for node in order:
-            if node in pinnable:
-                item = self._items[node].get(
-                    tuple(binding[v] for v in path_of[node])
-                )
-                if item is None or not item.in_list:
-                    return  # the bound prefix has no fit item
-                pinned[node] = item
-            elif node in binding:
-                filters[node] = binding[node]
-
-        free_tuple = self.query.free
-        current: Dict[str, Item] = dict(pinned)
-        version = self.version
-
-        def descend(depth: int) -> Iterator[Row]:
-            if self.version != version:
-                raise EngineStateError(
-                    "structure was updated during enumeration; restart "
-                    "enumerate_bound() to observe the new result"
-                )
-            if depth == len(order):
-                yield tuple(current[v].constant for v in free_tuple)
-                return
-            node = order[depth]
-            if node in pinned:
-                yield from descend(depth + 1)
-                return
-            up = parent_of[node]
-            fit_list = (
-                self.start if up is None else current[up].lists.get(node)
-            )
-            if fit_list is None:
-                return
-            if node in filters:  # None is a legal constant — probe by key
-                wanted = filters[node]
-                for item in fit_list:
-                    if item.key[-1] != wanted:
-                        continue
-                    current[node] = item
-                    yield from descend(depth + 1)
-            else:
-                for item in fit_list:
-                    current[node] = item
-                    yield from descend(depth + 1)
-
-        yield from descend(0)
+        return bound_walk(self._walkers, (self,), self.query.free, binding)
 
     def contains(self, row: Row) -> bool:
         """Membership test ``ā ∈ ϕ(D)`` in O(k) dictionary probes.
@@ -445,21 +388,20 @@ class ComponentStructure:
         6.2 the enumerated result is exactly the set of tuples whose
         free-node items are all *fit*, so membership reduces to looking
         up each free node's item along its root path and checking its
-        fit flag.  The per-node probe layouts are compiled once at
-        construction (``_contains_probes``), so a test is ``k`` tuple
-        builds and dict probes with no binding dict.  This is the
-        O(1)-per-test primitive that makes constant-delay *union*
-        enumeration possible (:mod:`repro.extensions.ucq`).
+        fit flag.  The per-node key builders are compiled once at
+        construction (``_contains_probes``, C-level ``itemgetter`` calls),
+        so a test is ``k`` key builds and dict probes with no binding
+        dict.  This is the O(1)-per-test primitive that makes
+        constant-delay *union* enumeration possible
+        (:mod:`repro.extensions.ucq`).
         """
-        if not self._has_free:
-            return row == () and self.c_start > 0
-        if len(row) != len(self.query.free):
+        if len(row) != self._arity:
             return False
-        for store, positions in self._contains_probes:
-            item = store.get(tuple(map(row.__getitem__, positions)))
+        for store, key_of in self._contains_probes:
+            item = store.get(key_of(row))
             if item is None or not item.in_list:
                 return False
-        return True
+        return self.c_start > 0  # all a Boolean component has to say
 
     # ------------------------------------------------------------------
     # introspection (Figure 3, tests)

@@ -45,10 +45,10 @@ numpy is optional: :func:`numpy_or_none` gates availability (and honours
 from __future__ import annotations
 
 import os
-from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.items import Item
+from repro.core.plans import tuple_getter
 from repro.errors import EngineStateError
 from repro.storage.database import Row
 
@@ -212,17 +212,6 @@ class Interner:
         return out
 
 
-def _prefix_getter(extract, j):
-    """``row → tuple(row[extract[i]] for i in range(j + 1))`` as a
-    C-level callable (``itemgetter`` returns a bare value for a single
-    index, so that case wraps)."""
-    indexes = extract[: j + 1]
-    if len(indexes) == 1:
-        single = itemgetter(indexes[0])
-        return lambda row: (single(row),)
-    return itemgetter(*indexes)
-
-
 class _StructureOps:
     """Vectorized batch executor for one :class:`ComponentStructure`.
 
@@ -254,7 +243,7 @@ class _StructureOps:
         # key prefix, avoiding a genexpr per distinct group.
         self._plan_getters = [
             tuple(
-                _prefix_getter(plan.extract, j)
+                tuple_getter(plan.extract[: j + 1])
                 for j in range(len(plan.levels))
             )
             for plan in structure.plans

@@ -85,6 +85,10 @@ class ViewProbe:
         "constant_delay",
         "update_hist",
         "delay_hist",
+        "page_hist",
+        "revalidations",
+        "invalidations",
+        "cursors_opened",
         "update_stride",
         "update_countdown",
         "_delay_by_size",
@@ -102,6 +106,22 @@ class ViewProbe:
         )
         self.delay_hist = registry.histogram(
             "repro_view_delay_seconds", view=view, engine=engine
+        )
+        #: the view's cursor instruments, resolved once here and shared
+        #: by every cursor the view opens (a registry lookup builds a
+        #: label key — four of them per ``open_cursor`` was a third of
+        #: the open).
+        self.page_hist = registry.histogram(
+            "repro_cursor_page_seconds", view=view
+        )
+        self.revalidations = registry.counter(
+            "repro_cursor_revalidations_total", view=view
+        )
+        self.invalidations = registry.counter(
+            "repro_cursor_invalidations_total", view=view
+        )
+        self.cursors_opened = registry.counter(
+            "repro_cursor_opened_total", view=view
         )
         #: update-timing sample stride; the caller decrements
         #: ``update_countdown`` per update and times the one that

@@ -55,11 +55,11 @@ update), and only the recompute baseline falls back to a filtered scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import filterfalse, islice
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import CursorInvalidatedError, EngineStateError, QueryStructureError
+from repro.errors import CursorInvalidatedError, EngineStateError
 from repro.storage.database import Constant, Row
 from repro.storage.updates import UpdateCommand
 
@@ -67,31 +67,13 @@ __all__ = ["Cursor", "CursorInvalidation", "bound_stream"]
 
 
 def bound_stream(engine, binding: Optional[Dict[str, Constant]]) -> Iterator[Row]:
-    """The engine's result stream under an output-variable binding.
-
-    Uses the engine's ``enumerate_bound`` fast path when it has one
-    (q-hierarchical and union engines pin q-tree prefixes in O(1) per
-    probe); otherwise filters the plain enumeration — correct for any
-    engine, with delay proportional to the tuples skipped.
-    """
+    """The engine's result stream under an output-variable binding
+    (every :class:`~repro.interface.DynamicEngine` has
+    ``enumerate_bound``: q-tree pinning, a binding index, or a filtered
+    scan — its choice, not this layer's)."""
     if not binding:
         return engine.enumerate()
-    fast = getattr(engine, "enumerate_bound", None)
-    if fast is not None:
-        return fast(binding)
-    free = tuple(engine.query.free)
-    unknown = [v for v in binding if v not in free]
-    if unknown:
-        raise QueryStructureError(
-            f"cannot bind {sorted(unknown)}: not output variables "
-            f"(free: {free})"
-        )
-    checks = tuple((free.index(v), value) for v, value in binding.items())
-    return (
-        row
-        for row in engine.enumerate()
-        if all(row[i] == value for i, value in checks)
-    )
+    return engine.enumerate_bound(binding)
 
 
 @dataclass(frozen=True)
@@ -168,29 +150,13 @@ class Cursor:
         self._exhausted = False
         self._closed = False
         self._invalidation: Optional[CursorInvalidation] = None
-        # Observability (repro.obs): the view's guarantee probe feeds
-        # per-tuple delay from served pages; the registry counts pages,
-        # revalidations and invalidations per view.  All None/no-op
-        # when the owning session runs observe=False.
+        # Observability (repro.obs): the view's guarantee probe carries
+        # the per-view cursor instruments (pages, revalidations,
+        # invalidations, opens) and is fed per-tuple delay from served
+        # pages.  None when the owning session runs observe=False.
         self._probe = getattr(view, "_probe", None)
-        metrics = getattr(getattr(view, "_session", None), "metrics", None)
-        if metrics is not None and metrics.enabled:
-            self._page_hist = metrics.histogram(
-                "repro_cursor_page_seconds", view=view.name
-            )
-            self._reval_counter = metrics.counter(
-                "repro_cursor_revalidations_total", view=view.name
-            )
-            self._invalid_counter = metrics.counter(
-                "repro_cursor_invalidations_total", view=view.name
-            )
-            metrics.counter(
-                "repro_cursor_opened_total", view=view.name
-            ).inc()
-        else:
-            self._page_hist = None
-            self._reval_counter = None
-            self._invalid_counter = None
+        if self._probe is not None:
+            self._probe.cursors_opened.inc()
         view._register_cursor(self)
 
     # -- state ----------------------------------------------------------------
@@ -232,7 +198,8 @@ class Cursor:
         self._check_valid()
         if self._exhausted or n == 0:
             return []
-        started = perf_counter() if self._page_hist is not None else 0.0
+        probe = self._probe
+        started = perf_counter() if probe is not None else 0.0
         if self._buffer is not None:
             page = self._buffer[self._buffer_pos : self._buffer_pos + n]
             self._buffer_pos += len(page)
@@ -258,21 +225,17 @@ class Cursor:
                 self._finish()
         self._fetched += len(page)
         self._emitted.update(page)
-        if self._page_hist is not None and page:
+        if probe is not None and page:
             elapsed = perf_counter() - started
-            self._page_hist.observe(elapsed)
-            probe = self._probe
-            if probe is not None:
-                # Result size feeds the drift check; count() is O(1)
-                # precisely for the engines that promise constant delay
-                # (the only ones drift judges), so the probe never
-                # pays a recompute-style full evaluation here.
-                size = self._view.count() if probe.constant_delay else 0
-                probe.record_page(elapsed, len(page), size)
-                if self.pattern is not None:
-                    probe.record_bound_page(
-                        self.pattern.key, elapsed, len(page)
-                    )
+            probe.page_hist.observe(elapsed)
+            # Result size feeds the drift check; count() is O(1)
+            # precisely for the engines that promise constant delay
+            # (the only ones drift judges), so the probe never pays a
+            # recompute-style full evaluation here.
+            size = self._view.count() if probe.constant_delay else 0
+            probe.record_page(elapsed, len(page), size)
+            if self.pattern is not None:
+                probe.record_bound_page(self.pattern.key, elapsed, len(page))
         return page
 
     def fetch_all(self) -> List[Row]:
@@ -320,11 +283,11 @@ class Cursor:
         surviving write has since mutated — resuming it is undefined.
         A fresh walk filtered by the emitted set yields exactly the
         not-yet-consumed tuples of the *current* result: O(1) per
-        skipped tuple for the consumed prefix, constant delay after.
+        skipped tuple for the consumed prefix (at C speed — no Python
+        frame per skipped row), constant delay after.
         """
-        emitted = self._emitted
         fresh = bound_stream(self._view.engine, self.binding)
-        self._stream = (row for row in fresh if row not in emitted)
+        self._stream = filterfalse(self._emitted.__contains__, fresh)
         self._needs_rebuild = False
 
     # -- update notifications (called by the owning view) ---------------------
@@ -362,13 +325,13 @@ class Cursor:
                 # The consumed prefix is intact and every delta tuple
                 # sits at/after the frontier: survive in place.
                 self.revalidations += 1
-                if self._reval_counter is not None:
-                    self._reval_counter.inc()
+                if self._probe is not None:
+                    self._probe.revalidations.inc()
                 self._needs_rebuild = True
                 self._stream = None
                 return
-        if self._invalid_counter is not None:
-            self._invalid_counter.inc()
+        if self._probe is not None:
+            self._probe.invalidations.inc()
         self._invalidation = CursorInvalidation(
             view=self._view.name,
             opened_epoch=self.opened_epoch,

@@ -9,6 +9,14 @@ The path measures 20 and 8 calls (the parent of the flattening: 52 and
 differences, and a context-manager generator (six calls), an
 ``ExitStack`` or a per-write helper creeping back onto the per-command
 path overshoots them.
+
+Reads have budgets too.  A page is one generator resume per tuple —
+the generated Algorithm 1 walker — plus a constant for the server,
+cursor and probe frames around it: ``Server.fetch(cursor, 64)``
+measures 76 calls (the recursive-generator parent: 983) and
+``Server.open_cursor`` 20 (37), so a per-level generator frame, a
+genexpr per tuple or a per-value property call coming back trips the
+page budget at once.
 """
 
 import sys
@@ -19,6 +27,9 @@ from repro.storage.updates import delete, insert
 
 APPLY_BUDGET = 24
 COUNT_BUDGET = 10
+PAGE = 64
+FETCH_BUDGET = PAGE + 16
+OPEN_BUDGET = 24
 
 
 def python_calls(operation, *args):
@@ -57,3 +68,27 @@ def test_subscribed_apply_and_count_stay_within_their_frame_budgets():
 
     assert apply_calls <= APPLY_BUDGET, apply_calls
     assert count_calls <= COUNT_BUDGET, count_calls
+
+
+def test_a_page_is_one_resume_per_tuple_and_an_open_stays_in_budget():
+    server = Server(shards=2)
+    server.view("v", zoo.EXAMPLE_6_1)  # five free variables, depth three
+    for x in range(3):
+        for y in range(3):
+            server.insert("E", (x, y))
+            for z in range(3):
+                server.insert("R", (x, y, z))
+                server.insert("S", (x, y, z))
+    assert server.count("v") > 3 * PAGE
+    # Warm the path, as above.
+    server.fetch(server.open_cursor("v"), PAGE)
+
+    opened = []
+    open_calls = python_calls(lambda: opened.append(server.open_cursor("v")))
+    first_page_calls = python_calls(server.fetch, opened[0], PAGE)
+    next_page_calls = python_calls(server.fetch, opened[0], PAGE)
+    assert server.cursor_state(opened[0]).fetched == 2 * PAGE
+
+    assert open_calls - 1 <= OPEN_BUDGET, open_calls  # minus the lambda
+    assert first_page_calls <= FETCH_BUDGET, first_page_calls
+    assert next_page_calls <= FETCH_BUDGET, next_page_calls
