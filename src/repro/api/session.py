@@ -8,12 +8,22 @@ every effective update is fanned out exactly once to each view whose
 query mentions the updated relation, so unrelated views never pay for
 each other's traffic.
 
+A single :meth:`Session.apply` runs that fan-out per command.  A stream
+(:meth:`Session.apply_all`, and everything built on it:
+:meth:`Session.ingest`, a committing :class:`Batch`, the server's and
+the cluster workers' chunked writes) stays a batch: effectiveness is
+decided once against the session store, views somebody is *watching* —
+a subscriber, an open cursor, a binding index — still see every
+effective command in order, and every other view takes the stream's net
+effect per relation in one
+:meth:`~repro.interface.DynamicEngine.apply_net` when the call ends.
+The paper's structure only has to represent ``D`` when somebody looks.
+
 :meth:`Session.batch` opens a transaction: commands are buffered, and on
 a clean exit only their *net effect* is applied — per (relation, tuple)
 the last operation wins, and operations that agree with the pre-batch
-state (inserting a present tuple, deleting an absent one) are dropped.
-On churny streams this saves the full per-view update fan-out for every
-cancelled pair, which is where the engines spend their time.  If the
+state (inserting a present tuple, deleting an absent one) are dropped —
+so, unlike a stream, cancelled pairs move no epoch either.  If the
 ``with`` body raises, the buffer is discarded and no view observes any
 of it.
 
@@ -30,6 +40,7 @@ and subscribers are notified last.
 from __future__ import annotations
 
 from dataclasses import replace
+from threading import get_ident
 from time import perf_counter
 from typing import (
     Any,
@@ -67,6 +78,11 @@ __all__ = ["Session", "View", "Batch"]
 #: ``repro.serve`` imports this module, so the import cannot run at
 #: module load, and the per-write path must not pay for it per call.
 _Delta: Optional[type] = None
+
+_STREAMING = (
+    "apply_all is running; a callback cannot write to the session that "
+    "is notifying it, or register or drop a view on it"
+)
 
 
 def _delta_type() -> type:
@@ -118,6 +134,12 @@ class View:
             from repro.obs.probes import ViewProbe
 
             self._probe = ViewProbe(name, plan.engine, session.metrics)
+            # The result-size gauge reads count() on the write path, so
+            # only where it is O(1): not recompute, not a union whose
+            # inclusion–exclusion left the q-hierarchical class.
+            self._sized = self._probe.constant_delay and getattr(
+                engine, "counting_supported", True
+            )
             # Engine-level series: effective updates per relation/op
             # plus the static plan-shape gauges (repro.core.plans).
             engine.instrument(session.metrics, view=name)
@@ -394,6 +416,51 @@ class View:
             kept for kept in self._subscriptions if kept is not subscription
         )
 
+    def _watched(self) -> bool:
+        """Whether someone consumes this view's per-command deltas —
+        a subscriber, a bound subscriber, an open cursor or a binding
+        index.  :meth:`Session.apply_all` delivers to such a view
+        command by command and nets the stream for every other."""
+        return bool(
+            self._subscriptions
+            or self._bound_subs
+            or self._cursors
+            or self._engine.access_patterns
+        )
+
+    def _publish(self, seconds: float) -> None:
+        """Record one observed per-update cost and refresh the result
+        size gauge (only where ``count()`` is O(1))."""
+        probe = self._probe
+        probe.record_update(seconds)
+        if self._sized:
+            probe.result_size.set(self._engine.count())
+
+    def _deliver_net(
+        self, net: Dict[str, Tuple[List[Row], List[Row], int, int]],
+        command: UpdateCommand,
+    ) -> float:
+        """Catch up with a stream this view sat out (nobody watched it):
+        one :meth:`~repro.interface.DynamicEngine.apply_net`; returns
+        the seconds it took.
+
+        A cursor opened on the view from a callback *during* the stream
+        holds a walker over the pre-stream state and no delta exists to
+        revalidate it against, so it is settled here like a cursor
+        across a delta-less write: a snapshot cursor pins its remainder
+        first, a plain one is invalidated with ``command`` — the last
+        of the stream — as the report.
+        """
+        cursors = list(self._cursors)
+        for cursor in cursors:
+            cursor._before_view_update(command)
+        started = perf_counter()
+        self._engine.apply_net(net)
+        seconds = perf_counter() - started
+        for cursor in cursors:
+            cursor._after_view_update(command, None)
+        return seconds
+
     def _deliver(self, command: UpdateCommand) -> None:
         """Apply one effective update with full serving choreography.
 
@@ -434,14 +501,14 @@ class View:
             if timed:
                 started = perf_counter()
                 added, removed = engine.apply_with_delta(command)
-                probe.record_update(perf_counter() - started)
+                self._publish(perf_counter() - started)
             else:
                 added, removed = engine.apply_with_delta(command)
             pair = (tuple(added), tuple(removed))
         elif timed:
             started = perf_counter()
             engine.apply(command)
-            probe.record_update(perf_counter() - started)
+            self._publish(perf_counter() - started)
         else:
             engine.apply(command)
         if self._cursors:
@@ -575,10 +642,7 @@ class Batch:
 
     def _commit(self) -> None:
         net = compress_commands(self._commands, self._session._present)
-        applied = 0
-        for command in net:
-            if self._session._apply_effective(command):
-                applied += 1
+        applied = self._session.apply_all(net)
         self.stats = {
             "buffered": len(self._commands),
             "net": len(net),
@@ -605,6 +669,13 @@ class Session:
         self._views: Dict[str, View] = {}
         self._views_by_relation: Dict[str, List[View]] = {}
         self._active_batch: Optional[Batch] = None
+        # The threads inside apply_all: views that sat a stream out lag
+        # the store until its fan-out, so a callback writing (or
+        # registering / dropping a view) mid-call would fork them from
+        # it.  Per thread, not per session: a sharded Server runs
+        # streams over disjoint relations — disjoint view sets — in
+        # parallel on one session, and those must not see each other.
+        self._streaming: Set[int] = set()
         # Observability (repro.obs): one registry + span log per
         # session.  observe=False swaps in the shared no-op registry —
         # hot paths additionally guard on self._observe so disabling
@@ -681,6 +752,8 @@ class Session:
             raise EngineStateError(f"a view named {name!r} already exists")
         if self._active_batch is not None:
             raise EngineStateError("cannot register a view inside an open batch")
+        if self._streaming and get_ident() in self._streaming:
+            raise EngineStateError(_STREAMING)
         plan = self._planner.plan(query, engine=engine)
         parsed = plan.query
         declared_patterns: Tuple[Tuple[str, ...], ...] = ()
@@ -723,6 +796,8 @@ class Session:
 
     def drop_view(self, name: str) -> None:
         """Unregister a view (its relations stay in the shared store)."""
+        if self._streaming and get_ident() in self._streaming:
+            raise EngineStateError(_STREAMING)
         try:
             view = self._views.pop(name)
         except KeyError:
@@ -765,25 +840,167 @@ class Session:
             raise EngineStateError(
                 "a batch is open; route updates through it (or close it first)"
             )
+        if self._streaming and get_ident() in self._streaming:
+            raise EngineStateError(_STREAMING)
         self._check(command.relation, command.row)
         return self._apply_effective(command)
 
-    def apply_all(self, commands: Iterable[UpdateCommand]) -> int:
-        """Apply a stream command-by-command; returns effective changes."""
+    def apply_all(
+        self,
+        commands: Iterable[UpdateCommand],
+        flags: Optional[List[bool]] = None,
+    ) -> int:
+        """Apply a stream as one batch; returns the effective changes.
+
+        One sequential pass validates each command and decides its
+        effectiveness against the session store — once; no engine
+        filters it again.  What happens next depends on who is looking
+        (classed per view when one of its relations first shows up in
+        the call):
+
+        * a *watched* view (:meth:`View._watched`) gets every effective
+          command at once, in stream order, through the same
+          :meth:`View._deliver` a single :meth:`apply` runs — deltas,
+          epochs, callback order and cursor verdicts are per command;
+        * for every other view the pass only nets the stream per
+          relation (``row → ±1/0``) and, when it ends, each such view
+          moves once through
+          :meth:`~repro.interface.DynamicEngine.apply_net` — a row
+          inserted and deleted again costs it nothing, while its
+          ``epoch`` and update counters still advance by the effective
+          counts.  It is current when the call returns, not before: a
+          callback reading it mid-call sees the pre-call state, and its
+          enumeration *order* may differ from per-command application
+          (``result_set``, ``count`` and ``result_digest`` do not).
+
+        Not transactional (:meth:`batch` is): a command naming an
+        unknown relation or carrying the wrong arity raises where the
+        stream stands, and the fan-out still runs, so every view holds
+        exactly the applied prefix.  ``flags``, when given, receives
+        one effectiveness verdict per command reached.  A callback must
+        not write to the session — or register or drop a view on it —
+        from inside the call (:class:`EngineStateError`); streams of
+        *other* threads over disjoint relations, as a sharded
+        :class:`~repro.serve.server.Server` runs them, are unaffected.
+        """
+        if self._active_batch is not None:
+            raise EngineStateError(
+                "a batch is open; route updates through it (or close it first)"
+            )
+        me = get_ident()
+        if me in self._streaming:
+            raise EngineStateError(_STREAMING)
+        groups: Dict[str, Tuple[Any, ...]] = {}
+        watching: Dict[View, bool] = {}
         changed = 0
-        for command in commands:
-            if self.apply(command):
+        last = None  # the last command applied, for _fan_out's reports
+        self._streaming.add(me)
+        try:
+            for command in commands:
+                relation = command.relation
+                group = groups.get(relation)
+                if group is None:
+                    self._check(relation, command.row)
+                    group = groups[relation] = self._stream_group(
+                        relation, watching
+                    )
+                rows, arity, watched, net, counts, _lagging = group
+                row = command.row
+                if len(row) != arity:
+                    self._check(relation, row)
+                if command.op == "insert":
+                    if row in rows:
+                        if flags is not None:
+                            flags.append(False)
+                        continue
+                    rows.add(row)
+                    sign = 1
+                else:
+                    if row not in rows:
+                        if flags is not None:
+                            flags.append(False)
+                        continue
+                    rows.remove(row)
+                    sign = -1
                 changed += 1
+                last = command
+                if flags is not None:
+                    flags.append(True)
+                for view in watched:
+                    view._deliver(command)
+                if net is not None:
+                    net[row] = net.get(row, 0) + sign
+                    counts[sign] += 1
+        finally:
+            self._streaming.discard(me)
+            if last is not None:
+                self._fan_out(groups, last)
         return changed
+
+    def _stream_group(
+        self, relation: str, watching: Dict[View, bool]
+    ) -> Tuple[Any, ...]:
+        """One relation's state for the length of an :meth:`apply_all`:
+        ``(store rows, arity, watched views, net map, [_, inserts,
+        deletes], lagging views)`` — the net map is ``None`` when every
+        view of the relation is watched and nothing has to catch up
+        afterwards."""
+        watched: List[View] = []
+        lagging: List[View] = []
+        for view in self._views_by_relation.get(relation, ()):
+            live = watching.get(view)
+            if live is None:
+                live = watching[view] = view._watched()
+            (watched if live else lagging).append(view)
+        return (
+            self._rows[relation],
+            self._arities[relation],
+            watched,
+            {} if lagging else None,
+            [0, 0, 0],  # indexed by sign: [1] inserts, [-1] deletes
+            lagging,
+        )
+
+    def _fan_out(
+        self, groups: Dict[str, Tuple[Any, ...]], last: UpdateCommand
+    ) -> None:
+        """The closing half of :meth:`apply_all`: every view that sat
+        the stream out takes the net of its relations in one
+        ``apply_net``; then — after *all* of them have moved, so the
+        sweep also leaves each engine's counters warm for the reads
+        that follow a batch — observing sessions record one
+        per-command-mean sample and the result size per moved view."""
+        pending: Dict[View, Dict[str, Tuple[List[Row], List[Row], int, int]]] = {}
+        for relation, (_, _, _, net, counts, lagging) in groups.items():
+            if not net:
+                continue
+            entry = (
+                [row for row, sign in net.items() if sign > 0],
+                [row for row, sign in net.items() if sign < 0],
+                counts[1],
+                counts[-1],
+            )
+            for view in lagging:
+                pending.setdefault(view, {})[relation] = entry
+        moved = [
+            (view, net, view._deliver_net(net, last))
+            for view, net in pending.items()
+        ]
+        if self._observe:
+            for view, net, seconds in moved:
+                effective = sum(
+                    n_inserts + n_deletes
+                    for _, _, n_inserts, n_deletes in net.values()
+                )
+                view._publish(seconds / effective)
 
     def ingest(self, database: Database) -> int:
         """Bulk-insert every tuple of a database; returns insertions."""
-        changed = 0
-        for relation in database.relations():
-            for row in relation.rows:
-                if self.insert(relation.name, row):
-                    changed += 1
-        return changed
+        return self.apply_all(
+            insert_command(relation.name, row)
+            for relation in database.relations()
+            for row in relation.rows
+        )
 
     def batch(self) -> Batch:
         """Open a transactional, net-effect-compressed update batch."""

@@ -11,11 +11,15 @@ query and maintains it under updates with
   insertions,
 * O(poly(ϕ)) update time — through the generated per-atom runners of
   :mod:`repro.core.plans`, flattened here into a per-relation dispatch
-  table so an update runs exactly the plans that mention the relation;
-  :meth:`QHierarchicalEngine.apply_all` hands batches of at least
+  table so an update runs exactly the plans that mention the relation.
+  A session batch arrives as one :meth:`QHierarchicalEngine.apply_net`
+  — effectiveness already decided, repeated keys already netted — and
+  walks the same runners over the net rows, one tight loop per plan;
+  the engine's own :meth:`QHierarchicalEngine.apply_all` instead folds
+  a raw stream itself and hands batches of at least
   ``_MIN_VECTOR_BATCH`` commands to the numpy kernel of
-  :mod:`repro.core.vectorized` instead when one is attached (the
-  ``backend`` option — the engine's only one),
+  :mod:`repro.core.vectorized` when one is attached (the ``backend``
+  option — the engine's only one),
 * O(1) counting / Boolean answering,
 * O(poly(ϕ)) delay enumeration — the generated Algorithm 1 walker of
   :func:`repro.core.plans.compile_walker`: a connected query hands its
@@ -257,6 +261,34 @@ class QHierarchicalEngine(DynamicEngine):
                 for relation, count in deletes.items():
                     self._obs_delete[relation].value += count
         return changed
+
+    def apply_net(self, net) -> None:
+        """A stream's net effect, straight through the runners.
+
+        The session decided effectiveness, so the rows go into the
+        engine's store with :meth:`Database.apply_net` (no second
+        set-semantics filter) and each generated runner of a touched
+        relation walks the net rows in one tight loop — a row the
+        stream inserted and deleted again costs nothing here, while
+        ``epoch`` and the update counters still advance by the
+        effective counts.  Binding indexes need per-command deltas and
+        take the base class's per-row path.
+        """
+        if self._binding_indexes:
+            return super().apply_net(net)
+        self._db.apply_net(net)
+        dispatch = self._dispatch
+        counters = self._obs_insert
+        for relation, (inserted, deleted, n_inserts, n_deletes) in net.items():
+            self._epoch += n_inserts + n_deletes
+            if counters is not None:
+                counters[relation].value += n_inserts
+                self._obs_delete[relation].value += n_deletes
+            for runner in dispatch.get(relation, ()):
+                for row in deleted:
+                    runner(False, row)
+                for row in inserted:
+                    runner(True, row)
 
     def apply_with_delta(self, command) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
         """Apply one command and derive the output-tuple delta in O(δ).

@@ -247,6 +247,40 @@ class DynamicEngine(ABC):
                 changed += 1
         return changed
 
+    def apply_net(
+        self, net: Mapping[str, Tuple[Sequence[Row], Sequence[Row], int, int]]
+    ) -> None:
+        """Move to the state a command stream leaves, given its net effect.
+
+        ``net`` maps each touched relation to ``(inserted, deleted,
+        n_inserts, n_deletes)``: the rows the stream left present that
+        were absent before it, the rows it left absent that were
+        present, and how many *effective* inserts / deletes it ran on
+        that relation — cancelled pairs included, so ``epoch`` and the
+        ``repro_engine_updates_total`` counters advance exactly as if
+        every command had been applied on its own.  The caller
+        (:meth:`repro.api.session.Session.apply_all`) decided
+        effectiveness against its own store, so no row here is a
+        set-semantics no-op.
+
+        The default runs :meth:`delete` / :meth:`insert` over the net
+        rows and tops the epoch and counters up by the cancelled
+        remainder — correct for engines that read their store per
+        command (delta-IVM, the UCQ union, recompute) and for binding
+        indexes, which ride the per-row delta path.
+        """
+        epoch = self._epoch
+        for relation, (inserted, deleted, n_inserts, n_deletes) in net.items():
+            for row in deleted:
+                self.delete(relation, row)
+            for row in inserted:
+                self.insert(relation, row)
+            epoch += n_inserts + n_deletes
+            if self._obs_insert is not None:
+                self._obs_insert[relation].value += n_inserts - len(inserted)
+                self._obs_delete[relation].value += n_deletes - len(deleted)
+        self._epoch = epoch
+
     def apply_with_delta(
         self, command: UpdateCommand
     ) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:

@@ -84,6 +84,7 @@ class ViewProbe:
         "constant_update",
         "constant_delay",
         "update_hist",
+        "result_size",
         "delay_hist",
         "page_hist",
         "revalidations",
@@ -103,6 +104,13 @@ class ViewProbe:
         self.constant_delay = engine in CONSTANT_DELAY_ENGINES
         self.update_hist = registry.histogram(
             "repro_view_update_seconds", view=view, engine=engine
+        )
+        #: ``|ϕ(D)|`` as of the last recorded update sample — single
+        #: writes (1 in ``update_stride``) and batches (once per
+        #: ``apply_all``) feed the one series; the view sets it, and
+        #: only where ``count()`` is O(1).
+        self.result_size = registry.gauge(
+            "repro_view_result_size", view=view, engine=engine
         )
         self.delay_hist = registry.histogram(
             "repro_view_delay_seconds", view=view, engine=engine
@@ -139,6 +147,8 @@ class ViewProbe:
     # -- recording (hot path: keep it to adds and one observe) ----------
 
     def record_update(self, seconds: float) -> None:
+        """One update's engine cost — a timed single write, or the
+        per-command mean of a batch the view took as one net."""
         self.update_hist.observe(seconds)
 
     def record_page(

@@ -634,13 +634,14 @@ class _WorkerHost:
             rows = self.server.relation_rows(str(request["relation"]))
             return {"ok": True, "rows": [list(row) for row in rows]}
         if op == "apply_many":
-            # Chunked wire framing for update streams: every command
-            # still runs the full per-update serving choreography
-            # (fan-out, deltas, cursor revalidation); the round trip
-            # AND the shard-lock acquisition are amortised over the
-            # chunk (Server.apply_all).  Not transactional — a failing
-            # command leaves the applied prefix in place, exactly like
-            # a client-side stream.
+            # Chunked wire framing for update streams: the round trip,
+            # the shard-lock acquisition AND the fan-out to views
+            # nobody watches are amortised over the chunk
+            # (Server.apply_all); subscribed views and open cursors
+            # still get the per-update choreography (deltas, cursor
+            # revalidation) command by command.  Not transactional — a
+            # failing command leaves the applied prefix in place,
+            # exactly like a client-side stream.
             results = self.server.apply_all(
                 commands_from_wire(request["commands"])
             )
@@ -2275,12 +2276,15 @@ class ClusterClient:
     ) -> int:
         """Apply an update stream with chunked wire framing.
 
-        Semantically ``for c in commands: self.apply(c)`` — every
-        command runs the full update choreography on every worker whose
-        views mention its relation, in stream order — but commands ride
-        the wire in chunks of up to ``chunk``, so the round trip (the
-        dominant cost of socket-remote single-tuple updates) is paid
-        per chunk instead of per command.  Each chunk routes and
+        To every subscriber, cursor and bound reader it is
+        ``for c in commands: self.apply(c)`` — each effective command
+        reaches the watched views of its relation in stream order, with
+        its own delta and epoch, on every worker that holds one — but
+        commands ride the wire in chunks of up to ``chunk``, so the
+        round trip (the dominant cost of socket-remote single-tuple
+        updates) is paid per chunk instead of per command, and a
+        worker's views nobody watches take the chunk's net effect once
+        (:meth:`repro.api.session.Session.apply_all`).  Each chunk routes and
         applies under the write gate's shared side, so a live
         :meth:`migrate_view` drains at a chunk boundary and the tail of
         the stream re-routes to the view's new worker.  Not

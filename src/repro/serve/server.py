@@ -693,14 +693,19 @@ class Server:
 
         Routes each *distinct* relation of the chunk once, takes the
         union of their shards (in ascending order — the usual deadlock
-        protocol), then applies each command in order with the full
-        per-command fan-out, delta capture and cursor choreography,
-        counting it on its own relation's primary shard.  This is the
-        serving-layer analogue of wire-level chunking: a remote stream
-        that already arrived as a block should not pay the
-        reader–writer lock dance per tuple.  Readers of the touched
-        shards wait for the whole chunk, so size chunks for
-        milliseconds, not seconds.  Not transactional: a failing
+        protocol), then hands the whole chunk to
+        :meth:`Session.apply_all <repro.api.session.Session.apply_all>`:
+        views with a subscriber, an open cursor or a binding index see
+        every effective command in order — delta capture, cursor
+        choreography, epochs, exactly as under :meth:`apply` — and the
+        views nobody watches take the chunk's net effect once, before
+        the locks are released.  Each command counts as a write on its
+        own relation's primary shard.  This is the serving-layer
+        analogue of wire-level chunking: a remote stream that already
+        arrived as a block should pay neither the reader–writer lock
+        dance nor the unwatched views' fan-out per tuple.  Readers of
+        the touched shards wait for the whole chunk, so size chunks
+        for milliseconds, not seconds.  Not transactional: a failing
         command (unknown relation, bad arity) aborts the rest but
         leaves the applied prefix in place — :meth:`batch` is the
         all-or-nothing path.
@@ -730,11 +735,14 @@ class Server:
                     relation: self._shard_writes[route.shards[0]]
                     for relation, route in routes.items()
                 }
-                apply = self._session.apply
                 flags: List[bool] = []
-                for command in commands:
-                    writes[command.relation].value += 1
-                    flags.append(apply(command))
+                try:
+                    self._session.apply_all(commands, flags)
+                finally:
+                    # Every command reached is a write, the one that
+                    # raised included.
+                    for command in commands[: len(flags) + 1]:
+                        writes[command.relation].value += 1
                 return flags
 
     def batch(self, commands: Iterable[UpdateCommand]) -> Dict[str, int]:

@@ -380,21 +380,49 @@ class Database:
                 group[0].append(row)
                 group[1].append(sign)
         finally:
-            self._tuple_count += len(inserted_rows) - len(deleted_rows)
-            refcount = self._adom_refcount
-            if inserted_rows:
-                refcount.update(chain.from_iterable(inserted_rows))
-            if deleted_rows:
-                refcount.subtract(chain.from_iterable(deleted_rows))
-                for value in set(chain.from_iterable(deleted_rows)):
-                    if not refcount[value]:
-                        del refcount[value]
+            self._fold_refcounts(inserted_rows, deleted_rows)
         return (
             len(inserted_rows) + len(deleted_rows),
             grouped,
             inserts,
             deletes,
         )
+
+    def _fold_refcounts(
+        self, inserted_rows: Sequence[Row], deleted_rows: Sequence[Row]
+    ) -> None:
+        """Fold rows that already entered / left the relation sets into
+        the tuple count and the active-domain refcounts — one C-level
+        ``Counter`` pass per direction instead of a loop per row."""
+        self._tuple_count += len(inserted_rows) - len(deleted_rows)
+        refcount = self._adom_refcount
+        if inserted_rows:
+            refcount.update(chain.from_iterable(inserted_rows))
+        if deleted_rows:
+            refcount.subtract(chain.from_iterable(deleted_rows))
+            for value in set(chain.from_iterable(deleted_rows)):
+                if not refcount[value]:
+                    del refcount[value]
+
+    def apply_net(
+        self, net: Mapping[str, Tuple[Sequence[Row], Sequence[Row], int, int]]
+    ) -> None:
+        """Fold a stream's per-relation *net* effect into the store.
+
+        ``net`` maps each relation to ``(inserted, deleted, n_inserts,
+        n_deletes)`` as :meth:`repro.interface.DynamicEngine.apply_net`
+        receives it; only the two row sequences matter here.  The caller
+        (the session's single effectiveness pass) guarantees every
+        ``deleted`` row is present, every ``inserted`` row absent and
+        both have the relation's arity, so there is no second
+        set-semantics filter: one C-level ``difference_update`` /
+        ``update`` per relation and one refcount fold per direction.
+        """
+        for name, (inserted, deleted, _n_inserts, _n_deletes) in net.items():
+            rows = self.relation(name)._rows
+            rows.difference_update(deleted)
+            rows.update(inserted)
+            self._fold_refcounts(inserted, deleted)
 
     def delete(self, name: str, row: Sequence[Constant]) -> bool:
         """``delete R(a1, ..., ar)``; True iff the database changed."""

@@ -17,10 +17,21 @@ measures 76 calls (the recursive-generator parent: 983) and
 ``Server.open_cursor`` 20 (37), so a per-level generator frame, a
 genexpr per tuple or a per-value property call coming back trips the
 page budget at once.
+
+A batch has a budget as well: ``Session.apply_all`` over views nobody
+watches is one generated-runner call per (command, plan of its
+relation) plus a constant per call — the fold's own frames, one
+``apply_net`` per view, the publish phase.  Frames the runners
+themselves push (item construction, fit-list appends) are the update,
+not the path, and are not counted.  300 dense commands measure their
+740 runner calls + 55; an ``apply``/``insert``/``_deliver``/
+``Database.insert`` frame per command coming back adds 300 or more, and
+a stream that is its own undo makes no runner call at all.
 """
 
 import sys
 
+from repro import Session
 from repro.cq import zoo
 from repro.serve import Server
 from repro.storage.updates import delete, insert
@@ -30,6 +41,7 @@ COUNT_BUDGET = 10
 PAGE = 64
 FETCH_BUDGET = PAGE + 16
 OPEN_BUDGET = 24
+BATCH_BUDGET = 64
 
 
 def python_calls(operation, *args):
@@ -92,3 +104,59 @@ def test_a_page_is_one_resume_per_tuple_and_an_open_stays_in_budget():
     assert open_calls - 1 <= OPEN_BUDGET, open_calls  # minus the lambda
     assert first_page_calls <= FETCH_BUDGET, first_page_calls
     assert next_page_calls <= FETCH_BUDGET, next_page_calls
+
+
+def calls_around_runners(operation, *args):
+    """(generated-runner calls, every other Python call made outside a
+    runner) during ``operation``."""
+    runners = others = inside = 0
+
+    def profiler(frame, event, arg):
+        nonlocal runners, others, inside
+        if event == "call":
+            if inside:
+                inside += 1
+            elif frame.f_code.co_name == "_runner":
+                runners += 1
+                inside = 1
+            else:
+                others += 1
+        elif event == "return" and inside:
+            inside -= 1
+
+    sys.setprofile(profiler)
+    try:
+        operation(*args)
+    finally:
+        sys.setprofile(None)
+    return runners, others
+
+
+def test_a_batch_is_its_runner_calls_plus_a_constant():
+    session = Session()
+    views = [
+        session.view("et", zoo.E_T_QF),
+        session.view("rre", zoo.HIERARCHICAL_RRE),  # R and E twice each
+    ]
+    width = {}
+    for view in views:
+        for relation, plans in view.explain().stats["dispatch_width"].items():
+            width[relation] = width.get(relation, 0) + plans
+    assert width == {"E": 3, "T": 1, "R": 2}
+    # Warm the path: lazy imports, probe instruments, method caches.
+    session.apply_all([insert("T", (0,)), insert("E", (0, 0)), insert("R", (0, 0, 0))])
+
+    dense = (
+        [insert("E", (x, x % 5)) for x in range(1, 151)]
+        + [insert("R", (x, x % 5, 1)) for x in range(1, 141)]
+        + [insert("T", (y,)) for y in range(1, 11)]
+    )
+    runners, others = calls_around_runners(session.apply_all, dense)
+    assert runners == sum(width[command.relation] for command in dense) == 740
+    assert others <= BATCH_BUDGET, others
+
+    undone = [command.inverse() for command in reversed(dense)] + dense
+    runners, others = calls_around_runners(session.apply_all, undone)
+    assert (runners, session["et"].count()) == (0, 151)
+    assert others <= BATCH_BUDGET, others
+    assert session["et"].epoch == 2 + 3 * 160

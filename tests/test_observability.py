@@ -274,6 +274,51 @@ def test_probe_samples_every_nth_update(monkeypatch):
     assert view._probe.update_hist.count == 3
 
 
+def test_batches_feed_the_update_percentiles_and_the_result_size_gauge(monkeypatch):
+    monkeypatch.setenv("REPRO_PROBE_STRIDE", "4")
+    session = Session()
+    view = session.view("q", "Q(x, y) :- R(x, y), S(y)")
+    hard = session.view("h", "H(x, y) :- A(x), R(x, y), S(y)", engine="recompute")
+    size = 'repro_view_result_size{engine="qhierarchical",view="q"}'
+
+    def gauges():
+        return session.metrics.snapshot()["gauges"]
+
+    # One batch of 20 effective commands: one per-command-mean sample
+    # per touched view, and the gauge equals count().
+    session.apply_all(
+        [insert("S", (y,)) for y in range(4)]
+        + [insert("R", (x, x % 4)) for x in range(16)]
+    )
+    assert view._probe.update_hist.count == 1
+    assert hard._probe.update_hist.count == 1
+    assert gauges()[size] == view.count() == 16
+    assert session.explain("q").observed["update"]["n"] == 1
+    # A second batch that is its own undo still records its sample.
+    session.apply_all([delete("S", (0,)), insert("S", (0,))])
+    assert view._probe.update_hist.count == 2
+    assert gauges()[size] == 16
+    # Single writes: the 1-in-4 timed sample refreshes the same gauge
+    # (the batches left the countdown alone, so write 1 is sampled).
+    session.delete("R", (0, 0))
+    assert view._probe.update_hist.count == 3
+    assert gauges()[size] == view.count() == 15
+    session.delete("R", (1, 1))  # unsampled: the gauge keeps its value
+    assert view._probe.update_hist.count == 3
+    assert gauges()[size] == 15 and view.count() == 14
+    # count() is not O(1) for recompute: its gauge is never written.
+    recompute = 'repro_view_result_size{engine="recompute",view="h"}'
+    assert gauges()[recompute] == 0
+
+
+def test_observe_false_skips_the_publish_phase():
+    session = Session(observe=False)
+    view = session.view("q", "Q(x, y) :- R(x, y), S(y)")
+    assert session.apply_all([insert("S", (1,)), insert("R", (1, 1))]) == 2
+    assert view._probe is None and view.count() == 1
+    assert session.metrics.snapshot() == NULL_REGISTRY.snapshot()
+
+
 def test_explain_shows_observed_percentiles(monkeypatch):
     monkeypatch.setenv("REPRO_PROBE_STRIDE", "1")
     session = Session()
