@@ -1016,7 +1016,6 @@ class Session:
         shards: int = 1,
         dispatch_workers: int = 0,
         dispatch_queue: int = 8192,
-        codec: str = "json",
         supervise: bool = False,
         request_timeout: Optional[float] = None,
         retry_budget: Optional[int] = None,
@@ -1111,9 +1110,7 @@ class Session:
                 from repro.serve.journal import CommandJournal
 
                 journal = CommandJournal()
-            cluster = ShardCluster(
-                workers=shards, codec=codec, observe=observe
-            )
+            cluster = ShardCluster(workers=shards, observe=observe)
             try:
                 client = cluster.client(
                     dispatch_workers=dispatch_workers,

@@ -134,8 +134,8 @@ class CursorInvalidatedError(EngineStateError):
 
 class TransportError(ReproError):
     """Raised on wire-protocol violations in the cluster transport
-    (oversized or truncated frames, undecodable payloads, an
-    unavailable codec)."""
+    (oversized or truncated frames, undecodable or corrupted payloads,
+    an unknown codec name)."""
 
 
 class ConnectionClosedError(TransportError):

@@ -1,6 +1,6 @@
 """Cross-process trace propagation and the ring-buffer span log.
 
-A cross-shard request leaves the client as a frame, rides a mux lane,
+A cross-shard request leaves the client as a frame, rides a multiplexed channel,
 runs an op inside a worker process and maybe an engine update inside
 that — and before this module, it went dark at the first hop.  Tracing
 makes the whole path one story:
@@ -16,8 +16,8 @@ makes the whole path one story:
 
 Propagation is plain data: :func:`inject` adds a ``_trace`` key —
 ``{"t": trace_id, "s": span_id}`` — to the request dict before it is
-encoded, and :func:`extract` pops it on the worker.  Both codecs (JSON
-and msgpack) carry it untouched, and the mux protocol's ``mux_id``
+encoded, and :func:`extract` pops it on the worker.  It rides in the
+frame's JSON header untouched, and the mux protocol's ``mux_id``
 tagging composes with it: out-of-order replies re-match by mux id while
 the span ids keep the causal story straight.
 

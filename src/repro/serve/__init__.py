@@ -16,7 +16,8 @@ clients can hold open connections against:
 * :mod:`repro.serve.server` — a thread-safe sharded reader–writer
   dispatcher with an id-based request loop for multi-client traffic;
 * :mod:`repro.serve.transport` — the length-prefixed frame protocol
-  (JSON, optionally msgpack) the multiprocess deployment speaks;
+  (JSON headers, rows as binary column blocks) the multiprocess
+  deployment speaks;
 * :mod:`repro.serve.cluster` — one worker **process** per shard behind
   that transport: :class:`ShardCluster` spawns and owns the workers,
   :class:`ClusterClient` speaks the same surface as :class:`Server`
@@ -68,7 +69,6 @@ from repro.serve.supervisor import Supervisor
 from repro.serve.transport import (
     Connection,
     MuxConnection,
-    available_codecs,
     get_codec,
 )
 
@@ -78,7 +78,6 @@ __all__ = [
     "Connection",
     "Cursor",
     "CursorInvalidation",
-    "available_codecs",
     "bound_stream",
     "get_codec",
     "Delta",

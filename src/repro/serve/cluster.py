@@ -89,13 +89,16 @@ handle state did not survive, but re-opening is O(1).
 :class:`~repro.serve.transport.MuxConnection`, the only request
 protocol a worker speaks (an untagged request frame is answered with a
 ``TransportError``): requests carry a ``mux_id`` tag, N caller threads
-keep N requests in flight on one socket, and the worker executes them
-on a small per-connection thread pool — except the writes and the
-two-phase-batch ops, which run on one dedicated serial lane per
-connection because the server's write lock is reentrant *per thread*
-across the prepare→commit gap and push frames must leave in epoch
-order.  The supervisor's heartbeat probes share the client's request
-channels without head-of-line blocking behind slow fetches.
+keep N requests in flight on one socket, and the callers take turns
+reading replies (no client reader thread).  On the worker a few
+receiver threads per connection take turns reading requests; a read
+runs on the thread that received it once the receive role has passed
+on — except the writes and the two-phase-batch ops, which run on one
+dedicated serial lane per connection because the server's write lock
+is reentrant *per thread* across the prepare→commit gap and push
+frames must leave in epoch order.  The supervisor's heartbeat probes
+share the client's request channels without head-of-line blocking
+behind slow fetches.
 
 **Migration.**  :meth:`ClusterClient.migrate_view` moves a live view
 between workers without losing a write: writers hold the shared side of
@@ -110,6 +113,7 @@ its routing publish and reconcile.
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 import queue
@@ -124,6 +128,7 @@ from itertools import count as _counter
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -171,14 +176,12 @@ from repro.serve.transport import (
     Address,
     Connection,
     MuxConnection,
-    as_row,
-    as_rows,
+    RowBlock,
     bind_listener,
     command_wire,
     commands_from_wire,
     connect,
     error_reply,
-    get_codec,
 )
 from repro.storage.database import Constant, Row
 from repro.storage.updates import (
@@ -252,13 +255,9 @@ def _env_int(name: str, default: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _RequestLanes:
-    """Per-connection execution lanes for multiplexed requests.
-
-    Reads ride a small shared thread pool — that is the multiplexing
-    payoff (a slow ``fetch`` no longer head-of-line-blocks a heartbeat
-    ``ping``) — while two classes of op run on one dedicated serial
-    thread:
+class _SerialLane:
+    """A connection's serial execution lane: one dedicated thread that
+    runs two classes of op in arrival order.
 
     * the two-phase-batch ops: ``batch_prepare`` holds the server's
       exclusive lock across the prepare→commit gap, and the
@@ -271,9 +270,11 @@ class _RequestLanes:
       parallelism — writes serialize on the server's write lock
       anyway — and preserves the ordering guarantee subscriptions
       document.
+
+    Every other op runs on the connection thread that received it.
     """
 
-    _SERIAL_OPS = frozenset(
+    OPS = frozenset(
         (
             "batch_prepare",
             "batch_commit",
@@ -285,45 +286,49 @@ class _RequestLanes:
         )
     )
 
-    def __init__(self, name: str, workers: int = 8):
-        self._serial: "queue.Queue[Optional[Callable[[], None]]]" = queue.Queue()
-        self._shared: "queue.Queue[Optional[Callable[[], None]]]" = queue.Queue()
-        self._pool_size = workers
-        threading.Thread(
-            target=self._drain, args=(self._serial,), daemon=True,
-            name=f"{name}-2pc",
-        ).start()
-        for index in range(workers):
-            threading.Thread(
-                target=self._drain, args=(self._shared,), daemon=True,
-                name=f"{name}-{index}",
-            ).start()
+    def __init__(self, name: str):
+        self._queue: "queue.Queue[Optional[Callable[[], None]]]" = queue.Queue()
+        threading.Thread(target=self._drain, daemon=True, name=name).start()
 
-    def submit(self, op: str, task: Callable[[], None]) -> None:
-        lane = self._serial if op in self._SERIAL_OPS else self._shared
-        lane.put(task)
+    def submit(self, task: Callable[[], None]) -> None:
+        self._queue.put(task)
 
     @property
     def pending(self) -> int:
         """Queued-but-unstarted requests (the ``cluster_stats`` depth)."""
-        return self._serial.qsize() + self._shared.qsize()
+        return self._queue.qsize()
 
     def close(self) -> None:
-        """Stop the lanes once already-queued tasks have drained."""
-        self._serial.put(None)
-        for _ in range(self._pool_size):
-            self._shared.put(None)
+        """Stop the lane once already-queued tasks have drained."""
+        self._queue.put(None)
 
-    @staticmethod
-    def _drain(lane: "queue.Queue[Optional[Callable[[], None]]]") -> None:
+    def _drain(self) -> None:
         while True:
-            task = lane.get()
+            task = self._queue.get()
             if task is None:
                 return
             try:
                 task()
             except BaseException:
                 pass  # the task replies (or its connection died); serve on
+
+
+class _Receivers:
+    """Shared state of one request connection's receiver threads."""
+
+    __slots__ = ("role", "mu", "idle", "pending", "done")
+
+    def __init__(self) -> None:
+        #: held by the one receiver reading the socket.
+        self.role = threading.Lock()
+        #: guards ``idle`` and ``pending``.
+        self.mu = threading.Lock()
+        #: receivers parked on (or about to park on) ``role``.
+        self.idle = 0
+        #: reads received while no receiver was free to run them.
+        self.pending: Deque[Callable[[], None]] = collections.deque()
+        #: set by the first receiver to see the connection end.
+        self.done = False
 
 
 #: a connection's 2PC stage: (txn id, commands, held exclusive lock).
@@ -334,10 +339,13 @@ _Staged = List[Tuple[str, List[UpdateCommand], ExitStack]]
 class _WorkerHost:
     """One shard's process body: a single-shard Server behind sockets."""
 
+    #: threads per request connection that take turns receiving and
+    #: run the reads they received (beside the serial lane's thread).
+    RECEIVERS = 9
+
     def __init__(
         self,
         worker_id: int,
-        codec_name: str,
         socket_dir: str,
         socket_name: Optional[str] = None,
         observe: bool = True,
@@ -349,7 +357,6 @@ class _WorkerHost:
         from repro.serve.server import Server
 
         self.worker_id = worker_id
-        self.codec = get_codec(codec_name)
         self.server = Server(Session(observe=observe), shards=1)
         # Worker-side observability handles.  The registry/span log live
         # on the worker's session, so the ``metrics`` op (served by the
@@ -376,8 +383,8 @@ class _WorkerHost:
         #: move hundreds of deltas without a per-delta syscall + client
         #: wakeup, and the reply still never overtakes its deltas.
         self._push_buffer = threading.local()
-        #: live per-connection lane sets, for queue-depth stats.
-        self._lanes: Set[_RequestLanes] = set()
+        #: live per-connection serial lanes, for queue-depth stats.
+        self._lanes: Set[_SerialLane] = set()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -399,9 +406,7 @@ class _WorkerHost:
                     break
                 threading.Thread(
                     target=self._serve_connection,
-                    args=(
-                        Connection(sock, self.codec, registry=self._registry),
-                    ),
+                    args=(Connection(sock, registry=self._registry),),
                     daemon=True,
                     name=f"repro-shard-{self.worker_id}-conn",
                 ).start()
@@ -413,7 +418,7 @@ class _WorkerHost:
     def _serve_connection(self, conn: Connection) -> None:
         kind = "request"
         client_id = ""
-        lanes: Optional[_RequestLanes] = None
+        lane: Optional[_SerialLane] = None
         staged: _Staged = []
         try:
             hello = conn.recv()
@@ -437,20 +442,97 @@ class _WorkerHost:
                         conn.recv()
                 except (ConnectionClosedError, TransportError, OSError):
                     return
-            lanes = _RequestLanes(f"repro-shard-{self.worker_id}-lane")
+            lane = _SerialLane(f"repro-shard-{self.worker_id}-serial")
             with self._state_lock:
-                self._lanes.add(lanes)
-            while not self._stop.is_set():
-                try:
-                    request = conn.recv()
-                except (ConnectionClosedError, TransportError, OSError):
+                self._lanes.add(lane)
+            receive = functools.partial(
+                self._receive, conn, client_id, staged, lane, _Receivers()
+            )
+            for index in range(1, self.RECEIVERS):
+                threading.Thread(
+                    target=receive, daemon=True,
+                    name=f"repro-shard-{self.worker_id}-recv-{index}",
+                ).start()
+            receive()
+        finally:
+            if lane is not None:
+                # Roll back any staged transaction on its owning thread
+                # (the serial lane holds the exclusive lock), then stop
+                # the lane once the queue drains.
+                lane.submit(functools.partial(self._rollback_staged, staged))
+                lane.close()
+                with self._state_lock:
+                    self._lanes.discard(lane)
+            if kind == "push" and client_id:
+                self._drop_push_client(client_id)
+            conn.close()
+
+    def _receive(
+        self,
+        conn: Connection,
+        client_id: str,
+        staged: _Staged,
+        lane: _SerialLane,
+        receivers: _Receivers,
+    ) -> None:
+        """One of a request connection's receiver threads.
+
+        The threads take turns holding ``receivers.role`` — the right to
+        read the next frame.  The holder queues serial ops on the lane
+        and keeps reading, so the lane runs them in arrival order and a
+        write wakes no other receiver.  At the first other op it checks
+        for a peer parked on the role: if there is one, it releases the
+        role to it and runs the op right here, so a read costs no queue
+        hop and a slow one holds up only its own thread.  If every peer
+        is busy it leaves the op in ``receivers.pending`` and keeps
+        reading — the last free receiver never blocks, so the
+        ``batch_commit`` that releases a prepared worker's exclusive
+        hold is read even while every other receiver waits on it.  A
+        receiver drains ``pending`` before it parks on the role again.
+        ``ping`` takes no lock, so the holder answers it itself: the
+        liveness sweep between prepare and commit (and the supervisor's
+        heartbeat) never queues behind reads the prepare is holding up.
+        The first receiver to see the connection end sets ``done`` and
+        the others follow it out.
+        """
+        while True:
+            with receivers.mu:
+                task = receivers.pending.popleft() if receivers.pending else None
+                if task is None:
+                    receivers.idle += 1
+            if task is None:
+                with receivers.role:
+                    with receivers.mu:
+                        receivers.idle -= 1
+                    task = self._next_read(conn, client_id, staged, lane, receivers)
+                if task is None:
                     return
-                mux_id = (
-                    request.pop("mux_id", None)
-                    if isinstance(request, dict)
-                    else None
-                )
-                if mux_id is None:
+            try:
+                task()
+            except BaseException:
+                pass  # the task replies (or its connection died); serve on
+
+    def _next_read(
+        self,
+        conn: Connection,
+        client_id: str,
+        staged: _Staged,
+        lane: _SerialLane,
+        receivers: _Receivers,
+    ) -> Optional[Callable[[], None]]:
+        """Read frames (receive role held) until one is an op to run on
+        this thread — returned as a task — or the connection ends —
+        ``None``."""
+        while not (receivers.done or self._stop.is_set()):
+            try:
+                request = conn.recv()
+            except (ConnectionClosedError, TransportError, OSError):
+                break
+            mux_id = (
+                request.pop("mux_id", None) if isinstance(request, dict) else None
+            )
+            if mux_id is None:
+                try:
                     conn.send(
                         error_reply(
                             TransportError(
@@ -458,35 +540,26 @@ class _WorkerHost:
                             )
                         )
                     )
+                except (ConnectionClosedError, TransportError, OSError):
+                    pass
+                continue
+            task = functools.partial(
+                self._handle_mux, conn, request, client_id, staged, int(mux_id)
+            )
+            op = str(request.get("op", ""))
+            if op in _SerialLane.OPS:
+                lane.submit(task)
+                continue
+            if op == "ping":
+                task()  # lock-free: liveness is this loop answering
+                continue
+            with receivers.mu:
+                if not receivers.idle:
+                    receivers.pending.append(task)
                     continue
-                # Hand off to the lanes and go straight back to recv()
-                # — concurrency is the whole point.
-                lanes.submit(
-                    str(request.get("op", "")),
-                    functools.partial(
-                        self._handle_mux,
-                        conn,
-                        request,
-                        client_id,
-                        staged,
-                        int(mux_id),
-                    ),
-                )
-        finally:
-            if lanes is not None:
-                # Roll back any staged transaction on its owning thread
-                # (the serial lane holds the exclusive lock), then stop
-                # the lanes once the queue drains.
-                lanes.submit(
-                    "batch_abort",
-                    functools.partial(self._rollback_staged, staged),
-                )
-                lanes.close()
-                with self._state_lock:
-                    self._lanes.discard(lanes)
-            if kind == "push" and client_id:
-                self._drop_push_client(client_id)
-            conn.close()
+            return task
+        receivers.done = True
+        return None
 
     def _handle_mux(
         self,
@@ -496,13 +569,19 @@ class _WorkerHost:
         staged: _Staged,
         mux_id: int,
     ) -> None:
-        """One request on a lane thread: handle, flush the thread's
-        buffered deltas, then send the tagged reply."""
+        """One request: handle, flush this thread's buffered deltas,
+        then send the tagged reply (its rows as column blocks)."""
         self._push_buffer.frames = {}
         try:
             reply = self._handle(request, client_id, staged)
         finally:
             self._flush_push_buffer()
+        if reply.get("ok"):
+            if "rows" in reply:
+                reply["rows"] = RowBlock(reply["rows"])  # type: ignore[arg-type]
+            if request.get("op") == "snapshot_read":
+                for entry in reply["views"].values():  # type: ignore[union-attr]
+                    entry["rows"] = RowBlock(entry["rows"])
         try:
             try:
                 conn.send(dict(reply, mux_id=mux_id))
@@ -532,9 +611,30 @@ class _WorkerHost:
             if conn is None:
                 continue
             try:
-                conn.send({"kind": "deltas", "items": items})
+                self._send_deltas(conn, items)
             except (TransportError, OSError):
                 self._drop_push_client(client_id)
+
+    def _send_deltas(self, conn: Connection, items: List[Tuple[object, ...]]) -> None:
+        """Push ``items`` as one frame, halving it while it exceeds the
+        frame cap.  A single delta over the cap cannot be split: its
+        subscription gets a ``delta_error`` frame naming the error, and
+        the client raises it from that subscription's ``poll``."""
+        try:
+            conn.send({"kind": "deltas", "items": RowBlock(items)})
+        except FrameTooLargeError as error:
+            if len(items) == 1:
+                conn.send(
+                    {
+                        "kind": "delta_error",
+                        "subscription": items[0][0],
+                        **error_reply(error),
+                    }
+                )
+                return
+            half = len(items) // 2
+            self._send_deltas(conn, items[:half])
+            self._send_deltas(conn, items[half:])
 
     def _drop_push_client(self, client_id: str) -> None:
         with self._state_lock:
@@ -621,7 +721,7 @@ class _WorkerHost:
             }
         if op == "cluster_stats":
             with self._state_lock:
-                lanes_pending = sum(lanes.pending for lanes in self._lanes)
+                lanes_pending = sum(lane.pending for lane in self._lanes)
             load = self.server.load_stats()
             load["pending"] = int(load.get("pending", 0)) + lanes_pending
             return {
@@ -631,8 +731,10 @@ class _WorkerHost:
                 "load": load,
             }
         if op == "rows":
-            rows = self.server.relation_rows(str(request["relation"]))
-            return {"ok": True, "rows": [list(row) for row in rows]}
+            return {
+                "ok": True,
+                "rows": self.server.relation_rows(str(request["relation"])),
+            }
         if op == "apply_many":
             # Chunked wire framing for update streams: the round trip,
             # the shard-lock acquisition AND the fan-out to views
@@ -669,18 +771,20 @@ class _WorkerHost:
             handle = box["handle"]
             if handle is None:
                 return
-            # Tuples encode as arrays in both codecs — no copies needed.
-            payload = {
-                "subscription": handle,
-                "view": delta.view,
-                "epoch": delta.epoch,
-                "command": command_wire(delta.command),
-                "added": delta.added,
-                "removed": delta.removed,
-            }
-            if delta.binding:
-                payload["binding"] = delta.binding
-            # Every write reaches the Server inside a lane task, and
+            # One row of the frame's delta block (see _decode_delta).
+            command = delta.command
+            payload = (
+                handle,
+                delta.view,
+                delta.epoch,
+                command.op,
+                command.relation,
+                command.row,
+                delta.added,
+                delta.removed,
+                delta.binding or None,
+            )
+            # Every write reaches the Server inside a request task, and
             # _handle_mux installed that thread's buffer: collect here,
             # flush-before-reply sends one frame per client (and drops
             # a client whose push channel is gone).
@@ -773,15 +877,12 @@ def worker_main(
     worker_id: int,
     ready: object,
     life: object,
-    codec_name: str,
     socket_dir: str,
     socket_name: Optional[str] = None,
     observe: bool = True,
 ) -> None:
     """Entry point of a shard worker process (importable for spawn)."""
-    host = _WorkerHost(
-        worker_id, codec_name, socket_dir, socket_name, observe=observe
-    )
+    host = _WorkerHost(worker_id, socket_dir, socket_name, observe=observe)
 
     def on_sigterm(_signum: int, _frame: object) -> None:
         host.stop()
@@ -838,7 +939,6 @@ class ShardCluster:
     def __init__(
         self,
         workers: int = 2,
-        codec: str = "json",
         socket_dir: Optional[str] = None,
         observe: bool = True,
     ):
@@ -846,8 +946,6 @@ class ShardCluster:
 
         if workers < 1:
             raise ClusterError(f"need >= 1 worker, got {workers}")
-        get_codec(codec)  # validate before spawning anything
-        self.codec = codec
         #: whether worker sessions run instrumented (metrics registry,
         #: span log, guarantee probes); respawned workers inherit it.
         self.observe = bool(observe)
@@ -892,7 +990,6 @@ class ShardCluster:
                 index,
                 ready_write,
                 self._life_read,
-                self.codec,
                 self._socket_dir,
                 f"worker-{index}{suffix}",
                 self.observe,
@@ -1022,10 +1119,7 @@ class ShardCluster:
 
     def __repr__(self) -> str:
         alive = sum(1 for handle in self.workers if handle.alive())
-        return (
-            f"ShardCluster(workers={len(self.workers)}, alive={alive}, "
-            f"codec={self.codec!r})"
-        )
+        return f"ShardCluster(workers={len(self.workers)}, alive={alive})"
 
 
 # ---------------------------------------------------------------------------
@@ -1142,7 +1236,7 @@ class _SubEntry:
         #: defer payload decoding to poll() — the consumer pays for its
         #: own decode instead of taxing the push reader's hot loop.
         self.lazy = lazy
-        self.raw: List[Dict[str, object]] = []
+        self.raw: List[Tuple[Any, ...]] = []
         self.poll_lock = threading.Lock()
 
 
@@ -1190,7 +1284,6 @@ class ClusterClient:
         self,
         cluster: Optional[ShardCluster] = None,
         addresses: Optional[Sequence[Address]] = None,
-        codec: Optional[str] = None,
         dispatch_workers: int = 0,
         dispatch_queue: int = 8192,
         journal: Optional[CommandJournal] = None,
@@ -1201,11 +1294,9 @@ class ClusterClient:
     ):
         if cluster is not None:
             addresses = [handle.address for handle in cluster.workers]
-            codec = codec or cluster.codec
         if not addresses:
             raise ClusterError("a ClusterClient needs a cluster or addresses")
         self._cluster = cluster
-        self._codec = get_codec(codec or "json")
         #: per-RPC deadline in seconds (env REPRO_REQUEST_TIMEOUT,
         #: default 30); <= 0 disables deadlines entirely.
         resolved_timeout = (
@@ -1268,9 +1359,9 @@ class ClusterClient:
         self._cursor_tombstones: Dict[int, ReproError] = {}
         self._subs: Dict[int, _SubEntry] = {}
         self._by_remote: Dict[Tuple[int, int], int] = {}
-        #: delta payloads that raced a subscribe (frames arriving
-        #: before the local handle registration), in arrival order.
-        self._orphan_deltas: Dict[Tuple[int, int], List[Dict[str, object]]] = {}
+        #: pushed items that raced a subscribe (frames arriving before
+        #: the local handle registration), in arrival order.
+        self._orphan_deltas: Dict[Tuple[int, int], List[object]] = {}
         #: (worker, remote) pairs whose trailing frames must be dropped.
         self._closed_remotes: Set[Tuple[int, int]] = set()
         self._ids = _counter(1)
@@ -1337,7 +1428,7 @@ class ClusterClient:
         the multiplexer sees it, so scripted faults hit the raw frame
         stream exactly as a flaky network would.
         """
-        raw = connect(address, self._codec, timeout=_CONNECT_TIMEOUT)
+        raw = connect(address, timeout=_CONNECT_TIMEOUT)
         raw.instrument(self.metrics_registry)
         if self._faults is not None:
             raw = self._faults.wrap(
@@ -1348,7 +1439,7 @@ class ClusterClient:
             {"op": "_hello", "kind": "request", "client": self.client_id}
         )
         conn.start()
-        push = connect(address, self._codec, timeout=_CONNECT_TIMEOUT)
+        push = connect(address, timeout=_CONNECT_TIMEOUT)
         push.instrument(self.metrics_registry)
         if self._faults is not None:
             push = self._faults.wrap(
@@ -1841,29 +1932,41 @@ class ClusterClient:
                 return
             if not isinstance(frame, dict):
                 continue
-            if frame.get("kind") != "deltas":
-                continue
-            with self._cond:
-                for item in frame["items"]:
-                    self._deliver_push_locked(worker, item)
-                self._cond.notify_all()
+            kind = frame.get("kind")
+            if kind == "deltas":
+                with self._cond:
+                    for item in frame["items"]:  # type: ignore[union-attr]
+                        self._deliver_push_locked(worker, item[0], item)
+                    self._cond.notify_all()
+            elif kind == "delta_error":
+                with self._cond:
+                    self._deliver_push_locked(
+                        worker,
+                        frame["subscription"],
+                        self._reply_error(frame),
+                    )
+                    self._cond.notify_all()
 
     @staticmethod
-    def _decode_delta(item: Dict[str, object]) -> Delta:
-        op, relation, row = item["command"]  # type: ignore[misc]
-        binding = item.get("binding")
+    def _decode_delta(item: Tuple[Any, ...]) -> Delta:
+        """One row of a pushed delta block (see ``_WorkerHost._subscribe``)."""
+        _handle, view, epoch, op, relation, row, added, removed, binding = item
         return Delta(
-            view=str(item["view"]),
-            epoch=int(item["epoch"]),  # type: ignore[arg-type]
-            command=UpdateCommand(str(op), str(relation), as_row(row)),
-            added=as_rows(item["added"]),
-            removed=as_rows(item["removed"]),
-            binding=dict(binding) if binding else None,  # type: ignore[arg-type]
+            view=view,
+            epoch=epoch,
+            command=UpdateCommand(op, relation, row),
+            added=tuple(added),
+            removed=tuple(removed),
+            binding=binding,
         )
 
-    def _deliver_push_locked(self, worker: int, item: Dict[str, object]) -> None:
-        """Deliver one pushed delta payload; caller holds the lock."""
-        key = (worker, int(item["subscription"]))  # type: ignore[arg-type]
+    def _deliver_push_locked(
+        self, worker: int, remote: object, item: object
+    ) -> None:
+        """Deliver one pushed item — a delta row, or the error that
+        stands in for a delta the worker could not push; caller holds
+        the lock."""
+        key = (worker, int(remote))  # type: ignore[call-overload]
         handle = self._by_remote.get(key)
         entry = self._subs.get(handle) if handle is not None else None
         if entry is None:
@@ -1873,10 +1976,15 @@ class ClusterClient:
             if key not in self._closed_remotes:
                 self._orphan_deltas.setdefault(key, []).append(item)
             return
-        if entry.lazy:
-            entry.raw.append(item)
+        self._accept_locked(entry, item)
+
+    def _accept_locked(self, entry: "_SubEntry", item: object) -> None:
+        if isinstance(item, ReproError):
+            entry.local._lose(item)
+        elif entry.lazy:
+            entry.raw.append(item)  # type: ignore[arg-type]
         else:
-            entry.local._dispatch(self._decode_delta(item))
+            entry.local._dispatch(self._decode_delta(item))  # type: ignore[arg-type]
         entry.received += 1
 
     # -- view registration -----------------------------------------------------
@@ -2025,7 +2133,7 @@ class ClusterClient:
             ask: Callable[[Dict[str, object]], Dict[str, object]],
             relation: str,
         ) -> Set[Row]:
-            return set(as_rows(ask({"op": "rows", "relation": relation})["rows"]))
+            return set(ask({"op": "rows", "relation": relation})["rows"])  # type: ignore[call-overload]
 
         for relation in relations:
             if callable(truth):
@@ -2578,7 +2686,7 @@ class ClusterClient:
             context=f"cursor {cursor} on view {view!r} is lost — reopen "
             "once the shard is restarted",
         )
-        return [as_row(row) for row in reply["rows"]]  # type: ignore[union-attr]
+        return reply["rows"]  # type: ignore[return-value]
 
     def _stale_locked(self, worker: int, inc: int) -> bool:
         """Whether a handle opened against incarnation ``inc`` of
@@ -2619,6 +2727,13 @@ class ClusterClient:
         worker fans out only that binding's O(δ)-restricted deltas
         (each carrying ``delta.binding``), and migration/recovery
         re-subscribe with the same binding.
+
+        A delta too large for one push frame cannot be delivered: the
+        subscription's state (:meth:`subscription_state`) counts it in
+        ``dropped`` and keeps the
+        :class:`~repro.errors.FrameTooLargeError` as
+        ``delivery_error``, and every later :meth:`poll` raises it —
+        a callback-only consumer checks the state to see the gap.
         """
         worker = self._worker_of_view(view)
         merged = normalize_binding(
@@ -2658,11 +2773,7 @@ class ClusterClient:
             # Payloads that raced this registration parked in the
             # orphan buffer; drain them first so FIFO order survives.
             for item in self._orphan_deltas.pop((worker, remote), []):
-                if lazy:
-                    entry.raw.append(item)
-                else:
-                    entry.local._dispatch(self._decode_delta(item))
-                entry.received += 1
+                self._accept_locked(entry, item)
             self._cond.notify_all()
         return handle
 
@@ -2731,6 +2842,8 @@ class ClusterClient:
             # consumer's clock, and hand them to the local outbox.
             for item in raw:
                 entry.local._deliver_now(self._decode_delta(item))
+        if entry.local.delivery_error is not None:
+            raise entry.local.delivery_error
         return entry.local.poll(max_items)
 
     def unsubscribe(self, subscription: int) -> None:
@@ -2775,7 +2888,7 @@ class ClusterClient:
     def result_set(self, view: str) -> Set[Row]:
         worker = self._worker_of_view(view)
         reply = self._request(worker, {"op": "result_set", "view": view})
-        return set(as_rows(reply["rows"]))
+        return set(reply["rows"])  # type: ignore[call-overload]
 
     def result_digest(self, view: str) -> str:
         """The view's order-independent result fingerprint (cheap
@@ -2833,7 +2946,7 @@ class ClusterClient:
         for name in names:
             entry = payload[name]  # type: ignore[index]
             data[name] = (
-                as_rows(entry["rows"]),
+                tuple(entry["rows"]),
                 int(entry["epoch"]),
             )
         return data, inc_before

@@ -232,6 +232,7 @@ class FaultyConnection(Connection):
         pid: Callable[[], Optional[int]],
     ):
         super().__init__(inner._sock, inner._codec, max_frame=inner.max_frame)
+        self._inbox = inner._inbox  # bytes it already read past a frame
         self._pid = pid
         self._sent = 0
         self._received = 0

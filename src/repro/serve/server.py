@@ -1090,10 +1090,7 @@ class Server:
                 ),
             }
         if op == "result_set":
-            return {
-                "ok": True,
-                "rows": [list(row) for row in self.result_rows(request["view"])],
-            }
+            return {"ok": True, "rows": self.result_rows(request["view"])}
         if op == "digest":
             return {"ok": True, "digest": self.digest(request["view"])}
         if op == "drop_view":
@@ -1108,10 +1105,7 @@ class Server:
             return {
                 "ok": True,
                 "views": {
-                    name: {
-                        "rows": [list(row) for row in rows],
-                        "epoch": epoch,
-                    }
+                    name: {"rows": rows, "epoch": epoch}
                     for name, (rows, epoch) in pinned.items()
                 },
             }

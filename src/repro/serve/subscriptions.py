@@ -136,6 +136,10 @@ class Subscription:
         #: inspection.  The outbox received the delta regardless.
         self.callback_errors = 0
         self.last_callback_error: Optional[BaseException] = None
+        #: set when a transport lost one of this subscription's deltas
+        #: (a cluster push frame over the frame cap); ``dropped`` counts
+        #: the lost delta, and the replay has a gap from then on.
+        self.delivery_error: Optional[BaseException] = None
         self._closed = False
         # Async-dispatch state, owned by the DispatchPool's lock: the
         # per-subscription FIFO queue of (delta, submit-time) pairs —
@@ -212,6 +216,12 @@ class Subscription:
             self._dispatcher.submit(self, delta)
         else:
             self._deliver_now(delta)
+
+    def _lose(self, error: BaseException) -> None:
+        """Record a delta the transport could not deliver."""
+        with self._lock:
+            self.dropped += 1
+            self.delivery_error = error
 
     def _deliver_now(self, delta: Delta) -> None:
         """The actual delivery: outbox append + callback invocation."""

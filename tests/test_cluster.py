@@ -7,6 +7,7 @@ separate worker processes behind the socket transport.
 """
 
 import inspect
+import os
 import random
 import threading
 import time
@@ -447,6 +448,60 @@ def test_worker_crash_mid_prepare_rolls_back(crashable):
     # and it keeps serving reads and writes
     facade.insert("RA", (7,))
     assert facade.count("a") == 2
+
+
+def test_reads_parked_on_a_prepared_worker_do_not_starve_its_commit(crashable):
+    # More reads than the worker has receivers wait on the prepared
+    # worker's exclusive hold; the batch_commit that releases it must
+    # still be read off the same connection.
+    _cluster, facade = crashable
+    facade.view("a", "V(x) :- RA(x)")
+    facade.view("b", "V(x) :- RB(x)")
+    facade.insert("RA", (0,))
+    facade.insert("RB", (0,))
+    assert facade._worker_of_view("a") != facade._worker_of_view("b")
+    readers = cluster_module._WorkerHost.RECEIVERS + 1
+    counts = []
+    threads = [
+        threading.Thread(target=lambda: counts.append(facade.count("a")), daemon=True)
+        for _ in range(readers)
+    ]
+
+    def read_while_prepared(_client):
+        for thread in threads:
+            thread.start()
+        time.sleep(0.3)  # let every read reach the prepared worker
+
+    facade._test_pause_after_prepare = read_while_prepared
+    try:
+        done = threading.Event()
+        batch = threading.Thread(
+            target=lambda: (
+                facade.batch([insert("RA", (1,)), insert("RB", (1,))]),
+                done.set(),
+            ),
+            daemon=True,
+        )
+        batch.start()
+        batch.join(timeout=10)
+        assert done.is_set(), "the batch never committed"
+    finally:
+        facade._test_pause_after_prepare = None
+    for thread in threads:
+        thread.join(timeout=10)
+    assert counts == [2] * readers
+    assert facade.result_set("b") == {(0,), (1,)}
+
+
+def test_views_named_like_block_markers_snapshot_intact(client):
+    relation = unique("Marker")
+    for name in ("#rows", "#tuples", "#tail"):
+        client.view(name, f"V(x) :- {relation}(x)")
+    client.batch([insert(relation, (i,)) for i in range(40)])
+    for names in (["#rows"], ["#tuples"], ["#tail"], ["#rows", "#tuples", "#tail"]):
+        snapshot = client.snapshot(names)
+        for name in names:
+            assert snapshot.result_set(name) == {(i,) for i in range(40)}
 
 
 def test_worker_crash_during_prepare_phase_rolls_back(crashable):
@@ -893,8 +948,10 @@ def test_oversize_frames_do_not_condemn_the_worker(monkeypatch):
             with pytest.raises(FrameTooLargeError, match="frame cap"):
                 facade.insert("OF", (1, "x" * 8000))
             assert facade.dead_workers == ()
+            # Distinct strings: a column of one repeated string would
+            # ship as a dictionary and fit under the cap.
             for i in range(400):
-                assert facade.insert("OF", (i, "y" * 16))
+                assert facade.insert("OF", (i, f"{i:04d}" + "y" * 12))
             # Reply direction: the worker converts the oversize reply
             # into an error instead of dropping the connection (which
             # would be diagnosed as a crash).
@@ -904,12 +961,101 @@ def test_oversize_frames_do_not_condemn_the_worker(monkeypatch):
             assert facade.count("of") == 400
 
 
+def _replay(deltas):
+    state = set()
+    for delta in deltas:
+        state |= set(delta.added)
+        state -= set(delta.removed)
+    return state
+
+
+def test_oversize_push_frames_split_instead_of_dropping_subscriptions(monkeypatch):
+    # One batch moves ~300 deltas (~17 kB of push frame) under a 4 kB
+    # cap: the worker must split the frame, not unsubscribe the client.
+    monkeypatch.setenv("REPRO_MAX_FRAME", "4096")
+    with ShardCluster(workers=1) as deployment:
+        with deployment.client() as facade:
+            facade.view("pa", "V(x, y) :- PA(x, y)")
+            facade.view("pb", "W(x) :- PA(x, y)")
+            subs = {
+                facade.subscribe("pa"): "pa",
+                facade.subscribe("pb"): "pb",
+                facade.subscribe("pa", callback=lambda delta: None): "pa",
+            }
+            facade.batch([insert("PA", (i, i + 1)) for i in range(100)])
+            facade.apply_stream(
+                [delete("PA", (i, i + 1)) for i in range(0, 100, 3)], chunk=50
+            )
+            for handle, view in subs.items():
+                assert _replay(facade.poll(handle)) == facade.result_set(view)
+
+
+def test_a_single_push_delta_over_the_cap_is_a_named_error(monkeypatch):
+    from repro.errors import FrameTooLargeError
+
+    monkeypatch.setenv("REPRO_MAX_FRAME", "4096")
+    with ShardCluster(workers=1) as deployment:
+        with deployment.client() as facade:
+            facade.view("prod", "V(x, y) :- PL(x), PR(y)")
+            facade.view("side", "W(y) :- PR(y)")
+            facade.apply_stream([insert("PR", (i,)) for i in range(600)], chunk=100)
+            wide, side = facade.subscribe("prod"), facade.subscribe("side")
+            seen = []
+            called = facade.subscribe("prod", callback=seen.append)
+            facade.insert("PL", (1,))  # one delta of 600 rows, ~5 kB
+            facade.insert("PR", (600,))
+            with pytest.raises(FrameTooLargeError, match="frame cap"):
+                facade.poll(wide)
+            # A callback-only consumer sees the loss on its state.
+            state = facade.subscription_state(called)
+            assert isinstance(state.delivery_error, FrameTooLargeError)
+            assert state.dropped == 1
+            assert [delta.added for delta in seen] == [((1, 600),)]
+            # The other subscription of the same client keeps flowing.
+            assert _replay(facade.poll(side)) == {(600,)}
+            assert facade.dead_workers == ()
+
+
+def test_slow_read_on_the_worker_does_not_hold_up_a_ping(tmp_path):
+    # Reads run on the thread that received them, after it passed the
+    # receive role on: a stalled fetch holds up only its own thread.
+    host = cluster_module._WorkerHost(0, str(tmp_path), observe=False)
+    threading.Thread(target=host.run, daemon=True).start()
+    try:
+        with ClusterClient(addresses=[host.address], observe=False) as facade:
+            facade.view("sl", "V(x) :- SL(x)")
+            facade.insert("SL", (1,))
+            cursor = facade.open_cursor("sl")
+            fetch = host.server.fetch
+            entered = threading.Event()
+
+            def slow_fetch(*args, **kwargs):
+                entered.set()
+                time.sleep(1.0)
+                return fetch(*args, **kwargs)
+
+            host.server.fetch = slow_fetch
+            rows = []
+            reader = threading.Thread(
+                target=lambda: rows.extend(facade.fetch(cursor, 10))
+            )
+            reader.start()
+            assert entered.wait(5.0)
+            begun = time.monotonic()
+            assert facade.ping() == {0: os.getpid()}
+            assert time.monotonic() - begun < 0.5
+            reader.join(timeout=5.0)
+            assert rows == [(1,)]
+    finally:
+        host.stop()
+
+
 def test_untagged_request_frame_gets_a_transport_error(cluster):
     # The multiplexed channel is the only request protocol: a frame
     # without a mux_id is answered (not dropped, not served serially).
-    from repro.serve.transport import connect, get_codec
+    from repro.serve.transport import connect
 
-    with connect(cluster.workers[0].address, get_codec(cluster.codec)) as raw:
+    with connect(cluster.workers[0].address) as raw:
         hello = raw.request({"op": "_hello", "kind": "request", "client": "t"})
         assert hello["ok"]
         reply = raw.request({"op": "ping"}, timeout=5.0)
@@ -1034,7 +1180,6 @@ def test_serving_signatures_are_frozen():
     assert _parameters(ClusterClient.__init__) == [
         "cluster",
         "addresses",
-        "codec",
         "dispatch_workers",
         "dispatch_queue",
         "journal",
@@ -1045,7 +1190,6 @@ def test_serving_signatures_are_frozen():
     ]
     assert _parameters(ShardCluster.__init__) == [
         "workers",
-        "codec",
         "socket_dir",
         "observe",
     ]
@@ -1072,7 +1216,6 @@ def test_serving_signatures_are_frozen():
         "shards",
         "dispatch_workers",
         "dispatch_queue",
-        "codec",
         "supervise",
         "request_timeout",
         "retry_budget",
@@ -1093,6 +1236,10 @@ def test_serving_signatures_are_frozen():
         Session().serve(backend="processes", multiplex=False)
     with pytest.raises(TypeError, match="start_method"):
         Session().serve(backend="processes", start_method="fork")
+    with pytest.raises(TypeError, match="codec"):
+        ShardCluster(workers=1, codec="msgpack")
+    with pytest.raises(TypeError, match="codec"):
+        Session().serve(backend="processes", codec="json")
     with pytest.raises(EngineStateError, match="unknown serving backend"):
         Session().serve(backend="cluster")
     with pytest.raises(EngineStateError, match="unknown serving backend"):

@@ -185,7 +185,7 @@ def test_injected_delay_does_not_starve_other_worker_lanes():
     plan = FaultPlan(
         faults=(
             # frame 4 on worker 0 = the reply to the slow thread's
-            # count — held for 0.6s in worker 0's reader lane.
+            # count — held for 0.6s on worker 0's channel.
             Fault(
                 action="delay",
                 frame=4,

@@ -19,7 +19,6 @@ from repro.serve.transport import (
     MuxConnection,
     as_row,
     as_rows,
-    available_codecs,
     bind_listener,
     command_wire,
     commands_from_wire,
@@ -52,19 +51,6 @@ def test_json_codec_unicode():
 def test_unknown_codec_rejected():
     with pytest.raises(TransportError, match="unknown codec"):
         get_codec("pickle")
-
-
-def test_available_codecs_always_has_json():
-    assert "json" in available_codecs()
-
-
-def test_msgpack_codec_matches_availability():
-    if "msgpack" in available_codecs():
-        codec = get_codec("msgpack")
-        assert codec.decode(codec.encode({"a": [1, 2]})) == {"a": [1, 2]}
-    else:
-        with pytest.raises(TransportError, match="msgpack"):
-            get_codec("msgpack")
 
 
 def test_undecodable_frame_reports_codec():
@@ -130,6 +116,24 @@ def test_eof_on_boundary_is_connection_closed():
             recv_frame(right)
     finally:
         right.close()
+
+
+def test_a_connection_keeps_what_it_read_past_a_frame():
+    # One recv brings two frames and part of a third: each recv()
+    # returns one message, and the stall inside the third is mid-frame.
+    left, right = socket.socketpair()
+    conn = Connection(right)
+    try:
+        frames = [Connection(left).codec.encode({"n": n}) for n in (1, 2, 3)]
+        wire = b"".join(struct.pack(">I", len(f)) + f for f in frames)
+        left.sendall(wire[:-2])
+        assert conn.recv() == {"n": 1}
+        assert conn.recv(timeout=1.0) == {"n": 2}
+        with pytest.raises(ConnectionClosedError, match="desynced"):
+            conn.recv(timeout=0.05)
+    finally:
+        left.close()
+        conn.close()
 
 
 def test_connection_request_roundtrip():
@@ -452,12 +456,95 @@ def test_mux_failure_fans_out_to_parked_waiters():
         harness.mux.close()
 
 
-def test_mux_recv_after_start_is_rejected():
+def _ask_in_thread(mux, n, results, timeout=None):
+    def ask():
+        try:
+            results[n] = mux.request({"op": "echo", "n": n}, timeout=timeout)["echo"]
+        except Exception as error:  # noqa: BLE001 — the test inspects it
+            results[n] = error
+
+    thread = threading.Thread(target=ask, daemon=True)
+    thread.start()
+    return thread
+
+
+def _await(condition, what):
+    deadline = time.monotonic() + 5.0
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def test_mux_has_no_reader_thread():
     harness = _MuxEcho()
     try:
-        harness.mux.start()
-        with pytest.raises(TransportError, match="reader thread owns"):
-            harness.mux.recv()
+        harness.serve(count=1)
+        assert harness.mux.request({"op": "echo", "n": 1})["echo"] == 1
+        names = [thread.name for thread in threading.enumerate()]
+        assert not any("mux-reader" in name for name in names)
+        # The handshake is serial-only: once multiplexed, it is refused.
+        with pytest.raises(TransportError, match="handshake after start"):
+            harness.mux.handshake({"op": "_hello"})
     finally:
-        harness.peer.close()
-        harness.mux.close()
+        harness.close()
+
+
+def test_mux_reader_deadline_hands_the_in_flight_reply_on():
+    harness = _MuxEcho()
+    requests = []
+
+    def serve():
+        requests.append(harness.peer.recv())
+        requests.append(harness.peer.recv())
+        time.sleep(0.3)  # past the reader's deadline
+        late = next(r for r in requests if r["n"] == 2)
+        harness.peer.send({"ok": True, "echo": 2, "mux_id": late["mux_id"]})
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    results = {}
+    try:
+        reader = _ask_in_thread(harness.mux, 1, results, timeout=0.1)
+        _await(lambda: harness.mux._reading, "the first caller to read")
+        other = _ask_in_thread(harness.mux, 2, results)
+        _await(lambda: harness.mux.in_flight == 2, "both requests in flight")
+        reader.join(timeout=5.0)
+        other.join(timeout=5.0)
+        assert isinstance(results[1], DeadlineExceededError)
+        # The parked caller was promoted when the reader gave up, and
+        # read its own reply.
+        assert results[2] == 2
+        assert harness.mux.in_flight == 0
+        assert not harness.mux.closed
+    finally:
+        server.join(timeout=5.0)
+        harness.close()
+
+
+def test_mux_reader_own_reply_first_while_two_callers_park():
+    harness = _MuxEcho()
+
+    def serve():
+        received = {}
+        for _ in range(3):
+            request = harness.peer.recv()
+            received[request["n"]] = request
+        for n in (1, 2, 3):  # the reader's own reply first
+            harness.peer.send({"ok": True, "echo": n, "mux_id": received[n]["mux_id"]})
+            time.sleep(0.02)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    results = {}
+    try:
+        first = _ask_in_thread(harness.mux, 1, results)
+        _await(lambda: harness.mux._reading, "the first caller to read")
+        parked = [_ask_in_thread(harness.mux, n, results) for n in (2, 3)]
+        for thread in [first, *parked]:
+            thread.join(timeout=5.0)
+        assert results == {1: 1, 2: 2, 3: 3}
+        assert harness.mux.in_flight == 0
+        assert harness.mux.max_in_flight_seen == 3
+    finally:
+        server.join(timeout=5.0)
+        harness.close()
