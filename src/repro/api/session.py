@@ -62,7 +62,7 @@ from repro.api.access import (
 )
 from repro.api.planner import Plan, Planner, QueryLike
 from repro.errors import EngineStateError, SchemaError, UpdateError
-from repro.interface import DynamicEngine
+from repro.interface import DynamicEngine, _collector_paused
 from repro.options import EngineOptions
 from repro.storage.database import Constant, Database, Row, Schema
 from repro.storage.updates import (
@@ -682,10 +682,11 @@ class Session:
         # observability costs a single flag check per update.
         self._observe = bool(observe)
         if observe:
-            from repro.obs import MetricsRegistry, SpanLog
+            from repro.obs import MetricsRegistry, SpanLog, watch_collector
 
             self.metrics = MetricsRegistry()
             self.spans = SpanLog()
+            watch_collector(self)
         else:
             from repro.obs import NULL_REGISTRY, NULL_SPANLOG
 
@@ -776,22 +777,25 @@ class Session:
         # contents restricted to the view's relations.  Session rows
         # were arity-checked on entry, so they bulk-copy without
         # per-row validation, and the engine's own bulk path takes it
-        # from there.
-        preload = Database(Schema(arities))
-        for relation in arities:
-            rows = self._rows.get(relation)
-            if rows:
-                preload.bulk_insert(relation, rows, checked=True)
-        built = plan.build(preload, options=resolved)
+        # from there.  One collector pause spans the engine build and
+        # the declared binding indexes, so the registration pays at
+        # most one closing generation-0 pass.
+        with _collector_paused():
+            preload = Database(Schema(arities))
+            for relation in arities:
+                rows = self._rows.get(relation)
+                if rows:
+                    preload.bulk_insert(relation, rows, checked=True)
+            built = plan.build(preload, options=resolved)
 
-        self._arities.update(arities)
-        view = View(name, self, plan, built)
-        self._views[name] = view
-        for relation in arities:
-            self._rows.setdefault(relation, set())
-            self._views_by_relation.setdefault(relation, []).append(view)
-        for pattern in declared_patterns:
-            view._ensure_access_pattern(pattern, declared=True)
+            self._arities.update(arities)
+            view = View(name, self, plan, built)
+            self._views[name] = view
+            for relation in arities:
+                self._rows.setdefault(relation, set())
+                self._views_by_relation.setdefault(relation, []).append(view)
+            for pattern in declared_patterns:
+                view._ensure_access_pattern(pattern, declared=True)
         return view
 
     def drop_view(self, name: str) -> None:

@@ -25,7 +25,10 @@ name ``"auto"``, which delegates selection to the dichotomy-driven
 
 from __future__ import annotations
 
+import gc
+import threading
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from typing import (
     Dict,
     Iterable,
@@ -49,6 +52,51 @@ from repro.storage.updates import (
 )
 
 __all__ = ["DynamicEngine", "ENGINE_REGISTRY", "register_engine", "make_engine"]
+
+
+# When the cyclic collector may run.  A build allocates its whole
+# structure as long-lived, GC-tracked objects (items, fit lists, index
+# sets), and with the collector on every 25% of growth of that heap
+# triggers a full pass over all of it — a geometric series of
+# whole-heap scans inside one linear-time preprocessing phase.  What a
+# build allocates it keeps, and steady-state updates create no cyclic
+# garbage on any engine (tests/test_gc_policy.py holds this), so
+# pausing the collector for the build loses nothing.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_paused_by_us = False
+
+
+@contextmanager
+def _collector_paused():
+    """Hold the cyclic collector off for the duration of a build.
+
+    Scopes nest and overlap across threads: the first one in disables
+    the collector (when it was enabled), the last one out re-enables it
+    only if that first one disabled it — an application that turned the
+    collector off itself keeps it off.  On re-enabling, one generation-0
+    pass runs here when the build left enough young objects to trigger
+    it anyway, so the build pays for scanning what it made inside its
+    own call instead of the next constant-time update or read.
+    """
+    global _pause_depth, _paused_by_us
+    with _pause_lock:
+        if _pause_depth == 0:
+            _paused_by_us = gc.isenabled()
+            if _paused_by_us:
+                gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            resume = _pause_depth == 0 and _paused_by_us
+            if resume:
+                _paused_by_us = False
+                gc.enable()
+        if resume and gc.get_count()[0] > gc.get_threshold()[0]:
+            gc.collect(0)
 
 
 class DynamicEngine(ABC):
@@ -107,7 +155,8 @@ class DynamicEngine(ABC):
         self._in_delta = False
         self._setup()
         if database is not None:
-            self._preload(database)
+            with _collector_paused():
+                self._preload(database)
 
     # -- hooks for subclasses -------------------------------------------------
 
@@ -353,10 +402,11 @@ class DynamicEngine(ABC):
             return key
         positions = tuple(free.index(v) for v in key)
         index: Dict[Tuple[Constant, ...], Set[Row]] = {}
-        for row in self.enumerate():
-            index.setdefault(
-                tuple(row[p] for p in positions), set()
-            ).add(row)
+        with _collector_paused():
+            for row in self.enumerate():
+                index.setdefault(
+                    tuple(row[p] for p in positions), set()
+                ).add(row)
         self._binding_positions[key] = positions
         self._binding_indexes[key] = index
         return key

@@ -4,7 +4,9 @@ Three layers, all behind ``Session(observe=)`` with a no-op fast path:
 
 * :mod:`repro.obs.registry` — counters, gauges and fixed-bucket
   latency histograms whose p50/p95/p99 survive a cross-process merge
-  (:func:`merge_snapshots`), plus Prometheus text and JSON exposition;
+  (:func:`merge_snapshots`), plus Prometheus text and JSON exposition,
+  and the collector hook feeding ``repro_gc_pause_seconds{generation}``
+  into every observing session (:func:`watch_collector`);
 * :mod:`repro.obs.tracing` — ``trace_id``/``span_id`` contexts that
   travel inside every request frame, worker-side child spans, and the
   bounded :class:`SpanLog` with its ``REPRO_SLOW_OP_MS`` slow ring;
@@ -21,6 +23,7 @@ the whole subsystem at ≤ 1.05x write-path overhead.
 from repro.obs.probes import ViewProbe
 from repro.obs.registry import (
     Counter,
+    GC_PAUSE_METRIC,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -28,6 +31,7 @@ from repro.obs.registry import (
     merge_snapshots,
     render_prometheus,
     snapshot_quantile,
+    watch_collector,
 )
 from repro.obs.tracing import (
     NULL_SPANLOG,
@@ -41,6 +45,7 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter",
+    "GC_PAUSE_METRIC",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -56,4 +61,5 @@ __all__ = [
     "new_trace_id",
     "render_prometheus",
     "snapshot_quantile",
+    "watch_collector",
 ]

@@ -38,8 +38,11 @@ Prometheus text format, cumulative ``le`` buckets and all.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 from bisect import bisect_left
+from time import perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -49,9 +52,11 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_LATENCY_BUCKETS",
+    "GC_PAUSE_METRIC",
     "merge_snapshots",
     "render_prometheus",
     "snapshot_quantile",
+    "watch_collector",
 ]
 
 #: Log-spaced seconds from 1µs to 10s — wide enough that a constant-
@@ -323,6 +328,56 @@ class _NullRegistry:
 
 
 NULL_REGISTRY = _NullRegistry()
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector as a metric
+# ---------------------------------------------------------------------------
+
+#: Seconds per collector pass, labelled ``generation="0" | "1" | "2"``.
+GC_PAUSE_METRIC = "repro_gc_pause_seconds"
+
+#: Live observing sessions; each holds its per-generation histograms as
+#: ``_gc_pauses``.  A dropped session leaves the set when it is freed.
+_collector_watchers: "weakref.WeakSet[object]" = weakref.WeakSet()
+# Reentrant: a collection can start inside watch_collector's own add,
+# and the hook then runs on the thread already holding the lock.
+_collector_lock = threading.RLock()
+_collection_started = 0.0
+
+
+def _on_collection(phase: str, info: Dict[str, int]) -> None:
+    """The one process-wide ``gc.callbacks`` hook.  Collections never
+    overlap, so one start stamp suffices; the hook only calls
+    ``observe`` on instruments created beforehand — taking a registry
+    lock here could deadlock against the allocation that triggered the
+    pass."""
+    global _collection_started
+    if phase == "start":
+        _collection_started = perf_counter()
+        return
+    seconds = perf_counter() - _collection_started
+    generation = info["generation"]
+    with _collector_lock:
+        for watcher in _collector_watchers:
+            watcher._gc_pauses[generation].observe(seconds)
+
+
+def watch_collector(session: object) -> None:
+    """Feed every collector pass into ``session.metrics`` as
+    ``repro_gc_pause_seconds{generation}`` for as long as the session
+    lives.  The first call installs the process-wide hook; cluster
+    workers' series reach the client through the usual snapshot merge
+    (:meth:`repro.serve.cluster.ClusterClient.metrics`)."""
+    registry = session.metrics  # type: ignore[attr-defined]
+    session._gc_pauses = tuple(  # type: ignore[attr-defined]
+        registry.histogram(GC_PAUSE_METRIC, generation=str(generation))
+        for generation in range(3)
+    )
+    with _collector_lock:
+        if _on_collection not in gc.callbacks:
+            gc.callbacks.append(_on_collection)
+        _collector_watchers.add(session)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,22 @@ def test_contains_and_explain_round_trip(client):
     assert "qhierarchical" in client.explain(name)
 
 
+def test_workers_report_collector_pauses_through_the_metrics_merge(client):
+    name, rel = unique("gc"), unique("RG")
+    client.view(name, f"V(x, y) :- {rel}(x, y)")
+    client.apply_stream(insert(rel, (i, i % 7)) for i in range(5000))
+    report = client.metrics()
+    keys = [f'repro_gc_pause_seconds{{generation="{g}"}}' for g in range(3)]
+    workers = [entry for entry in report["per_worker"].values() if entry]
+    assert len(workers) == 2
+    for key in keys:
+        per_worker = [
+            entry["metrics"]["histograms"][key]["count"] for entry in workers
+        ]
+        assert report["merged"]["histograms"][key]["count"] == sum(per_worker)
+    assert report["merged"]["histograms"][keys[0]]["count"] > 0
+
+
 # ---------------------------------------------------------------------------
 # routing: fan-out, shared relations, backfill, schema mirroring
 # ---------------------------------------------------------------------------
