@@ -25,16 +25,6 @@ Preprocessing compares bulk construction (an engine built over an
 initial database → ``bulk_load``) against the seed's insert-by-insert
 replay on the same databases.
 
-The ``native_backend`` section compares the vectorized batched kernel
-(``backend="vectorized"``, numpy int-interned batches) against the
-compiled per-tuple python runners (``backend="python"`` — the committed
-PR 2 path) on identical effective streams, again at both tiers: the
-``engine`` tier times ``apply_all`` end to end, the ``procedure`` tier
-times the update work alone (kernel batches vs runner hooks).  Both
-backends are asserted state-identical (count, answer, per-structure
-snapshots) before timing.  Without numpy the section is skipped and the
-report says so.
-
 GC is disabled inside the timed sections (collected right before), so
 collector pauses land on neither side of a ratio.  Every comparison
 asserts observational equivalence (count + result set) between the two
@@ -62,7 +52,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import QHierarchicalEngine
-from repro.core.vectorized import numpy_or_none
 from repro.cq import zoo
 from repro.cq.analysis import find_violation
 from repro.cq.query import ConjunctiveQuery
@@ -120,35 +109,6 @@ def build_streams(
     rng.shuffle(deletes)
     mixed = mixed_stream(rng, query, count, domain=dense)
     return {"insert": inserts, "delete": deletes, "mixed": mixed}
-
-
-def hot_stream(
-    query: ConjunctiveQuery, count: int, seed: int, domain_size: int = 16
-) -> List[UpdateCommand]:
-    """Hot-key churn: a domain this small folds a batch onto few
-    distinct keys, the netting case of the vectorized kernel.  Every
-    command is effective by construction (inserts target absent rows,
-    deletes live ones), so the procedure tier can replay the stream
-    without the set-semantics filter."""
-    rng = random.Random(seed)
-    relations = [(name, query.arity_of(name)) for name in sorted(query.relations)]
-    live: Dict[str, set] = {name: set() for name, _ in relations}
-    stream: List[UpdateCommand] = []
-    while len(stream) < count:
-        name, arity = relations[rng.randrange(len(relations))]
-        pool = live[name]
-        full = len(pool) >= domain_size**arity
-        if pool and (full or rng.random() < 0.45):
-            row = rng.choice(sorted(pool))
-            pool.discard(row)
-            stream.append(delete(name, row))
-        else:
-            row = tuple(rng.randrange(domain_size) for _ in range(arity))
-            if row in pool:
-                continue  # an absent row exists: the pool is not full
-            pool.add(row)
-            stream.append(insert(name, row))
-    return stream
 
 
 def toggle_workload(
@@ -316,162 +276,6 @@ def bench_toggle(rounds: int, reps: int, quick: bool) -> List[Dict[str, object]]
     return rows
 
 
-def _time_native(
-    query: ConjunctiveQuery,
-    database: Optional[Database],
-    commands: Sequence[UpdateCommand],
-    backend: str,
-    tier: str,
-    reps: int,
-) -> float:
-    """Best-of-``reps`` seconds for one backend at one tier.
-
-    ``engine`` times ``apply_all`` end to end (both backends pay the
-    set-semantics store).  ``procedure`` isolates the update work the
-    backends actually swap: the vectorized side feeds the kernel the
-    same per-relation chunk groups ``apply_all``'s store pass hands it
-    (``Database.fold_stream`` builds them while filtering for set
-    semantics), the python side runs the compiled per-tuple runner
-    hooks over a pre-dispatched ops list — streams are effective by
-    construction, so skipping the store pass (and the grouping /
-    dispatch work fused into it) is sound and symmetric on both sides.
-    """
-    from repro.core.engine import _MAX_VECTOR_CHUNK
-
-    best = math.inf
-    if tier == "procedure" and backend == "vectorized":
-        chunks = []
-        for start in range(0, len(commands), _MAX_VECTOR_CHUNK):
-            grouped: Dict[str, tuple] = {}
-            for c in commands[start : start + _MAX_VECTOR_CHUNK]:
-                group = grouped.get(c.relation)
-                if group is None:
-                    group = ([], [])
-                    grouped[c.relation] = group
-                group[0].append(c.row)
-                group[1].append(1 if c.op == "insert" else -1)
-            chunks.append(grouped)
-    for _ in range(reps):
-        engine = QHierarchicalEngine(query, database, backend=backend)
-        if tier == "engine":
-            best = min(best, _timed(lambda: engine.apply_all(commands)))
-        elif backend == "vectorized":
-            kernel = engine._vec
-
-            def run_batches() -> None:
-                for grouped in chunks:
-                    kernel.apply_groups(grouped)
-
-            best = min(best, _timed(run_batches))
-        else:
-            on_insert = engine._on_insert
-            on_delete = engine._on_delete
-            ops = [
-                (on_insert if c.op == "insert" else on_delete, c.relation, c.row)
-                for c in commands
-            ]
-
-            def run_hooks() -> None:
-                for op, rel, row in ops:
-                    op(rel, row)
-
-            best = min(best, _timed(run_hooks))
-    return best
-
-
-def _native_case(
-    name: str,
-    stream_name: str,
-    query: ConjunctiveQuery,
-    database: Optional[Database],
-    commands: Sequence[UpdateCommand],
-    reps: int,
-) -> List[Dict[str, object]]:
-    """Equivalence-check one (query, stream), then time both tiers."""
-    vectorized = QHierarchicalEngine(query, database, backend="vectorized")
-    python = QHierarchicalEngine(query, database, backend="python")
-    vectorized.apply_all(commands)
-    for command in commands:
-        python.apply(command)
-    assert vectorized.count() == python.count(), (name, stream_name)
-    assert vectorized.answer() == python.answer(), (name, stream_name)
-    for sv, sp in zip(vectorized.structures, python.structures):
-        assert sv.snapshot() == sp.snapshot(), (name, stream_name)
-    rows: List[Dict[str, object]] = []
-    for tier in ("engine", "procedure"):
-        vectorized_s = _time_native(
-            query, database, commands, "vectorized", tier, reps
-        )
-        python_s = _time_native(query, database, commands, "python", tier, reps)
-        rows.append(
-            {
-                "query": name,
-                "stream": stream_name,
-                "tier": tier,
-                "updates": len(commands),
-                "vectorized_ups": len(commands) / vectorized_s,
-                "python_ups": len(commands) / python_s,
-                "speedup": python_s / vectorized_s,
-            }
-        )
-    return rows
-
-
-def bench_native_backend(
-    count: int, toggle_rounds: int, reps: int, quick: bool
-) -> List[Dict[str, object]]:
-    """Vectorized batched kernel vs compiled per-tuple python runners.
-
-    Two stream shapes per zoo query — ``mixed`` (dense domain: nearly
-    every batch key is distinct, the kernel's worst case) and ``hot``
-    (16-value domain: batches fold onto few distinct keys) — plus the
-    hub-toggle star workloads, where a batch nets to almost nothing.
-    Returns no rows when numpy is unavailable (the report notes it).
-    """
-    if numpy_or_none() is None:
-        return []
-    rows: List[Dict[str, object]] = []
-    queries = zoo_queries()
-    if quick:
-        queries = queries[:3] + [queries[-1]]
-    for name, query in queries:
-        # Measure what ships: queries the auto rule sends to the
-        # per-tuple runners (all-eq plan shapes) are recorded as
-        # declined, not timed as if vectorized were the default there.
-        info = QHierarchicalEngine(query).backend_info()
-        if info["backend"] != "vectorized":
-            rows.append(
-                {
-                    "query": name,
-                    "stream": "-",
-                    "tier": "-",
-                    "updates": 0,
-                    "declined": info["reason"],
-                }
-            )
-            continue
-        streams = build_streams(query, count, seed=13)
-        cases = {
-            "mixed": streams["mixed"],
-            "hot": hot_stream(query, count, seed=13),
-        }
-        for stream_name, commands in cases.items():
-            rows.extend(
-                _native_case(name, stream_name, query, None, commands, reps)
-            )
-    fanouts = (5,) if quick else (3, 5, 8)
-    for fanout in fanouts:
-        query, database, commands = toggle_workload(
-            fanout, n=200 if quick else 500, rounds=toggle_rounds
-        )
-        rows.extend(
-            _native_case(
-                f"STAR_{fanout}_HUB", "toggle", query, database, commands, reps
-            )
-        )
-    return rows
-
-
 def bench_preprocessing(
     count: int, reps: int, quick: bool
 ) -> List[Dict[str, object]]:
@@ -527,7 +331,6 @@ def geomean(values: Sequence[float]) -> float:
 def aggregate(
     update_rows: List[Dict[str, object]],
     pre_rows: List[Dict[str, object]],
-    native_rows: List[Dict[str, object]],
 ) -> Dict[str, float]:
     engine = [r["speedup"] for r in update_rows if r["tier"] == "engine"]
     procedure = [r["speedup"] for r in update_rows if r["tier"] == "procedure"]
@@ -535,9 +338,6 @@ def aggregate(
         r["compiled_ups"] for r in update_rows if r["tier"] == "procedure"
     ]
     pre = [r["speedup"] for r in pre_rows]
-    native_proc = [r["speedup"] for r in native_rows if r["tier"] == "procedure"]
-    native_engine = [r["speedup"] for r in native_rows if r["tier"] == "engine"]
-    native_all = native_proc + native_engine
     return {
         "update_engine_geomean": round(geomean(engine), 3),
         "update_engine_best": round(max(engine), 3) if engine else 0.0,
@@ -551,17 +351,10 @@ def aggregate(
         ),
         "preprocessing_geomean": round(geomean(pre), 3),
         "preprocessing_best": round(max(pre), 3) if pre else 0.0,
-        # vectorized vs compiled-python; the headline geomean is the
-        # procedure tier (the work the backends actually swap).
-        "native_backend_geomean": round(geomean(native_proc), 3),
-        "native_backend_engine_geomean": round(geomean(native_engine), 3),
-        "native_backend_best": (
-            round(max(native_all), 3) if native_all else 0.0
-        ),
     }
 
 
-def render_table(update_rows, pre_rows, native_rows, aggregates) -> str:
+def render_table(update_rows, pre_rows, aggregates) -> str:
     lines = ["update throughput (updates/sec, compiled vs seed reference)", ""]
     lines.append(
         f"{'query':<18} {'stream':<7} {'tier':<10} "
@@ -584,25 +377,6 @@ def render_table(update_rows, pre_rows, native_rows, aggregates) -> str:
             f"{r['query']:<18} {r['rows']:>8} {r['bulk_s']*1000:>8.1f}ms "
             f"{r['replay_s']*1000:>8.1f}ms {r['speedup']:>7.2f}x"
         )
-    lines.append("")
-    lines.append("native backend (vectorized batches vs compiled per-tuple python)")
-    lines.append("")
-    if native_rows:
-        lines.append(
-            f"{'query':<18} {'stream':<7} {'tier':<10} "
-            f"{'vectorized':>12} {'python':>12} {'speedup':>8}"
-        )
-        for r in native_rows:
-            if "declined" in r:
-                lines.append(f"{r['query']:<18} auto declined — {r['declined']}")
-                continue
-            lines.append(
-                f"{r['query']:<18} {r['stream']:<7} {r['tier']:<10} "
-                f"{r['vectorized_ups']:>12.0f} {r['python_ups']:>12.0f} "
-                f"{r['speedup']:>7.2f}x"
-            )
-    else:
-        lines.append("  skipped — numpy not importable (python fallback only)")
     lines.append("")
     for key, value in aggregates.items():
         suffix = "" if key.endswith("_ups") else "x"
@@ -644,11 +418,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     update_rows = bench_updates(update_count, reps, args.quick)
     update_rows += bench_toggle(toggle_rounds, reps, args.quick)
     pre_rows = bench_preprocessing(pre_count, reps, args.quick)
-    native_rows = bench_native_backend(
-        update_count, toggle_rounds, reps, args.quick
-    )
-    aggregates = aggregate(update_rows, pre_rows, native_rows)
-    has_numpy = numpy_or_none() is not None
+    aggregates = aggregate(update_rows, pre_rows)
 
     quick_note = (
         " (quick smoke sizes understate both sides; authoritative "
@@ -672,19 +442,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "note": "bulk_load vs insert-by-insert replay on the same "
             "initial database (geomean also reported)" + quick_note,
         },
-        "native_backend_2_5x": {
-            "metric": "native_backend_geomean",
-            "value": aggregates["native_backend_geomean"],
-            "met": aggregates["native_backend_geomean"] >= 2.5,
-            "note": (
-                "vectorized batched kernel vs the committed compiled "
-                "per-tuple python runners, update-procedure tier, "
-                "state-asserted identical before timing" + quick_note
-                if has_numpy
-                else "skipped — numpy not importable, so only the "
-                "python fallback ran"
-            ),
-        },
     }
 
     report = {
@@ -695,17 +452,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "reps": reps,
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "numpy": has_numpy,
             "unix_time": int(time.time()),
         },
         "update_throughput": update_rows,
         "preprocessing": pre_rows,
-        "native_backend": native_rows,
         "aggregates": aggregates,
         "targets": targets,
     }
 
-    text = render_table(update_rows, pre_rows, native_rows, aggregates)
+    text = render_table(update_rows, pre_rows, aggregates)
     print(text)
     print()
     for name, target in targets.items():

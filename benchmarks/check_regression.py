@@ -55,7 +55,7 @@ EXPERIMENTS = {
     "serving": REPO_ROOT / "BENCH_serving.json",
 }
 
-#: experiment → list of (json dotted path, direction, mode[, requires]).
+#: experiment → list of (json dotted path, direction, mode).
 #:
 #: ``direction`` — ``higher`` means a drop is a regression; ``lower``
 #: the reverse (cursor flatness: 1.0 is perfect, growth means paging
@@ -71,12 +71,7 @@ EXPERIMENTS = {
 #: full-run baseline, so they get absolute guardrails: generous enough
 #: for quick sizes on a noisy runner, tight enough to turn red when the
 #: optimisation is actually broken (speedup collapsing towards 1).
-#:
-#: ``requires`` (optional 4th element) — dotted path that must be
-#: truthy in the *fresh* run for the metric to apply; otherwise the
-#: metric is skipped with a note.  Used for the no-numpy CI leg, where
-#: the vectorized section legitimately never runs.
-TRACKED: Dict[str, List[Tuple[str, ...]]] = {
+TRACKED: Dict[str, List[Tuple[str, str, object]]] = {
     "update_throughput": [
         ("aggregates.update_engine_geomean", "higher", "relative"),
         ("aggregates.update_procedure_geomean", "higher", "relative"),
@@ -87,20 +82,6 @@ TRACKED: Dict[str, List[Tuple[str, ...]]] = {
         # compiled path degenerates to interpreter-speed dispatch.
         ("aggregates.update_procedure_floor_ups", "higher", 25000.0),
         ("aggregates.preprocessing_geomean", "higher", 1.5),
-        # Vectorized-vs-python speedup of the native backend.  Batch
-        # amortization grows with the stream sizes (~2.7x at --quick,
-        # ~3.8x full), so like preprocessing this gets an absolute
-        # guardrail: quick runs on a noisy runner clear it with ~2x
-        # headroom, while a kernel that stops beating the per-tuple
-        # runners (ratio collapsing towards 1) turns it red.  Skipped
-        # when the fresh run had no numpy (meta.numpy false) — the
-        # no-numpy CI leg proves the fallback, not the kernel.
-        (
-            "aggregates.native_backend_geomean",
-            "higher",
-            1.5,
-            "meta.numpy",
-        ),
     ],
     "serving": [
         ("cursor_resume.cursor_last_over_first", "lower", 3.0),
@@ -162,16 +143,6 @@ def dig(blob: Dict[str, object], path: str) -> Optional[float]:
     return float(node)
 
 
-def dig_flag(blob: Dict[str, object], path: str) -> bool:
-    """Truthiness of an arbitrary node (``dig`` rejects booleans)."""
-    node: object = blob
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            return False
-        node = node[key]
-    return bool(node)
-
-
 def evaluate_experiment(
     name: str,
     baseline: Dict[str, object],
@@ -187,9 +158,7 @@ def evaluate_experiment(
     fresh run — counted as a regression).
     """
     records: List[Dict[str, object]] = []
-    for entry in TRACKED[name]:
-        path, direction, mode = entry[:3]
-        requires = entry[3] if len(entry) > 3 else None
+    for path, direction, mode in TRACKED[name]:
         record: Dict[str, object] = {
             "experiment": name,
             "metric": path,
@@ -197,17 +166,6 @@ def evaluate_experiment(
             "mode": "relative" if mode == "relative" else "absolute",
             "tolerance": tolerance if mode == "relative" else None,
         }
-        if requires is not None and not dig_flag(fresh, requires):
-            record.update(
-                status="skipped",
-                baseline=None,
-                fresh=None,
-                bound=None,
-                note=f"{requires} is falsy in {fresh_name} "
-                "(feature unavailable on this runner)",
-            )
-            records.append(record)
-            continue
         base_value = dig(baseline, path)
         record["baseline"] = base_value
         if mode == "relative" and base_value is None:

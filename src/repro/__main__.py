@@ -89,16 +89,13 @@ def cmd_qtree(text: str) -> int:
     return status
 
 
-def cmd_plan(text: str, engine: str, backend: str = "auto") -> int:
+def cmd_plan(text: str, engine: str) -> int:
     from repro.api import Planner, parse_view
-    from repro.options import EngineOptions
 
     plan = Planner().plan(parse_view(text), engine=engine)
-    # Build over an empty database so the report shows the *resolved*
-    # execution shape: plan statistics plus the update backend the
-    # option actually selects on this machine (auto falls back to
-    # python when numpy is not importable).
-    built = plan.build(options=EngineOptions(backend=backend))
+    # Build over an empty database so the report shows the compiled
+    # execution shape: the engine's plan statistics.
+    built = plan.build()
     print(plan.with_stats(built.plan_stats()).render())
     return 0
 
@@ -244,12 +241,6 @@ def main(argv=None) -> int:
         default="auto",
         help="force a registry engine instead of auto-selection",
     )
-    plan_parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "vectorized"),
-        default="auto",
-        help="update backend for the built engine (EngineOptions.backend)",
-    )
 
     subparsers.add_parser("demo", help="run the Example 6.1 walkthrough")
 
@@ -288,7 +279,7 @@ def main(argv=None) -> int:
         if args.command == "qtree":
             return cmd_qtree(args.query)
         if args.command == "plan":
-            return cmd_plan(args.query, args.engine, backend=args.backend)
+            return cmd_plan(args.query, args.engine)
         if args.command == "metrics":
             return cmd_metrics(
                 args.addresses, args.format, args.watch, args.demo

@@ -39,7 +39,6 @@ from repro.errors import (
 )
 from repro.extensions.ucq import UnionOfCQs, supports_exact_counting
 from repro.interface import ENGINE_REGISTRY, DynamicEngine
-from repro.options import EngineOptions
 from repro.storage.database import Database
 
 __all__ = ["Plan", "Planner", "parse_view", "AccessPattern"]
@@ -202,20 +201,9 @@ class Plan:
         default=(), repr=False
     )
 
-    def build(
-        self,
-        database: Optional[Database] = None,
-        options: Optional[object] = None,
-    ) -> DynamicEngine:
-        """Instantiate the planned engine (preprocessing phase).
-
-        ``options`` is an :class:`repro.options.EngineOptions` (or a
-        mapping coerced into one) selecting the update backend.
-        """
-        resolved = EngineOptions.of(options)
-        return ENGINE_REGISTRY[self.engine](
-            self.query, database, options=resolved
-        )
+    def build(self, database: Optional[Database] = None) -> DynamicEngine:
+        """Instantiate the planned engine (preprocessing phase)."""
+        return ENGINE_REGISTRY[self.engine](self.query, database)
 
     def render(self) -> str:
         """The ``explain()`` report as printable text."""
@@ -269,17 +257,9 @@ class Plan:
                 "(a union intersection leaves the q-hierarchical class)"
             )
         if self.stats:
-            stats = dict(self.stats)
-            backend = stats.pop("backend", None)
-            backend_reason = stats.pop("backend_reason", None)
-            if backend:
-                line = f"backend: {backend}"
-                if backend_reason:
-                    line += f" ({backend_reason})"
-                lines.append(line)
             lines.append("plan stats:")
-            for key in sorted(stats):
-                lines.append(f"  {key:<14} {stats[key]}")
+            for key in sorted(self.stats):
+                lines.append(f"  {key:<14} {self.stats[key]}")
         return "\n".join(lines)
 
     def with_stats(self, stats: Optional[Dict[str, object]]) -> "Plan":

@@ -63,7 +63,6 @@ from repro.api.access import (
 from repro.api.planner import Plan, Planner, QueryLike
 from repro.errors import EngineStateError, SchemaError, UpdateError
 from repro.interface import DynamicEngine, _collector_paused
-from repro.options import EngineOptions
 from repro.storage.database import Constant, Database, Row, Schema
 from repro.storage.updates import (
     UpdateCommand,
@@ -727,9 +726,6 @@ class Session:
         query: object,
         engine: str = "auto",
         access: Optional[object] = None,
-        options: Optional[object] = None,
-        *,
-        backend: Optional[str] = None,
     ) -> View:
         """Register a live view from query text (CQ or UCQ) or a query
         object; ``engine="auto"`` lets the dichotomy choose.
@@ -741,14 +737,7 @@ class Session:
         needs one, its binding index is built during registration
         instead of on the first bound read.  Patterns not declared here
         are still inferred from the first bound cursor / subscription.
-
-        ``options`` is an :class:`repro.options.EngineOptions` (or a
-        plain mapping) controlling how the engine executes — its one
-        field is the update ``backend`` (``"python"`` |
-        ``"vectorized"`` | ``"auto"``); the ``backend=`` keyword is
-        sugar over the same surface.
         """
-        resolved = EngineOptions.of(options, backend=backend)
         if name in self._views:
             raise EngineStateError(f"a view named {name!r} already exists")
         if self._active_batch is not None:
@@ -786,7 +775,7 @@ class Session:
                 rows = self._rows.get(relation)
                 if rows:
                     preload.bulk_insert(relation, rows, checked=True)
-            built = plan.build(preload, options=resolved)
+            built = plan.build(preload)
 
             self._arities.update(arities)
             view = View(name, self, plan, built)
@@ -1029,16 +1018,8 @@ class Session:
         max_restarts: Optional[int] = None,
         faults: Optional[object] = None,
         observe: Optional[bool] = None,
-        options: Optional[object] = None,
     ):
         """Put a serving front door on this session.
-
-        ``options`` sets the default :class:`repro.options.EngineOptions`
-        for views registered *through the returned front door* (a
-        per-call ``options=`` on its ``view()`` still wins).  Views
-        already registered on this session keep the options they were
-        built with — the processes backend mirrors each one's own
-        options over the wire.
 
         ``backend="threads"`` returns the in-process
         :class:`~repro.serve.server.Server` wrapping *this* session:
@@ -1104,7 +1085,6 @@ class Session:
                 shards=shards,
                 dispatch_workers=dispatch_workers,
                 dispatch_queue=dispatch_queue,
-                options=options,
             )
         if backend == "processes":
             from repro.serve.cluster import ShardCluster
@@ -1128,10 +1108,6 @@ class Session:
             except BaseException:
                 cluster.close()
                 raise
-            if options is not None:
-                resolved_default = EngineOptions.of(options)
-                if not resolved_default.is_default:
-                    client._default_options = resolved_default.to_wire()
             try:
                 # The journal is attached *before* the mirror below, so
                 # every adopted view and row is replayable from day one.

@@ -15,11 +15,9 @@ query and maintains it under updates with
   A session batch arrives as one :meth:`QHierarchicalEngine.apply_net`
   — effectiveness already decided, repeated keys already netted — and
   walks the same runners over the net rows, one tight loop per plan;
-  the engine's own :meth:`QHierarchicalEngine.apply_all` instead folds
-  a raw stream itself and hands batches of at least
-  ``_MIN_VECTOR_BATCH`` commands to the numpy kernel of
-  :mod:`repro.core.vectorized` when one is attached (the ``backend``
-  option — the engine's only one),
+  the engine's own :meth:`QHierarchicalEngine.apply_all` folds a raw
+  stream itself and walks the same runners over each relation's
+  effective rows,
 * O(1) counting / Boolean answering,
 * O(poly(ϕ)) delay enumeration — the generated Algorithm 1 walker of
   :func:`repro.core.plans.compile_walker`: a connected query hands its
@@ -57,29 +55,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.core.plans import bound_walk, compile_walker, tuple_getter
 from repro.core.qtree import QTree, try_build_q_tree
 from repro.core.structure import ComponentStructure
-from repro.core.vectorized import (
-    VectorizedKernel,
-    numpy_or_none,
-    plans_qualify,
-    resolve_backend,
-)
 from repro.cq.analysis import find_violation
 from repro.cq.query import ConjunctiveQuery
 from repro.errors import NotQHierarchicalError
 from repro.interface import DynamicEngine, register_engine
-from repro.options import EngineOptions
 from repro.storage.database import Constant, Database, Row
 from repro.storage.updates import UpdateCommand
 
 __all__ = ["QHierarchicalEngine"]
-
-#: Batches below this size take the per-tuple runners: the numpy set-up
-#: cost (array building, interning) only amortises over enough rows.
-_MIN_VECTOR_BATCH = 64
-
-#: Effective commands per kernel invocation; bounds the working arrays
-#: while keeping grouping/interning amortisation high.
-_MAX_VECTOR_CHUNK = 65536
 
 
 @register_engine
@@ -100,9 +83,6 @@ class QHierarchicalEngine(DynamicEngine):
         query: ConjunctiveQuery,
         database: Optional[Database] = None,
         prefer: Sequence[str] = (),
-        *,
-        backend: Optional[str] = None,
-        options: Optional[object] = None,
     ):
         violation = find_violation(query)
         if violation is not None:
@@ -112,9 +92,7 @@ class QHierarchicalEngine(DynamicEngine):
                 violation=violation,
             )
         self._prefer = tuple(prefer)
-        resolved = EngineOptions.of(options, backend=backend)
-        self._backend, self._backend_reason = resolve_backend(resolved)
-        super().__init__(query, database, options=resolved)
+        super().__init__(query, database)
 
     def _setup(self) -> None:
         components = self._query.connected_components()
@@ -177,35 +155,13 @@ class QHierarchicalEngine(DynamicEngine):
         if sole is not None:
             self.contains = sole.contains
 
-        # The vectorized backend: batched numpy kernels over the same
-        # item state (see repro.core.vectorized).  Built only when the
-        # backend resolution picked it, so python-backend engines pay
-        # nothing.  Under ``auto`` the plan shape gets a say: a query
-        # whose every plan is eq-filtered stays on the per-tuple
-        # runners (their O(1) early exit beats batch interning); an
-        # explicit backend="vectorized" request is still honoured.
-        self._vec: Optional[VectorizedKernel] = None
-        if self._backend == "vectorized":
-            if self._options.backend == "auto" and not plans_qualify(
-                self._structures
-            ):
-                self._backend = "python"
-                self._backend_reason = (
-                    "auto: every update plan is eq-filtered "
-                    "(repeated-variable checks) — per-tuple runners win"
-                )
-            else:
-                self._vec = VectorizedKernel(
-                    numpy_or_none(), self._structures
-                )
-
     def _preload(self, database: Database) -> None:
         """Preprocessing: bulk-load the initial database.
 
         The rows are deduplicated into the engine's own store with one
         set operation per relation, then every component structure
         ingests the per-relation groups through
-        :meth:`ComponentStructure.bulk_load` — on every backend.
+        :meth:`ComponentStructure.bulk_load`.
         """
         rows_by_relation = self._db.mirror_from(database)
         for structure in self._structures:
@@ -224,43 +180,38 @@ class QHierarchicalEngine(DynamicEngine):
             runner(False, row)
 
     def apply_all(self, commands: Iterable[UpdateCommand]) -> int:
-        """Apply a command stream; batched through the vectorized
-        kernel when one is attached.
+        """Apply a command stream: one store pass, then the runners.
 
-        The batch path folds the stream into the database first (the
-        sequential set-semantics filter — effectiveness must be decided
-        in order; the per-relation grouping the kernel needs rides the
-        same pass), then the kernel does per-*distinct-prefix* counter
-        work instead of per-command runner calls.  Oversized batches
-        chunk to bound the working arrays — chunk boundaries are
-        harmless because the counter nets are commutative and
-        effectiveness was already decided.  Binding indexes need
-        per-command deltas, so their presence falls back to the
-        per-tuple path, as do small batches (the numpy set-up cost
-        would dominate).
+        :meth:`Database.fold_stream` decides effectiveness in stream
+        order and groups each relation's effective rows on the way;
+        then every generated runner of a touched relation walks them in
+        one tight loop — the loop :meth:`apply_net` runs.  A relation's
+        own rows keep their stream order, so every runner call is an
+        effective single-tuple update, and the structures end in the
+        state per-command application leaves (fit-list order, and with
+        it enumeration order, may differ).  A command naming an
+        unknown relation or carrying the wrong arity raises where the
+        stream stands, after the applied prefix has reached the
+        structures.  Binding indexes need per-command deltas and take
+        the base class's per-command path.
         """
-        if self._vec is None or self._binding_indexes:
+        if self._binding_indexes:
             return super().apply_all(commands)
-        commands = list(commands)
-        if len(commands) < _MIN_VECTOR_BATCH:
-            return super().apply_all(commands)
-        changed = 0
-        counters = self._obs_insert
-        for start in range(0, len(commands), _MAX_VECTOR_CHUNK):
-            effective, grouped, inserts, deletes = self._db.fold_stream(
-                commands[start : start + _MAX_VECTOR_CHUNK]
-            )
-            if not effective:
-                continue
-            changed += effective
-            self._epoch += effective
-            self._vec.apply_groups(grouped)
-            if counters is not None:
-                for relation, count in inserts.items():
-                    counters[relation].value += count
-                for relation, count in deletes.items():
-                    self._obs_delete[relation].value += count
-        return changed
+        grouped: Dict[str, Tuple[List[Row], List[bool]]] = {}
+        try:
+            return self._db.fold_stream(commands, grouped)[0]
+        finally:
+            dispatch = self._dispatch
+            counters = self._obs_insert
+            for relation, (rows, flags) in grouped.items():
+                self._epoch += len(rows)
+                for runner in dispatch.get(relation, ()):
+                    for row, is_insert in zip(rows, flags):
+                        runner(is_insert, row)
+                if counters is not None:
+                    n_inserts = flags.count(True)
+                    counters[relation].value += n_inserts
+                    self._obs_delete[relation].value += len(rows) - n_inserts
 
     def apply_net(self, net) -> None:
         """A stream's net effect, straight through the runners.
@@ -495,21 +446,11 @@ class QHierarchicalEngine(DynamicEngine):
         """Total items across components — linear in ``||D||`` (§6.2)."""
         return sum(structure.item_count() for structure in self._structures)
 
-    def backend_info(self) -> Dict[str, str]:
-        """The resolved update-plan backend and why it was picked."""
-        return {
-            "backend": self._backend,
-            "reason": self._backend_reason,
-            "requested": self._options.backend,
-        }
-
     def plan_stats(self) -> Dict[str, object]:
         """Compiled update-plan and enumerator statistics (surfaced by
         ``explain()``)."""
         per_structure = [s.plan_stats() for s in self._structures]
         return {
-            "backend": self._backend,
-            "backend_reason": self._backend_reason,
             "components": len(self._structures),
             "atom_plans": sum(s["atom_plans"] for s in per_structure),
             "max_path_depth": max(

@@ -90,7 +90,6 @@ class Phi2Engine(DynamicEngine):
         self,
         query: ConjunctiveQuery,
         database: Optional[Database] = None,
-        options: Optional[object] = None,
     ):
         match = match_phi2(query)
         if match is None:
@@ -99,7 +98,7 @@ class Phi2Engine(DynamicEngine):
                 "Phi2Engine is specific to Lemma A.2"
             )
         self._x, self._y, self._z1, self._z2, self._relation = match
-        super().__init__(query, database, options=options)
+        super().__init__(query, database)
         variable_order = (self._x, self._y, self._z1, self._z2)
         self._out_positions = tuple(
             variable_order.index(v) for v in query.free

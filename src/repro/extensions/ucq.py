@@ -237,20 +237,15 @@ class UnionEngine(DynamicEngine):
         self,
         union: Union[UnionOfCQs, ConjunctiveQuery],
         database: Optional[Database] = None,
-        options: Optional[object] = None,
     ):
         if isinstance(union, ConjunctiveQuery):
             union = UnionOfCQs([union], name=union.name)
-        super().__init__(union, database, options=options)
+        super().__init__(union, database)
 
     def _setup(self) -> None:
         union: UnionOfCQs = self._query
-        # The construction options flow into every per-disjunct and
-        # per-intersection engine, so backend= applies union-wide.
-        options = self._options
         self._engines: List[QHierarchicalEngine] = [
-            QHierarchicalEngine(query, options=options)
-            for query in union.disjuncts
+            QHierarchicalEngine(query) for query in union.disjuncts
         ]
 
         # Inclusion–exclusion engines for every subset of size >= 2.
@@ -260,9 +255,7 @@ class UnionEngine(DynamicEngine):
             if not q_hierarchical:
                 self.counting_supported = False
                 continue
-            self._intersections[subset] = QHierarchicalEngine(
-                query, options=options
-            )
+            self._intersections[subset] = QHierarchicalEngine(query)
 
         self._by_relation: Dict[str, List[QHierarchicalEngine]] = {}
         for engine in list(self._engines) + list(self._intersections.values()):
@@ -487,7 +480,7 @@ class UnionEngine(DynamicEngine):
         sub = [engine.plan_stats() for engine in self._engines] + [
             engine.plan_stats() for engine in self._intersections.values()
         ]
-        stats = {
+        return {
             "disjuncts": len(self._engines),
             "intersection_engines": len(self._intersections),
             "atom_plans": sum(s["atom_plans"] for s in sub),
@@ -495,18 +488,6 @@ class UnionEngine(DynamicEngine):
                 (s["max_path_depth"] for s in sub), default=0
             ),
         }
-        info = self.backend_info()
-        stats["backend"] = info["backend"]
-        stats["backend_reason"] = info["reason"]
-        return stats
-
-    def backend_info(self) -> Dict[str, str]:
-        """All sub-engines resolve identically; report the shared choice."""
-        if self._engines:
-            info = dict(self._engines[0].backend_info())
-            info["requested"] = self._options.backend
-            return info
-        return super().backend_info()
 
     def __repr__(self) -> str:
         return (

@@ -43,7 +43,6 @@ from typing import (
 
 from repro.cq.query import ConjunctiveQuery
 from repro.errors import EngineStateError, QueryStructureError
-from repro.options import EngineOptions
 from repro.storage.database import Constant, Database, Row
 from repro.storage.updates import (
     UpdateCommand,
@@ -122,14 +121,9 @@ class DynamicEngine(ABC):
         self,
         query: ConjunctiveQuery,
         database: Optional[Database] = None,
-        options: Optional[object] = None,
     ):
         self._query = query
         self._db = Database.empty_like(query)
-        #: Resolved construction options (every engine tolerates and
-        #: records them; only some — the q-hierarchical engine — act on
-        #: all fields).  ``backend_info()`` reads the request off this.
-        self._options = EngineOptions.of(options)
         self._epoch = 0
         # Observability (repro.obs): attached post-construction via
         # :meth:`instrument`; None keeps the update hot path at a
@@ -228,15 +222,6 @@ class DynamicEngine(ABC):
             publish_plan_gauges(
                 registry, stats, engine=self.name, **self._obs_labels
             )
-        # The selected update-plan backend, as an info-style gauge whose
-        # ``backend=`` label carries the value — scraping it across
-        # workers makes drift between "auto" decisions observable.
-        registry.gauge(
-            "repro_engine_backend_info",
-            engine=self.name,
-            backend=self.backend_info()["backend"],
-            **self._obs_labels,
-        ).set(1)
 
     def _count_update(self, relation: str, op: str) -> None:
         """Count one effective update on the attached registry.
@@ -603,25 +588,6 @@ class DynamicEngine(ABC):
         """
         return {}
 
-    def backend_info(self) -> Dict[str, str]:
-        """The engine's update-plan execution backend.
-
-        Only the q-hierarchical engine has a vectorized kernel; every
-        other engine reports the python backend with the reason, so
-        ``explain()`` and the metrics gauge are uniform across engines.
-        """
-        return {
-            "backend": "python",
-            "reason": "engine has no vectorized kernel",
-            "requested": self._options.backend,
-        }
-
-    @property
-    def options(self) -> EngineOptions:
-        """The resolved construction options (wire-stable; see
-        :class:`repro.options.EngineOptions`)."""
-        return self._options
-
     # -- shared accessors -------------------------------------------------
 
     @property
@@ -669,8 +635,6 @@ def make_engine(
     name: str,
     query,
     database: Optional[Database] = None,
-    options: Optional[object] = None,
-    **option_kwargs,
 ) -> DynamicEngine:
     """Instantiate a registered engine by name — or let the planner pick.
 
@@ -681,19 +645,14 @@ def make_engine(
     paper's dichotomy: q-hierarchical → ``"qhierarchical"``, a union of
     q-hierarchical disjuncts → ``"ucq_union"``, anything else → the
     delta-IVM baseline.
-
-    ``options`` (an :class:`~repro.options.EngineOptions` or a mapping)
-    plus the ``backend=`` keyword sugar tune the construction; unknown
-    names raise with a did-you-mean suggestion.
     """
     # Imported lazily: repro.api builds on this module.
     from repro.api.planner import Planner, parse_view
 
-    resolved = EngineOptions.of(options, **option_kwargs)
     if isinstance(query, str):
         query = parse_view(query)
     if name == "auto":
-        return Planner().plan(query).build(database, options=resolved)
+        return Planner().plan(query).build(database)
     try:
         cls = ENGINE_REGISTRY[name]
     except KeyError:
@@ -704,7 +663,7 @@ def make_engine(
             f"engine {name!r} maintains a single conjunctive query; "
             f"use 'ucq_union' or 'auto' for a union"
         )
-    return cls(query, database, options=resolved)
+    return cls(query, database)
 
 
 def _accepts_unions(cls: Type[DynamicEngine]) -> bool:

@@ -31,7 +31,7 @@ Three pieces:
 
 **Routing.**  The client keeps one record per view — the
 :class:`RemoteView` that ``view()`` returns (worker, query text, pinned
-engine, relations, access patterns, options) — and derives the routing
+engine, relations, access patterns) — and derives the routing
 table from it: new views land on the alive worker serving the fewest
 views, and a relation maps to exactly the workers whose views mention
 it.  Writes fan out only to those workers, in ascending worker order.
@@ -104,7 +104,7 @@ behind slow fetches.
 between workers without losing a write: writers hold the shared side of
 a client-wide write gate per update/chunk/batch, the migration takes
 the exclusive side (a full drain), re-registers the view's record on
-the target (same query text, pinned engine, access patterns, options),
+the target (same query text, pinned engine, access patterns),
 reconciles the target's rows against the source's, re-homes the view's
 subscriptions and flips the record's worker — and with it the routing
 table — atomically.  Registration takes the same exclusive side for
@@ -166,7 +166,6 @@ from repro.obs.tracing import (
     new_trace_id,
 )
 from repro.api.access import normalize_binding
-from repro.options import EngineOptions
 from repro.serve.dispatch import DispatchPool
 from repro.serve.faults import FaultPlan
 from repro.serve.journal import CommandJournal
@@ -1132,8 +1131,8 @@ class RemoteView:
 
     ``view()`` returns it, the client's view table holds it, and
     migration and crash recovery re-register the view from it — so a
-    moved or recovered view keeps its query text, pinned engine,
-    declared access patterns and engine options.
+    moved or recovered view keeps its query text, pinned engine and
+    declared access patterns.
     """
 
     def __init__(
@@ -1144,7 +1143,6 @@ class RemoteView:
         worker: int,
         text: str,
         access: Optional[List[List[str]]],
-        options: Optional[Dict[str, object]],
     ):
         self.name = name
         #: the *resolved* engine name once registered, so a replay pins
@@ -1159,9 +1157,6 @@ class RemoteView:
         #: declared access patterns (wire form: variable-name lists),
         #: so a replay rebuilds the same binding indexes.
         self.access = access
-        #: engine options (wire form; None when the defaults applied),
-        #: so a replay rebuilds the view with the same backend.
-        self.options = options
 
     def registration(self) -> Dict[str, object]:
         """The request that registers this view on a worker."""
@@ -1173,8 +1168,6 @@ class RemoteView:
         }
         if self.access is not None:
             request["access"] = self.access
-        if self.options is not None:
-            request["options"] = self.options
         return request
 
     def __repr__(self) -> str:
@@ -1345,9 +1338,6 @@ class ClusterClient:
         #: each view's placement and registration (routing derives from
         #: it; migration and recovery re-register from it).
         self._views: Dict[str, RemoteView] = {}
-        #: default engine options (wire form) for views registered
-        #: through this client when the call passes none.
-        self._default_options: Optional[Dict[str, object]] = None
         self._routing: Dict[str, Tuple[int, ...]] = {}
         #: bumped on every routing flip (migration) so stream-level
         #: caches know to re-route.
@@ -1989,38 +1979,19 @@ class ClusterClient:
 
     # -- view registration -----------------------------------------------------
 
-    def _options_wire(
-        self, options: Optional[object]
-    ) -> Optional[Dict[str, object]]:
-        """Wire form of a view's engine options, or None when the
-        defaults apply (default options are omitted from requests and
-        view records so the frames stay byte-compatible)."""
-        if options is None:
-            if self._default_options is not None:
-                return dict(self._default_options)
-            return None
-        resolved = EngineOptions.of(options)
-        if resolved.is_default:
-            return None
-        return resolved.to_wire()
-
     def view(
         self,
         name: str,
         query: object,
         engine: str = "auto",
         access: Optional[object] = None,
-        options: Optional[object] = None,
     ) -> RemoteView:
         """Register a live view on the least-loaded alive worker.
 
         ``access`` declares access patterns up front, exactly like
-        :meth:`repro.api.session.Session.view`, and ``options``
-        (:class:`repro.options.EngineOptions` or a mapping) selects the
-        update backend of the engine built on the worker.  Both ride
-        the registration op and stay on the returned record, so
-        recovery and migration rebuild the same binding indexes with
-        the same backend.
+        :meth:`repro.api.session.Session.view`.  They ride the
+        registration op and stay on the returned record, so recovery
+        and migration rebuild the same binding indexes.
 
         Registration order never changes results — the guarantee the
         in-process Session gives: for every relation of the view that
@@ -2051,7 +2022,6 @@ class ClusterClient:
             worker,
             query_to_text(query),
             _access_wire(access),
-            self._options_wire(options),
         )
         context = f"registering view {name!r}"
         reply = self._request(worker, record.registration(), context=context)
@@ -2207,7 +2177,7 @@ class ClusterClient:
         update/chunk/batch holds the shared side), then: the view's
         subscriptions are barrier-drained, the view's record is
         re-registered on the target (stored query text, **pinned**
-        engine, access patterns, options), the target's relation rows
+        engine, access patterns), the target's relation rows
         are reconciled against the source's, the subscriptions re-home
         onto the target (their local outboxes — including undelivered
         deltas — survive; delivery counters restart with the fresh
@@ -3277,13 +3247,11 @@ class ClusterClient:
                 list(pattern.variables)
                 for pattern in getattr(view, "access_patterns", ())
             ]
-            engine_options = getattr(view.engine, "options", None)
             self.view(
                 view.name,
                 query_to_text(view.query),
                 engine=view.engine_name,
                 access=patterns or None,
-                options=engine_options,
             )
         commands: List[UpdateCommand] = []
         for relation in session.relations:  # type: ignore[attr-defined]

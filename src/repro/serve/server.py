@@ -286,14 +286,10 @@ class Server:
         shards: int = 1,
         dispatch_workers: int = 0,
         dispatch_queue: int = 8192,
-        options: Optional[object] = None,
     ):
         if shards < 1:
             raise EngineStateError(f"need >= 1 shard, got {shards}")
         self._session = session or Session()
-        # Default EngineOptions for views registered through this front
-        # door; a per-call options= on view() still wins.
-        self._default_options = options
         self._shards: List[RWLock] = [RWLock() for _ in range(shards)]
         self._shard_of_view: Dict[str, int] = {}
         self._shard_of_cursor: Dict[int, int] = {}
@@ -477,13 +473,10 @@ class Server:
         query: object,
         engine: str = "auto",
         access: Optional[object] = None,
-        options: Optional[object] = None,
     ) -> View:
-        if options is None:
-            options = self._default_options
         with self.exclusive():
             registered = self._session.view(
-                name, query, engine=engine, access=access, options=options
+                name, query, engine=engine, access=access
             )
             self._place_view(registered)
             return registered
@@ -896,10 +889,6 @@ class Server:
                 "pending": self._pool.pending if self._pool is not None else 0,
                 "reads": self.reads,
                 "writes": self.writes,
-                "backends": {
-                    view.name: view.engine.backend_info()["backend"]
-                    for view in self._session.views
-                },
             }
 
     def metrics(self) -> Dict[str, object]:
@@ -1005,7 +994,6 @@ class Server:
                 request["query"],
                 engine=request.get("engine", "auto"),
                 access=request.get("access"),
-                options=request.get("options"),
             )
             # Relations + arities are what a cluster client routes by.
             relations = sorted(registered.query.relations)
@@ -1013,7 +1001,6 @@ class Server:
                 "ok": True,
                 "view": registered.name,
                 "engine": registered.engine_name,
-                "backend": registered.engine.backend_info()["backend"],
                 "relations": relations,
                 "arities": {
                     relation: registered.query.arity_of(relation)

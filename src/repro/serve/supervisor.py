@@ -19,7 +19,7 @@ lifecycle on behalf of one :class:`~repro.serve.cluster.ClusterClient`:
 3. **Replay** — :meth:`ClusterClient._recover_worker` re-registers the
    worker's views from the client's own view table (the one
    :class:`~repro.serve.cluster.RemoteView` record per view: stored
-   query text, pinned engine, access patterns, options — in
+   query text, pinned engine, access patterns — in
    registration order) and reconciles the worker's relations against
    the :class:`~repro.serve.journal.CommandJournal`'s net-effect row
    mirror, one bulk batch per relation.  Because the client journals

@@ -320,30 +320,30 @@ class Database:
         return loaded
 
     def fold_stream(
-        self, commands
-    ) -> Tuple[int, Dict[str, Tuple[list, list]], Dict[str, int], Dict[str, int]]:
+        self, commands, grouped: Optional[Dict[str, Tuple[list, list]]] = None
+    ) -> Tuple[int, Dict[str, Tuple[list, list]]]:
         """Apply a command stream with the sequential set-semantics
-        filter in one pass; returns
-        ``(effective_count, grouped, inserts, deletes)`` where
+        filter in one pass; returns ``(effective_count, grouped)`` where
         ``grouped`` maps each touched relation to its effective
-        ``(rows, signs)`` in stream order (sign +1 insert, -1 delete).
+        ``(rows, flags)`` in stream order (flag ``True`` for an insert,
+        ``False`` for a delete).
 
         Equivalent to calling :meth:`insert`/:meth:`delete` per command
         and keeping the ones that changed the database, but the
         active-domain refcounts fold in per batch (one C-level
         ``Counter`` pass per direction) instead of per row, and the
-        per-relation grouping the batched engines need anyway rides
-        the same loop — the vectorized backend's update fast path.
-        The two count dicts give per-relation effective insert/delete
-        totals for the observability counters.  On a mid-stream error
-        the commands already applied stay applied, refcounts folded in.
+        per-relation grouping
+        :meth:`repro.core.engine.QHierarchicalEngine.apply_all` walks
+        its runners over rides the same loop.  On a mid-stream error
+        the commands already applied stay applied, refcounts folded in;
+        a caller that must act on that prefix passes its own
+        ``grouped`` dict, which is filled in place.
         """
         relations = self._relations
-        grouped: Dict[str, Tuple[list, list]] = {}
+        if grouped is None:
+            grouped = {}
         inserted_rows: list = []
         deleted_rows: list = []
-        inserts: Dict[str, int] = {}
-        deletes: Dict[str, int] = {}
         try:
             for command in commands:
                 name = command.relation
@@ -362,8 +362,7 @@ class Database:
                         )
                     rows.add(row)
                     inserted_rows.append(row)
-                    inserts[name] = inserts.get(name, 0) + 1
-                    sign = 1
+                    is_insert = True
                 else:
                     if row not in rows:
                         if len(row) != relation.arity:
@@ -371,22 +370,16 @@ class Database:
                         continue
                     rows.remove(row)
                     deleted_rows.append(row)
-                    deletes[name] = deletes.get(name, 0) + 1
-                    sign = -1
+                    is_insert = False
                 group = grouped.get(name)
                 if group is None:
                     group = ([], [])
                     grouped[name] = group
                 group[0].append(row)
-                group[1].append(sign)
+                group[1].append(is_insert)
         finally:
             self._fold_refcounts(inserted_rows, deleted_rows)
-        return (
-            len(inserted_rows) + len(deleted_rows),
-            grouped,
-            inserts,
-            deletes,
-        )
+        return len(inserted_rows) + len(deleted_rows), grouped
 
     def _fold_refcounts(
         self, inserted_rows: Sequence[Row], deleted_rows: Sequence[Row]

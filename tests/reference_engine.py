@@ -228,8 +228,9 @@ class ReferenceStructure(ComponentStructure):
 
 class ReferenceEngine(QHierarchicalEngine):
     """:class:`QHierarchicalEngine` over :class:`ReferenceStructure`:
-    insert-by-insert preprocessing, the seed loop per update, per-tuple
-    execution only (no kernel is attached)."""
+    insert-by-insert preprocessing and the seed loop per update — batches
+    included, which replay command by command instead of walking the
+    generated runners."""
 
     structure_class = ReferenceStructure
 
@@ -239,7 +240,10 @@ class ReferenceEngine(QHierarchicalEngine):
         database: Optional[Database] = None,
         prefer: Sequence[str] = (),
     ):
-        super().__init__(query, database, prefer, backend="python")
+        super().__init__(query, database, prefer)
+
+    apply_all = DynamicEngine.apply_all
+    apply_net = DynamicEngine.apply_net
 
     def _preload(self, database: Database) -> None:
         DynamicEngine._preload(self, database)

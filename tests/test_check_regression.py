@@ -96,17 +96,13 @@ def update_blob(
     procedure=3.0,
     floor=300000.0,
     preprocessing=4.0,
-    native=3.0,
-    numpy=True,
 ):
     return {
-        "meta": {"numpy": numpy},
         "aggregates": {
             "update_engine_geomean": engine,
             "update_procedure_geomean": procedure,
             "update_procedure_floor_ups": floor,
             "preprocessing_geomean": preprocessing,
-            "native_backend_geomean": native,
         },
     }
 
@@ -147,7 +143,7 @@ def test_relative_metric_missing_from_baseline_is_skipped(tmp_path):
         "update_throughput", baseline, fresh, 0.30
     )
     # relative metrics skip with a note; the absolute guardrails
-    # (preprocessing, the procedure floor, the native geomean) still run
+    # (preprocessing, the procedure floor) still run
     assert regressions == []
     assert sum("skip" in line for line in notes) == 2
     assert any("preprocessing_geomean" in line and "ok" in line for line in notes)
@@ -164,30 +160,6 @@ def test_procedure_floor_guardrail_turns_red(tmp_path):
     )
     assert len(regressions) == 1
     assert "update_procedure_floor_ups" in regressions[0]
-
-
-def test_native_gate_skips_when_fresh_run_had_no_numpy(tmp_path):
-    baseline = write(tmp_path / "base.json", update_blob())
-    # numpy absent on the runner: the native section never ran, its
-    # geomean is meaningless — the gate must skip it, not fail it.
-    fresh = write(
-        tmp_path / "fresh.json", update_blob(native=0.0, numpy=False)
-    )
-    regressions, notes = check_regression.check_experiment(
-        "update_throughput", baseline, fresh, 0.30
-    )
-    assert regressions == []
-    assert any(
-        "native_backend_geomean" in line and "falsy" in line for line in notes
-    )
-    # with numpy present, a collapse towards parity with the per-tuple
-    # runners breaks the absolute guardrail
-    bad = write(tmp_path / "bad.json", update_blob(native=0.9))
-    regressions, _ = check_regression.check_experiment(
-        "update_throughput", baseline, bad, 0.30
-    )
-    assert len(regressions) == 1
-    assert "native_backend_geomean" in regressions[0]
 
 
 def test_multiprocess_guardrail_turns_red(tmp_path):

@@ -90,11 +90,12 @@ class TestPlanCommand:
         assert status == 2
         assert "not q-hierarchical" in err
 
-    def test_backend_is_the_only_engine_flag(self, capsys):
-        status = main(["plan", "--backend", "python", "Q(x, y) :- E(x, y), T(y)"])
+    def test_plan_has_no_engine_option_flags(self, capsys):
+        status = main(["plan", "Q(x, y) :- E(x, y), T(y)"])
         assert status == 0
-        assert "backend: python" in capsys.readouterr().out
-        for retired in ("--no-compiled", "--no-merged-loaders"):
+        out = capsys.readouterr().out
+        assert "plan stats:" in out and "backend" not in out
+        for retired in ("--backend", "--no-compiled", "--no-merged-loaders"):
             with pytest.raises(SystemExit) as exit_info:
                 main(["plan", retired, "Q(x, y) :- E(x, y), T(y)"])
             assert exit_info.value.code == 2

@@ -1241,7 +1241,6 @@ def test_serving_signatures_are_frozen():
         "max_restarts",
         "faults",
         "observe",
-        "options",
     ]
     # The retired knobs are unknown names on every entry point.
     with pytest.raises(TypeError, match="start_method"):
