@@ -73,13 +73,13 @@ The experiments over the ``repro.serve`` subsystem:
   pinned views — every snapshot must settle (re-reads, re-pins, or
   the final write-gated attempt) rather than raise.
 
-* ``parameterized_views`` — one view with a binding index serving
-  thousands of distinct bound readers (``cursor(x=c)``, per-binding
-  subscriptions) versus the pre-parameterized-API reality of
-  registering a view copy per reader: memory ratio (guarded at 5%),
-  extrapolated per-update cost, fan-out flatness with thousands of
-  bound subscribers, and point-lookup latency percentiles under a
-  concurrent writer.
+* ``parameterized_views`` — one view serving thousands of distinct
+  bound readers (``cursor(x=c)``, probed from the view's own q-tree
+  structure with no binding index; per-binding subscriptions) versus
+  the pre-parameterized-API reality of registering a view copy per
+  reader: memory ratio (guarded at 5%), extrapolated per-update cost,
+  fan-out flatness with thousands of bound subscribers, and
+  point-lookup latency percentiles under a concurrent writer.
 
 Aborting a run with Ctrl-C is safe: the cluster context managers
 SIGTERM their worker processes on unwind (workers also watch a life
@@ -1072,9 +1072,11 @@ def bench_parameterized_views(
     Before parameterized views, a reader who wanted "my rows of the
     feed" registered their own copy of the view and filtered client
     side — every copy re-materialises the full result and pays the
-    full update cost.  The new API keeps **one** view plus one binding
-    index (O(|result|) total) and fans each update's delta out to the
-    touched bindings in a single O(δ) pass.
+    full update cost.  The new API keeps **one** view — ``x`` sits
+    below the unbound root ``y`` of ``E_T_QF``'s q-tree, so a bound
+    read probes the structure under each ``y`` item and no binding
+    index is kept — and fans each update's delta out to the touched
+    bindings in a single O(δ) pass.
 
     Memory and per-update cost of the per-binding baseline are
     measured on ``sample_views`` real engine copies and extrapolated
@@ -1096,7 +1098,7 @@ def bench_parameterized_views(
     database = feed_database(rows, domain, rng)
     binding_values = [rng.randrange(domain * 4) for _ in range(bindings)]
 
-    # -- side A: one view + one binding index + bound subscriptions ----
+    # -- side A: one view (bound reads probed) + bound subscriptions --
     sink: List[object] = []
 
     def build_one_view():
@@ -1421,7 +1423,7 @@ def render(report: Dict[str, object]) -> str:
         f"on {param['sampled_views']} real copies, extrapolated):"
     )
     lines.append(
-        f"  one view + index {param['one_view_bytes']:>12} bytes "
+        f"  one view         {param['one_view_bytes']:>12} bytes "
         f"({param['memory_ratio']*100:.3f}% of a view per binding — "
         "guarded at 5%)"
     )
@@ -1676,8 +1678,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "value": parameterized_views["memory_ratio"],
             "met": parameterized_views["memory_ratio"] <= 0.05
             and bool(parameterized_views["bound_reads_match_filter"]),
-            "note": "one parameterized view plus its binding index holds "
-            "at most 5% of the memory of registering a view copy per "
+            "note": "one parameterized view and its bound subscriptions "
+            "hold at most 5% of the memory of registering a view copy per "
             "binding, and the bound read stays byte-identical to the "
             "filtered unbound read" + quick_note,
         },

@@ -116,8 +116,9 @@ TRACKED: Dict[str, List[Tuple[str, str, object]]] = {
         # observe=False no-op fast path.  Absolute ratio, scale-robust:
         # both sides run the identical stream in the same process.
         ("observability_overhead.overhead_ratio", "lower", 1.05),
-        # Parameterized views: one view + binding index vs a registered
-        # view copy per binding.  Both guardrails are absolute ratios
+        # Parameterized views: one view, whose bound reads probe its own
+        # structure (no binding index), vs a registered view copy per
+        # binding.  Both guardrails are absolute ratios
         # and scale-robust: memory_ratio divides two measurements of
         # the same workload (one-view bytes over extrapolated
         # per-binding bytes — 5% is the headline guarantee, real runs

@@ -8,9 +8,10 @@ layer (:mod:`repro.serve`):
 * a **subscription** streaming the O(δ) per-update result deltas of
   the feed view (what a push notifier consumes);
 * **resumable cursors** paging the feed in constant delay per tuple —
-  including a parameter-bound cursor (``user=...``) pinned via the
-  q-tree, and a snapshot cursor that keeps serving the pre-update
-  result while a writer thread races it;
+  including a parameter-bound cursor (``author=...``) pinned via the
+  q-tree, one (``user=...``) probed below the unbound root, and a
+  snapshot cursor that keeps serving the pre-update result while a
+  writer thread races it;
 * a plain cursor **revalidating** across a burst of beyond-frontier
   writes (delta-aware: it re-anchors its walk and keeps serving the
   live result), then getting **precisely invalidated** by the one
@@ -66,6 +67,28 @@ def main() -> None:
     # free-access-pattern style of serving.
     bound = server.open_cursor("feed", binding={"author": "author3"})
     print(f"\nauthor3's slice, first page: {server.fetch(bound, 4)}")
+
+    # A bound cursor on ``user``, which sits *below* the unbound root
+    # ``author``: the read is probed — one item probe under each
+    # author, in the unbound read's order — and keeps no state, so the
+    # writes below still cost what Theorem 3.2 says.
+    mine = server.open_cursor("feed", binding={"user": "user5"})
+    rows = []
+    while page := server.fetch(mine, 64):
+        rows.extend(page)
+    everything = server.open_cursor("feed")
+    unbound = []
+    while page := server.fetch(everything, 256):
+        unbound.extend(page)
+    assert rows and rows == [row for row in unbound if row[1] == "user5"]
+    server.close_cursor(mine)
+    server.close_cursor(everything)
+    probed = [
+        line for line in server.explain("feed").splitlines() if "probed" in line
+    ]
+    assert len(probed) == 1
+    print(f"user5's slice: {len(rows)} tuples, the filtered unbound read's")
+    print(probed[0])
 
     # Writer thread races the readers through the dispatcher.
     def writer() -> None:

@@ -21,7 +21,8 @@ API:
   once (:func:`normalize_binding`) and classified per
   ``(query, access pattern)`` pair (:class:`AccessPattern`), so
   ``view.cursor(u=3)`` / ``view.subscribe(u=3)`` ride an O(1) pinned
-  or indexed path whenever the pattern is tractable under updates.
+  path where the pattern is ancestor-closed in the q-tree and a probed
+  one elsewhere — neither keeps state, so updates stay O(1).
 
 Quickstart::
 

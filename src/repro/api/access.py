@@ -14,7 +14,7 @@ that frontier:
   dual into a validated binding, with collision errors that name the
   colliding parameter and did-you-mean suggestions for typos.
 * :func:`classify_access_pattern` — map a ``(query, engine, bound
-  variables)`` triple onto one of three serving modes:
+  variables)`` triple onto one of four serving modes:
 
   =========  ==========================================================
   mode       meaning
@@ -22,12 +22,21 @@ that frontier:
   pinned     the bound set is ancestor-closed in every component's
              q-tree — O(1) root-path item probes, no extra state
              (today's ``Plan.binding_orders`` prefix case)
-  indexed    tractable but not prefix-pinnable: the engine maintains a
-             hash index from bound-value tuples to output rows —
-             O(1) lookup, +O(δ) maintenance folded into every update
-  filter     no index-backed path (the recompute baseline): bound
-             reads scan and filter the full result
+  probed     q-hierarchical but not prefix-pinnable: a bound variable
+             below an unbound ancestor is one item probe per item of
+             the unbound levels — no extra state, so the update stays
+             Theorem 3.2's O(1), but the delay is bounded by those
+             levels' fit lists, not constant
+  indexed    delta-IVM only: a hash index from bound-value tuples to
+             output rows, patched where a maintained count crosses
+             zero — O(1) lookup, +O(δ) inside the O(|δ|) update that
+             engine already pays
+  filter     no structural path (the recompute baseline, the Appendix
+             engine): bound reads scan and filter the full result
   =========  ==========================================================
+
+No engine on Theorem 3.2's side keeps state for a binding, so a bound
+read never changes what an update costs.
 
 * :class:`AccessPattern` — the classified pair, carried on the
   :class:`~repro.api.planner.Plan` so ``explain()`` renders one
@@ -67,10 +76,15 @@ _MODE_GUARANTEES: Dict[str, Dict[str, str]] = {
         "delay": "O(poly(ϕ)) per tuple, constant in the data",
         "update": "no extra cost (reuses the q-tree items)",
     },
+    "probed": {
+        "lookup": "one item probe per item on the unbound ancestor levels",
+        "delay": "bounded by the unbound ancestors' fit lists, not constant",
+        "update": "no extra cost (no state kept for the binding)",
+    },
     "indexed": {
         "lookup": "O(1) hash probe on the maintained binding index",
         "delay": "O(1) per tuple from the indexed bucket",
-        "update": "+O(δ) binding-index maintenance per update",
+        "update": "+O(δ) index upkeep inside delta-IVM's O(|δ|) update",
     },
     "filter": {
         "lookup": "O(|result|) filtered scan (no index-backed path)",
@@ -85,11 +99,11 @@ class AccessPattern:
     """One classified (query, access pattern) pair.
 
     ``variables`` is the bound set in the view's output order — the
-    canonical pattern key.  ``mode`` is ``"pinned"`` / ``"indexed"`` /
-    ``"filter"`` (see the module table), ``declared`` whether the
-    pattern came from ``Session.view(..., access=...)`` or was inferred
-    from the first bound use, and the remaining fields are the
-    guarantee row ``explain()`` prints.
+    canonical pattern key.  ``mode`` is ``"pinned"`` / ``"probed"`` /
+    ``"indexed"`` / ``"filter"`` (see the module table), ``declared``
+    whether the pattern came from ``Session.view(..., access=...)`` or
+    was inferred from the first bound use, and the remaining fields are
+    the guarantee row ``explain()`` prints.
     """
 
     variables: Tuple[str, ...]
@@ -294,58 +308,59 @@ def classify_access_pattern(
         )
     key = tuple(v for v in free if v in bound)
 
-    mode = "indexed"
-    reason = (
-        "tractable under updates via a maintained binding index "
-        "(O(δ) upkeep per update)"
-    )
     if engine_name == "qhierarchical":
-        closed = _component_ancestor_closed(query, bound)
-        if closed:
+        if _component_ancestor_closed(query, bound):
             mode = "pinned"
             reason = (
                 "ancestor-closed in every component q-tree — served by "
                 "O(1) root-path item probes, no extra state"
             )
         else:
+            mode = "probed"
             reason = (
                 "not ancestor-closed in the q-tree (a bound variable "
-                "sits below an unbound ancestor) — served through a "
-                "maintained binding index instead of prefix pinning"
+                "sits below an unbound ancestor) — probed under each "
+                "item of the unbound levels, no extra state"
             )
     elif engine_name == "ucq_union":
-        disjuncts = getattr(query, "disjuncts", None)
-        if disjuncts is not None:
-            position = {v: i for i, v in enumerate(free)}
-            pinned_everywhere = True
-            for disjunct in disjuncts:
-                local_free = tuple(disjunct.free)
-                translated = {local_free[position[v]] for v in bound}
-                if not _component_ancestor_closed(disjunct, translated):
-                    pinned_everywhere = False
-                    break
-            if pinned_everywhere:
-                mode = "pinned"
-                reason = (
-                    "ancestor-closed in every disjunct's q-tree — each "
-                    "disjunct pins with O(1) probes, the union folds "
-                    "them duplicate-free"
-                )
-            else:
-                reason = (
-                    "some disjunct cannot pin this pattern — served "
-                    "through a union-level maintained binding index"
-                )
+        position = {v: i for i, v in enumerate(free)}
+        if all(
+            _component_ancestor_closed(
+                disjunct, {tuple(disjunct.free)[position[v]] for v in bound}
+            )
+            # a plain CQ served by the union engine is one disjunct
+            for disjunct in getattr(query, "disjuncts", (query,))
+        ):
+            mode = "pinned"
+            reason = (
+                "ancestor-closed in every disjunct's q-tree — each "
+                "disjunct pins with O(1) probes, the union folds "
+                "them duplicate-free"
+            )
+        else:
+            mode = "probed"
+            reason = (
+                "some disjunct cannot pin this pattern — it probes "
+                "under its unbound levels, the union folds the "
+                "disjuncts duplicate-free, no extra state"
+            )
+    elif engine_name == "delta_ivm":
+        mode = "indexed"
+        reason = (
+            "materialised view — bound reads probe a hash index over "
+            "the maintained result, patched where a count crosses zero"
+        )
     elif engine_name == "recompute":
         mode = "filter"
         reason = (
             "the recompute baseline maintains no incremental state — "
             "bound reads filter the re-evaluated result"
         )
-    else:  # delta_ivm and any other materialising fallback
+    else:
+        mode = "filter"
         reason = (
-            "materialised view — bound reads probe a hash index over "
-            "the maintained result, patched O(δ) per update"
+            f"the {engine_name} engine has no structural bound path — "
+            "bound reads filter the enumerated result"
         )
     row = _MODE_GUARANTEES[mode]
     return AccessPattern(

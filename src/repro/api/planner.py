@@ -179,7 +179,7 @@ class Plan:
         (:class:`repro.api.access.AccessPattern`) — declared via
         ``Session.view(..., access=...)`` or inferred from the first
         bound cursor/subscription.  Each renders as its own guarantee
-        row: serving mode (pinned / indexed / filter), the promised
+        row: serving mode (pinned / probed / indexed / filter), the promised
         lookup/delay/update classes, and — when the session observes —
         the measured per-pattern delay percentiles.
     """
@@ -245,7 +245,8 @@ class Plan:
                 origin = "declared" if pattern.declared else "inferred"
                 line = (
                     f"  {label:<14} {pattern.mode} ({origin}) — "
-                    f"lookup {pattern.lookup}, update {pattern.update}"
+                    f"lookup {pattern.lookup}; delay {pattern.delay}; "
+                    f"update {pattern.update}"
                 )
                 cell = _format_observed_cell(bound_observed.get(pattern.key))
                 if cell:

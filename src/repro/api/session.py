@@ -13,7 +13,7 @@ A single :meth:`Session.apply` runs that fan-out per command.  A stream
 :meth:`Session.ingest`, a committing :class:`Batch`, the server's and
 the cluster workers' chunked writes) stays a batch: effectiveness is
 decided once against the session store, views somebody is *watching* —
-a subscriber, an open cursor, a binding index — still see every
+a subscriber or an open cursor — still see every
 effective command in order, and every other view takes the stream's net
 effect per relation in one
 :meth:`~repro.interface.DynamicEngine.apply_net` when the call ends.
@@ -181,11 +181,12 @@ class View:
     ) -> AccessPattern:
         """Classify (once) the access pattern binding ``variables``.
 
-        ``pinned`` patterns need no state; ``indexed`` ones register a
-        maintained binding index with the engine (built O(|result|)
-        once, patched O(δ) per update); ``filter`` records the honest
-        degradation.  The pattern lands on :meth:`explain`'s report
-        either way.
+        ``pinned`` and ``probed`` patterns are served from the
+        structure and need no state; ``indexed`` (delta-IVM only)
+        registers a binding index with the engine, built O(|result|)
+        once and patched inside the O(|δ|) update that engine already
+        pays; ``filter`` records the honest degradation.  The pattern
+        lands on :meth:`explain`'s report either way.
         """
         free = tuple(self.query.free)
         chosen = set(variables)
@@ -256,10 +257,13 @@ class View:
         ``binding``/``snapshot`` parameters.  The bound set is
         classified as an access pattern on first use
         (:func:`repro.api.access.classify_access_pattern`):
-        ancestor-closed patterns pin in O(1), other tractable patterns
-        get a maintained binding index, and only the baseline falls
-        back to filtering.  ``snapshot=True`` pins the pre-update
-        result if a write interleaves.
+        ancestor-closed patterns pin in O(1), other q-hierarchical
+        patterns probe under each item of their unbound levels,
+        delta-IVM answers from a binding index, and the remaining
+        baselines filter.  None of these keeps state that a later
+        update has to pay for, except delta-IVM's index, whose upkeep
+        stays inside that engine's O(|δ|) update.  ``snapshot=True``
+        pins the pre-update result if a write interleaves.
         """
         from repro.serve.cursors import Cursor  # avoid an import cycle
 
@@ -282,8 +286,8 @@ class View:
         **variables,
     ) -> Iterator[Row]:
         """Stream the result restricted to an output-variable binding,
-        through the engine's index-backed bound path when one applies
-        (see :meth:`repro.interface.DynamicEngine.enumerate_bound`)."""
+        through the engine's structural bound path (see
+        :meth:`repro.interface.DynamicEngine.enumerate_bound`)."""
         merged = normalize_binding(
             binding,
             variables,
@@ -318,8 +322,8 @@ class View:
         A *parameterized* subscription binds output variables —
         ``view.subscribe(u=3)`` or ``binding={"u": 3}`` — and then
         receives only the O(δ)-restricted per-binding delta, fanned out
-        server-side from the single ``apply_with_delta`` pass over a
-        binding index (never per-subscriber re-evaluation); the
+        server-side from the single ``apply_with_delta`` pass, grouped
+        by bound values (never per-subscriber re-evaluation); the
         delivered deltas carry ``delta.binding``.
         """
         from repro.serve.subscriptions import Subscription
@@ -417,15 +421,11 @@ class View:
 
     def _watched(self) -> bool:
         """Whether someone consumes this view's per-command deltas —
-        a subscriber, a bound subscriber, an open cursor or a binding
-        index.  :meth:`Session.apply_all` delivers to such a view
-        command by command and nets the stream for every other."""
-        return bool(
-            self._subscriptions
-            or self._bound_subs
-            or self._cursors
-            or self._engine.access_patterns
-        )
+        a subscriber, a bound subscriber or an open cursor.
+        :meth:`Session.apply_all` delivers to such a view command by
+        command and nets the stream for every other (a delta-IVM
+        binding index stays exact through ``apply_net`` too)."""
+        return bool(self._subscriptions or self._bound_subs or self._cursors)
 
     def _publish(self, seconds: float) -> None:
         """Record one observed per-update cost and refresh the result
@@ -733,9 +733,11 @@ class Session:
         ``access`` declares the expected access patterns up front — one
         pattern (``access={"u"}``) or several (``access=[{"u"},
         {"u", "x"}]``).  Each is classified immediately
-        (:func:`repro.api.access.classify_access_pattern`) and, when it
-        needs one, its binding index is built during registration
-        instead of on the first bound read.  Patterns not declared here
+        (:func:`repro.api.access.classify_access_pattern`) and shows on
+        :meth:`View.explain`.  Only a delta-IVM view keeps state for a
+        pattern — its binding index, built here during registration
+        instead of on the first bound read; every other engine serves
+        bound reads from its own structure.  Patterns not declared here
         are still inferred from the first bound cursor / subscription.
         """
         if name in self._views:
@@ -767,7 +769,7 @@ class Session:
         # were arity-checked on entry, so they bulk-copy without
         # per-row validation, and the engine's own bulk path takes it
         # from there.  One collector pause spans the engine build and
-        # the declared binding indexes, so the registration pays at
+        # any declared binding index, so the registration pays at
         # most one closing generation-0 pass.
         with _collector_paused():
             preload = Database(Schema(arities))

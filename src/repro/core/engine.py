@@ -192,11 +192,8 @@ class QHierarchicalEngine(DynamicEngine):
         it enumeration order, may differ).  A command naming an
         unknown relation or carrying the wrong arity raises where the
         stream stands, after the applied prefix has reached the
-        structures.  Binding indexes need per-command deltas and take
-        the base class's per-command path.
+        structures.
         """
-        if self._binding_indexes:
-            return super().apply_all(commands)
         grouped: Dict[str, Tuple[List[Row], List[bool]]] = {}
         try:
             return self._db.fold_stream(commands, grouped)[0]
@@ -222,11 +219,8 @@ class QHierarchicalEngine(DynamicEngine):
         relation walks the net rows in one tight loop — a row the
         stream inserted and deleted again costs nothing here, while
         ``epoch`` and the update counters still advance by the
-        effective counts.  Binding indexes need per-command deltas and
-        take the base class's per-row path.
+        effective counts.
         """
-        if self._binding_indexes:
-            return super().apply_net(net)
         self._db.apply_net(net)
         dispatch = self._dispatch
         counters = self._obs_insert
@@ -280,21 +274,13 @@ class QHierarchicalEngine(DynamicEngine):
             counters[relation].value += 1
         sole = self._sole
         if sole is not None:
-            added, removed = sole.apply_with_delta(is_insert, relation, row)
-        else:
-            component_delta = {
-                id(structure): structure.apply_with_delta(
-                    is_insert, relation, row
-                )
-                for structure in self._by_relation.get(relation, ())
-            }
-            expanded = self._expand_delta(
-                component_delta, 0 if is_insert else 1
-            )
-            added, removed = (expanded, ()) if is_insert else ((), expanded)
-        if self._binding_indexes:
-            self._maintain_binding_indexes(added, removed)
-        return added, removed
+            return sole.apply_with_delta(is_insert, relation, row)
+        component_delta = {
+            id(structure): structure.apply_with_delta(is_insert, relation, row)
+            for structure in self._by_relation.get(relation, ())
+        }
+        expanded = self._expand_delta(component_delta, 0 if is_insert else 1)
+        return (expanded, ()) if is_insert else ((), expanded)
 
     def _expand_delta(
         self,
@@ -399,14 +385,15 @@ class QHierarchicalEngine(DynamicEngine):
 
         The structural bound path behind
         :meth:`repro.interface.DynamicEngine.enumerate_bound` (which
-        validates the names and consults registered binding indexes
-        first): the walker compiled for this *set* of bound variables
-        (cached; first use compiles it), started on the bound values.
-        Bound variables forming an ancestor-closed set in their
-        component's q-tree are pinned with O(1) item probes (constant
-        delay per tuple); the rest degrade to fit-list filters.  Output
-        tuples carry the bound values in place, over the query's full
-        output arity.
+        validates the names): the walker compiled for this *set* of
+        bound variables (cached; first use compiles it), started on the
+        bound values.  Bound variables forming an ancestor-closed set in
+        their component's q-tree are pinned with O(1) item probes
+        (constant delay per tuple); a bound variable below an unbound
+        ancestor is one item probe per parent item.  No state is kept
+        for the binding, so updates cost what they cost without it.
+        Output tuples carry the bound values in place, over the query's
+        full output arity.
         """
         return bound_walk(
             self._walkers, self._structures, self._query.free, binding

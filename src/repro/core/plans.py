@@ -569,8 +569,10 @@ def compile_walker(
     * a bound node whose ancestors are all bound (an ancestor-closed,
       *pinned* prefix — the free-access-pattern primitive) is one store
       probe before the nest and no loop, so the delay stays O(k); a
-      bound node below an unbound ancestor is an inline
-      ``key[-1] != wanted: continue`` over its fit list;
+      bound node below an unbound ancestor is one store probe per item
+      of its parent, ``_S.get(parent.key + (wanted,))``, and no loop —
+      the item is unique under its parent, so the order is the filtered
+      fit list's;
     * constants live in locals and the output tuple is written
       literally in ``free`` order — no binding dict, no per-level
       generator frame, one resume per tuple;
@@ -599,10 +601,13 @@ def compile_walker(
 
     # Slot s = the s-th free node in nest order; i{s} holds its current
     # item, c{s} its constant.  Pinned slots resolve here, before the
-    # nest (their keys depend on the arguments alone).
+    # nest (their keys depend on the arguments alone).  Every other
+    # slot is a nest level (slot, first item, probed): a walk over its
+    # fit list, or — bound below an unbound parent — an ``if`` around
+    # the one item the probe finds.
     slot: Dict[str, int] = {}
     pinned: set = set()
-    loops: List[Tuple[int, str, Optional[str]]] = []
+    nest: List[Tuple[int, str, bool]] = []
     for c, structure in enumerate(structures):
         tree = structure.qtree
         for node in structure.free_order:
@@ -615,31 +620,34 @@ def compile_walker(
                 emit(f"    i{s} = _S{s}.get({key})")
                 emit(f"    if i{s} is None or not i{s}.in_list: return")
                 emit(f"    c{s} = i{s}.key[-1]")
+            elif node in argument:
+                namespace[f"_S{s}"] = structure._items[node]
+                key = _tuple_literal([argument[node]])
+                nest.append((s, f"_S{s}.get(i{slot[up]}.key + {key})", True))
             else:
                 head = (
                     f"_start{c}" if up is None else f"i{slot[up]}.lists[{node!r}]"
                 )
-                loops.append((s, f"{head}.head", argument.get(node)))
+                nest.append((s, f"{head}.head", False))
 
     pad = "    "
     value = {s: f"c{s}" for s in slot.values()}
-    for s, head, wanted in loops:
+    for s, head, probed in nest:
         emit(f"{pad}i{s} = {head}")
-        emit(f"{pad}while i{s} is not None:")
+        if probed:
+            emit(f"{pad}if i{s} is not None and i{s}.in_list:")
+        else:
+            emit(f"{pad}while i{s} is not None:")
         pad += "    "
-        if wanted is not None:  # None is a legal constant: compare, don't test
-            emit(f"{pad}c{s} = i{s}.key[-1]")
-            emit(f"{pad}if c{s} != {wanted}:")
-            emit(f"{pad}    i{s} = i{s}.next")
-            emit(f"{pad}    continue")
-        elif s == loops[-1][0]:
+        if s == nest[-1][0]:
             value[s] = f"i{s}.key[-1]"  # innermost: read once, in the tuple
         else:
             emit(f"{pad}c{s} = i{s}.key[-1]")
     emit(f"{pad}yield {_tuple_literal([value[slot[v]] for v in free])}")
     emit(f"{pad}if {stale}: raise _Err({_STALE_WALK!r})")
-    for s, _head, _wanted in reversed(loops):
-        emit(f"{pad}i{s} = i{s}.next")
+    for s, _head, probed in reversed(nest):
+        if not probed:
+            emit(f"{pad}i{s} = i{s}.next")
         pad = pad[:-4]
 
     source = "\n".join(lines)

@@ -365,9 +365,7 @@ class UnionEngine(DynamicEngine):
                 seen.add(candidate)
                 if not self.contains(candidate):
                     removed.append(candidate)
-        delta = tuple(added), tuple(removed)
-        self._maintain_binding_indexes(*delta)
-        return delta
+        return tuple(added), tuple(removed)
 
     # ------------------------------------------------------------------
     # queries
@@ -429,12 +427,12 @@ class UnionEngine(DynamicEngine):
 
         The structural bound path behind the base class's
         :meth:`~repro.interface.DynamicEngine.enumerate_bound` (names
-        validated and binding indexes consulted there).  ``binding``
-        uses the union's output names (the first disjunct's free
-        tuple); it is translated positionally onto each disjunct and
-        the Durand–Strozecki fold runs over the per-disjunct bound
-        streams, deduplicating with full-tuple ``contains`` probes as
-        in :meth:`enumerate`.
+        validated there).  ``binding`` uses the union's output names
+        (the first disjunct's free tuple); it is translated
+        positionally onto each disjunct and the Durand–Strozecki fold
+        runs over the per-disjunct bound streams (each pinned or probed
+        in its own q-tree), deduplicating with full-tuple ``contains``
+        probes as in :meth:`enumerate`.
         """
         names = self._query.free
         position = {v: i for i, v in enumerate(names)}

@@ -44,11 +44,7 @@ from typing import (
 from repro.cq.query import ConjunctiveQuery
 from repro.errors import EngineStateError, QueryStructureError
 from repro.storage.database import Constant, Database, Row
-from repro.storage.updates import (
-    UpdateCommand,
-    delete as delete_command,
-    insert as insert_command,
-)
+from repro.storage.updates import UpdateCommand
 
 __all__ = ["DynamicEngine", "ENGINE_REGISTRY", "register_engine", "make_engine"]
 
@@ -134,19 +130,6 @@ class DynamicEngine(ABC):
         self._obs_labels: Dict[str, str] = {}
         self._obs_insert: Optional[Dict[str, object]] = None
         self._obs_delete: Optional[Dict[str, object]] = None
-        # Binding indexes (access patterns): pattern key — bound
-        # variables in output order — to {bound-values tuple: rows}.
-        # Empty until register_access_pattern; the update hot path pays
-        # a single truthiness check while no pattern is registered.
-        self._binding_indexes: Dict[
-            Tuple[str, ...], Dict[Tuple[Constant, ...], Set[Row]]
-        ] = {}
-        self._binding_positions: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
-        # Reentrancy guard: insert/delete route through apply_with_delta
-        # while indexes exist (the delta maintains them); engines whose
-        # apply_with_delta itself calls apply set this flag around the
-        # call so the inner dispatch takes the plain path.
-        self._in_delta = False
         self._setup()
         if database is not None:
             with _collector_paused():
@@ -236,8 +219,6 @@ class DynamicEngine(ABC):
     def insert(self, relation: str, row: Sequence[Constant]) -> bool:
         """``insert R(ā)``; returns True iff the database changed."""
         row = tuple(row)
-        if self._binding_indexes and not self._in_delta:
-            return self._update_through_delta(insert_command(relation, row))
         if not self._db.insert(relation, row):
             return False
         self._epoch += 1
@@ -250,8 +231,6 @@ class DynamicEngine(ABC):
     def delete(self, relation: str, row: Sequence[Constant]) -> bool:
         """``delete R(ā)``; returns True iff the database changed."""
         row = tuple(row)
-        if self._binding_indexes and not self._in_delta:
-            return self._update_through_delta(delete_command(relation, row))
         if not self._db.delete(relation, row):
             return False
         self._epoch += 1
@@ -300,8 +279,7 @@ class DynamicEngine(ABC):
         The default runs :meth:`delete` / :meth:`insert` over the net
         rows and tops the epoch and counters up by the cancelled
         remainder — correct for engines that read their store per
-        command (delta-IVM, the UCQ union, recompute) and for binding
-        indexes, which ride the per-row delta path.
+        command (delta-IVM, the UCQ union, recompute).
         """
         epoch = self._epoch
         for relation, (inserted, deleted, n_inserts, n_deletes) in net.items():
@@ -332,99 +310,13 @@ class DynamicEngine(ABC):
         :class:`~repro.core.engine.QHierarchicalEngine` derives the
         delta in O(poly(ϕ) + δ) from the touched root paths, the union
         engine combines per-disjunct deltas, and the delta-IVM baseline
-        reads it off the sign flips of its maintained counts.  Every
-        implementation feeds the delta to
-        :meth:`_maintain_binding_indexes`, so registered access-pattern
-        indexes stay exact at +O(δ) per update.
+        reads it off the sign flips of its maintained counts.
         """
         before = self.result_set()
-        self._in_delta = True
-        try:
-            changed = self.apply(command)
-        finally:
-            self._in_delta = False
-        if not changed:
+        if not self.apply(command):
             return (), ()
         after = self.result_set()
-        added, removed = tuple(after - before), tuple(before - after)
-        self._maintain_binding_indexes(added, removed)
-        return added, removed
-
-    def _update_through_delta(self, command: UpdateCommand) -> bool:
-        """Run one update through :meth:`apply_with_delta` so binding
-        indexes are maintained; the epoch comparison recovers the
-        ``changed`` verdict (an effective update always bumps it,
-        including ones whose result delta happens to be empty)."""
-        before = self._epoch
-        self.apply_with_delta(command)
-        return self._epoch != before
-
-    # -- access patterns (binding indexes) ------------------------------------
-
-    def register_access_pattern(
-        self, variables: Sequence[str]
-    ) -> Tuple[str, ...]:
-        """Maintain a binding index for an access pattern.
-
-        ``variables`` must be output variables; the canonical pattern
-        key (the variables in output order) is returned.  The index —
-        bound-value tuple → set of output rows — is built once in
-        O(|result|) and patched in O(δ) by every
-        :meth:`apply_with_delta` thereafter; once any pattern is
-        registered, plain :meth:`insert`/:meth:`delete` route through
-        the delta path so the index can never go stale.  Registering
-        the same pattern twice is a no-op.
-        """
-        free = tuple(self._query.free)
-        chosen = set(variables)
-        self._check_binding({v: None for v in chosen})
-        key = tuple(v for v in free if v in chosen)
-        if not key:
-            raise QueryStructureError(
-                "an access pattern needs at least one bound variable"
-            )
-        if key in self._binding_indexes:
-            return key
-        positions = tuple(free.index(v) for v in key)
-        index: Dict[Tuple[Constant, ...], Set[Row]] = {}
-        with _collector_paused():
-            for row in self.enumerate():
-                index.setdefault(
-                    tuple(row[p] for p in positions), set()
-                ).add(row)
-        self._binding_positions[key] = positions
-        self._binding_indexes[key] = index
-        return key
-
-    @property
-    def access_patterns(self) -> Tuple[Tuple[str, ...], ...]:
-        """The registered (index-backed) access-pattern keys."""
-        return tuple(self._binding_indexes)
-
-    def binding_index_size(self) -> int:
-        """Total distinct bound-value keys across all binding indexes."""
-        return sum(len(index) for index in self._binding_indexes.values())
-
-    def _maintain_binding_indexes(
-        self, added: Sequence[Row], removed: Sequence[Row]
-    ) -> None:
-        """Patch every registered binding index with one delta — O(δ)
-        per index (called by every ``apply_with_delta``)."""
-        if not self._binding_indexes or (not added and not removed):
-            return
-        for key, index in self._binding_indexes.items():
-            positions = self._binding_positions[key]
-            for row in added:
-                index.setdefault(
-                    tuple(row[p] for p in positions), set()
-                ).add(row)
-            for row in removed:
-                values = tuple(row[p] for p in positions)
-                bucket = index.get(values)
-                if bucket is not None:
-                    bucket.discard(row)
-                    if not bucket:
-                        del index[values]
+        return tuple(after - before), tuple(before - after)
 
     def delta_for_binding(
         self,
@@ -471,54 +363,18 @@ class DynamicEngine(ABC):
     ) -> Iterator[Row]:
         """Stream the result restricted to an output-variable binding.
 
-        Resolution order: a registered binding index covering (a subset
-        of) the bound variables answers with one O(1) hash probe —
-        residual variables filter the bucket; otherwise the engine's
-        structural fallback (:meth:`_enumerate_bound_fallback`) runs —
-        q-tree pinning for the paper's engine, per-disjunct folds for
-        unions, a filtered scan for the baselines.
+        Validates the names, then runs the engine's own bound path
+        (:meth:`_enumerate_bound_fallback`): walker probes under the
+        q-tree for the paper's engine, per-disjunct folds for unions,
+        the binding index (when one is declared) or a filtered scan for
+        the baselines.  No engine but delta-IVM keeps state for a
+        binding, so a bound read never adds to the cost of an update.
         """
         binding = dict(binding)
         if not binding:
             return self.enumerate()
         self._check_binding(binding)
-        probe = self._probe_binding_index(binding)
-        if probe is not None:
-            return probe
         return self._enumerate_bound_fallback(binding)
-
-    def _probe_binding_index(
-        self, binding: Dict[str, Constant]
-    ) -> Optional[Iterator[Row]]:
-        """Serve a binding from the widest covering index, or None."""
-        if not self._binding_indexes:
-            return None
-        names = set(binding)
-        best: Optional[Tuple[str, ...]] = None
-        for key in self._binding_indexes:
-            if set(key) <= names and (best is None or len(key) > len(best)):
-                best = key
-        if best is None:
-            return None
-        bucket = self._binding_indexes[best].get(
-            tuple(binding[v] for v in best)
-        )
-        if not bucket:
-            return iter(())
-        # Snapshot the bucket: a suspended stream must not observe the
-        # index mutating under a later update (cursors re-anchor via
-        # their own rebuild protocol; direct iteration stays safe too).
-        rows = tuple(bucket)
-        residual = [v for v in binding if v not in best]
-        if not residual:
-            return iter(rows)
-        free = tuple(self._query.free)
-        checks = tuple((free.index(v), binding[v]) for v in residual)
-        return (
-            row
-            for row in rows
-            if all(row[i] == value for i, value in checks)
-        )
 
     def _enumerate_bound_fallback(
         self, binding: Dict[str, Constant]

@@ -24,17 +24,35 @@ Evaluation probes persistent hash indexes, so the per-update cost is
 proportional to the *delta join size* — Θ(n) for the paper's hard
 queries (e.g. ``ϕ_S-E-T`` when a popular edge endpoint changes), which
 is precisely the ``n^{1-ε}`` barrier of Theorems 3.3–3.5.
+
+Since every update already pays O(|δ|) for the output tuples it flips,
+this engine is the one that keeps a **binding index** for an access
+pattern without changing its update bound:
+:meth:`DeltaIVMEngine.register_access_pattern` maps bound-value tuples
+to output rows, and the counts' zero crossings in ``_bump`` patch it —
+so plain updates, ``apply_net`` and ``apply_with_delta`` all keep it
+exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cq.query import Atom
+from repro.errors import QueryStructureError
 from repro.eval_static.naive import evaluate_sources, valuation_counts
-from repro.interface import DynamicEngine, register_engine
-from repro.storage.database import Database, Row
+from repro.interface import DynamicEngine, _collector_paused, register_engine
+from repro.storage.database import Constant, Database, Row
 from repro.storage.indexes import HashIndex
 
 __all__ = ["DeltaIVMEngine"]
@@ -165,6 +183,14 @@ class DeltaIVMEngine(DynamicEngine):
         # positive/zero sign flipped into ``(entered, left)`` — the
         # before/after result diff of exactly the touched delta keys.
         self._capture: Optional[Tuple[List[Row], List[Row]]] = None
+        # Binding indexes (access patterns): pattern key — bound
+        # variables in output order — to (positions, {bound values:
+        # rows}).  Empty until register_access_pattern; _bump pays an
+        # empty loop per zero crossing while none is registered.
+        self._binding_indexes: Dict[
+            Tuple[str, ...],
+            Tuple[Tuple[int, ...], Dict[Tuple[Constant, ...], Set[Row]]],
+        ] = {}
 
         # Compiled telescoping plans, shared across every update on the
         # same relation: one *arm* per atom occurrence of the relation,
@@ -247,10 +273,18 @@ class DeltaIVMEngine(DynamicEngine):
             self._distinct += 1
             if self._capture is not None:
                 self._capture[0].append(key)
+            for positions, index in self._binding_indexes.values():
+                index.setdefault(tuple(key[p] for p in positions), set()).add(key)
         elif after <= 0 < before:
             self._distinct -= 1
             if self._capture is not None:
                 self._capture[1].append(key)
+            for positions, index in self._binding_indexes.values():
+                values = tuple(key[p] for p in positions)
+                bucket = index[values]
+                bucket.discard(key)
+                if not bucket:
+                    del index[values]
 
     def apply_with_delta(self, command) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
         """Apply and report the result delta from the touched keys.
@@ -263,18 +297,14 @@ class DeltaIVMEngine(DynamicEngine):
         key flips at most once).
         """
         self._capture = ([], [])
-        self._in_delta = True
         try:
             changed = self.apply(command)
         finally:
-            self._in_delta = False
             entered, left = self._capture
             self._capture = None
         if not changed:
             return (), ()
-        added, removed = tuple(entered), tuple(left)
-        self._maintain_binding_indexes(added, removed)
-        return added, removed
+        return tuple(entered), tuple(left)
 
     def _preload(self, database: "Database") -> None:
         """Preprocessing: bulk-mirror the rows, evaluate the view once.
@@ -303,6 +333,79 @@ class DeltaIVMEngine(DynamicEngine):
         for key, amount in self._counts.items():
             if amount > 0:
                 yield key
+
+    # ------------------------------------------------------------------
+    # access patterns (binding indexes)
+    # ------------------------------------------------------------------
+
+    def register_access_pattern(
+        self, variables: Sequence[str]
+    ) -> Tuple[str, ...]:
+        """Maintain a binding index for an access pattern.
+
+        ``variables`` must be output variables; the canonical pattern
+        key (the variables in output order) is returned.  The index —
+        bound-value tuple → set of output rows — is built once in
+        O(|result|) and patched by ``_bump`` wherever a count crosses
+        zero, i.e. O(1) per output tuple an update flips.  Registering
+        the same pattern twice is a no-op.
+        """
+        free = tuple(self._query.free)
+        chosen = set(variables)
+        self._check_binding({v: None for v in chosen})
+        key = tuple(v for v in free if v in chosen)
+        if not key:
+            raise QueryStructureError(
+                "an access pattern needs at least one bound variable"
+            )
+        if key in self._binding_indexes:
+            return key
+        positions = tuple(free.index(v) for v in key)
+        index: Dict[Tuple[Constant, ...], Set[Row]] = {}
+        with _collector_paused():
+            for row in self.enumerate():
+                index.setdefault(tuple(row[p] for p in positions), set()).add(row)
+        self._binding_indexes[key] = (positions, index)
+        return key
+
+    @property
+    def access_patterns(self) -> Tuple[Tuple[str, ...], ...]:
+        """The registered (index-backed) access-pattern keys."""
+        return tuple(self._binding_indexes)
+
+    def binding_index_size(self) -> int:
+        """Total distinct bound-value keys across all binding indexes."""
+        return sum(len(index) for _, index in self._binding_indexes.values())
+
+    def _enumerate_bound_fallback(
+        self, binding: Dict[str, Constant]
+    ) -> Iterator[Row]:
+        """Serve a binding from the widest covering index — residual
+        variables filter the bucket — or, with none, filter the scan."""
+        names = set(binding)
+        best: Optional[Tuple[str, ...]] = None
+        for key in self._binding_indexes:
+            if set(key) <= names and (best is None or len(key) > len(best)):
+                best = key
+        if best is None:
+            return super()._enumerate_bound_fallback(binding)
+        bucket = self._binding_indexes[best][1].get(
+            tuple(binding[v] for v in best)
+        )
+        # Snapshot the bucket: a suspended stream must not observe the
+        # index mutating under a later update.
+        rows = tuple(bucket or ())
+        free = tuple(self._query.free)
+        checks = tuple(
+            (free.index(v), binding[v]) for v in binding if v not in best
+        )
+        if not checks:
+            return iter(rows)
+        return (
+            row
+            for row in rows
+            if all(row[i] == value for i, value in checks)
+        )
 
     def valuation_count(self, key: Row) -> int:
         """Stored derivation count for one output tuple (testing)."""

@@ -1155,7 +1155,7 @@ class RemoteView:
         #: parseable rule text (see :func:`query_to_text`).
         self.text = text
         #: declared access patterns (wire form: variable-name lists),
-        #: so a replay rebuilds the same binding indexes.
+        #: so a replay declares the same patterns again.
         self.access = access
 
     def registration(self) -> Dict[str, object]:
@@ -1991,7 +1991,7 @@ class ClusterClient:
         ``access`` declares access patterns up front, exactly like
         :meth:`repro.api.session.Session.view`.  They ride the
         registration op and stay on the returned record, so recovery
-        and migration rebuild the same binding indexes.
+        and migration declare the same patterns again.
 
         Registration order never changes results — the guarantee the
         in-process Session gives: for every relation of the view that

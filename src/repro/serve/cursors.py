@@ -47,9 +47,10 @@ its client has already consumed.
 Parameter binding (``view.cursor(X=c)``) restricts enumeration to the
 given output values.  The bound set is classified as an access pattern
 (:mod:`repro.api.access`): ancestor-closed sets are pinned with O(1)
-item probes through the q-tree, other tractable patterns are served
-from a maintained binding index (O(1) hash probe, O(δ) upkeep per
-update), and only the recompute baseline falls back to a filtered scan.
+item probes through the q-tree, other q-hierarchical patterns probe
+once per item of their unbound ancestor levels, delta-IVM answers from
+its binding index (O(1) hash probe, upkeep inside its O(|δ|) update),
+and the remaining baselines fall back to a filtered scan.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ __all__ = ["Cursor", "CursorInvalidation", "bound_stream"]
 def bound_stream(engine, binding: Optional[Dict[str, Constant]]) -> Iterator[Row]:
     """The engine's result stream under an output-variable binding
     (every :class:`~repro.interface.DynamicEngine` has
-    ``enumerate_bound``: q-tree pinning, a binding index, or a filtered
-    scan — its choice, not this layer's)."""
+    ``enumerate_bound``: q-tree pinning or probing, delta-IVM's binding
+    index, or a filtered scan — its choice, not this layer's)."""
     if not binding:
         return engine.enumerate()
     return engine.enumerate_bound(binding)

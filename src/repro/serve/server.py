@@ -688,11 +688,11 @@ class Server:
         union of their shards (in ascending order — the usual deadlock
         protocol), then hands the whole chunk to
         :meth:`Session.apply_all <repro.api.session.Session.apply_all>`:
-        views with a subscriber, an open cursor or a binding index see
-        every effective command in order — delta capture, cursor
-        choreography, epochs, exactly as under :meth:`apply` — and the
-        views nobody watches take the chunk's net effect once, before
-        the locks are released.  Each command counts as a write on its
+        views with a subscriber or an open cursor see every effective
+        command in order — delta capture, cursor choreography, epochs,
+        exactly as under :meth:`apply` — and the views nobody watches
+        take the chunk's net effect once, before the locks are
+        released.  Each command counts as a write on its
         own relation's primary shard.  This is the serving-layer
         analogue of wire-level chunking: a remote stream that already
         arrived as a block should pay neither the reader–writer lock

@@ -3,8 +3,8 @@
 One batch path serves ``Session.apply_all``, ``Server.apply_all``,
 ``Batch._commit`` and ``Session.ingest``: effectiveness is decided once
 against the session store, watched views (a subscriber, a bound
-subscriber, an open cursor, a binding index) get every effective
-command in stream order, and every other view takes the stream's net
+subscriber, an open cursor) get every effective command in stream
+order, and every other view takes the stream's net
 effect in one ``apply_net`` when the call ends.  The properties below
 hold that path to the per-command one on everything a caller can
 observe — results, counts, epochs, active domains, the store, the
@@ -450,24 +450,33 @@ def test_streams_on_disjoint_shards_of_one_session_do_not_turn_each_other_away()
     assert session["l_quiet"].count() == session["r_quiet"].count() == 16
 
 
-def test_a_binding_index_keeps_a_view_on_the_per_command_path():
+def test_a_binding_index_view_stays_netted_and_exact():
     session = build()
-    # x sits below y in the q-tree: binding it needs a maintained index.
-    session.view("idx", "I(x, y) :- E(x, y), T(y)", access={"x"})
-    assert session["idx"].engine.access_patterns == (("x",),)
-    assert session["idx"]._watched() and not session["qh"]._watched()
+    # Delta-IVM is the one engine that keeps a binding index; the index
+    # rides the maintained counts, so its view still takes the net.
+    session.view(
+        "idx", "I(x, y) :- E(x, y), T(y)", engine="delta_ivm", access={"x"}
+    )
+    engine = session["idx"].engine
+    assert engine.access_patterns == (("x",),)
+    assert not session["idx"]._watched() and not session["qh"]._watched()
+    nets = []
+    apply_net = engine.apply_net
+    engine.apply_net = lambda net: (nets.append(net), apply_net(net))[1]
     session.apply_all(
         [insert("T", (1,)), insert("E", (1, 1)), insert("E", (2, 1)), delete("E", (1, 1))]
     )
+    assert [sorted(net) for net in nets] == [["E", "T"]]
     assert list(session["idx"].enumerate_bound(x=2)) == [(2, 1)]
     assert list(session["idx"].enumerate_bound(x=1)) == []
     assert session["idx"].epoch == session["qh"].epoch == 4
+    assert_matches_oracle(session)
 
 
 def test_a_binding_index_registered_mid_call_is_maintained_by_the_fan_out():
     session = Session()
     session.view("w", "W(x) :- S(x)")
-    idx = session.view("idx", "I(x, y) :- E(x, y), T(y)")
+    idx = session.view("idx", "I(x, y) :- E(x, y), T(y)", engine="delta_ivm")
     session.apply_all([insert("T", (1,)), insert("E", (1, 1))])
     probed = []
     session["w"].subscribe(
@@ -496,8 +505,7 @@ def _engine_batch(engine, commands):
 
 # Which engine surface takes the later batch: "python" runs the
 # per-tuple runners one engine.apply at a time; "auto" hands the batch
-# to engine.apply_all, which nets it unless a binding index forces the
-# per-command path.
+# to engine.apply_all, which nets it.
 @pytest.mark.parametrize("later", [_per_command, _engine_batch], ids=["python", "auto"])
 def test_netted_views_agree_across_backends_and_with_later_engine_batches(later):
     session, single = Session(), Session()

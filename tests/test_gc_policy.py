@@ -91,7 +91,7 @@ def test_a_declared_binding_index_is_built_inside_the_same_pause(size):
     session = loaded_session(STAR_3, size)
     bound = STAR_3.free[1]
     with collections() as seen:
-        view = session.view("star", STAR_3, access={bound})
+        view = session.view("star", STAR_3, engine="delta_ivm", access={bound})
     assert view.engine.binding_index_size() > 0
     assert len(seen) <= 1 and set(seen) <= {0}, seen
 

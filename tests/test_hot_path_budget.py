@@ -27,6 +27,13 @@ not the path, and are not counted.  300 dense commands measure their
 740 runner calls + 55; an ``apply``/``insert``/``_deliver``/
 ``Database.insert`` frame per command coming back adds 300 or more, and
 a stream that is its own undo makes no runner call at all.
+
+A bound read buys no write: after ``view.cursor(x=5)`` on a view where
+``x`` sits below an unbound q-tree ancestor, an update makes exactly
+the calls it made before, at every |D|, and a batch still nets the
+view.  The skewed ``E(i, 0), T(0)`` state makes one toggle of ``T(0)``
+flip every output row, so any per-row state kept for the binding shows
+as calls that grow with |D|.
 """
 
 import sys
@@ -160,3 +167,44 @@ def test_a_batch_is_its_runner_calls_plus_a_constant():
     assert (runners, session["et"].count()) == (0, 151)
     assert others <= BATCH_BUDGET, others
     assert session["et"].epoch == 2 + 3 * 160
+
+
+def skewed_session(size):
+    """``Q(x, y) :- E(x, y), T(y)`` over ``E(i, 0)`` for ``i < size``
+    and ``T(0)``: toggling ``T(0)`` flips every output row."""
+    session = Session()
+    view = session.view("v", "Q(x, y) :- E(x, y), T(y)")
+    session.apply_all(
+        [insert("E", (i, 0)) for i in range(size)] + [insert("T", (0,))]
+    )
+    return session, view
+
+
+def toggle_calls(session):
+    """Calls of one unsubscribed ``delete T(0)``; T(0) is put back."""
+    calls = python_calls(session.apply, delete("T", (0,)))
+    session.apply(insert("T", (0,)))
+    return calls
+
+
+def test_a_bound_read_leaves_the_update_path_as_it_was():
+    toggles = []
+    for size in (100, 10_000):
+        session, view = skewed_session(size)
+        toggle_calls(session)  # warm the path, as above
+        before = toggle_calls(session)
+        # x sits below the unbound root y: the read is probed, not pinned
+        assert view.cursor(x=5).fetch_all() == [(5, 0)]
+        assert [p.mode for p in view.access_patterns] == ["probed"]
+        after = toggle_calls(session)
+        assert after == before, (size, before, after)
+        toggles.append(before)
+
+        # ... and the view is still netted: a batch over it is its
+        # runner calls plus a constant, not one delivery per command.
+        batch = [delete("T", (0,)), insert("E", (size, 0)), insert("T", (0,))]
+        runners, others = calls_around_runners(session.apply_all, batch)
+        assert runners == 1  # T(0) nets away; per command it would be 3
+        assert others <= BATCH_BUDGET, others
+        assert view.count() == size + 1
+    assert toggles[0] == toggles[1], toggles

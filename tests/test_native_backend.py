@@ -7,8 +7,8 @@ rows; the differential guarantee checked here is that this is
 *observationally identical* to applying the same commands one by one —
 same counts, same enumerations, same digests, and byte-identical
 per-component snapshots — across bulk loads, churny and small batches,
-interleaved ``apply_with_delta``, binding-index fallback, a mid-stream
-error, and a kill -9 journal replay.  The serving path does all of it
+interleaved ``apply_with_delta``, a mid-stream error, and a kill -9
+journal replay.  The serving path does all of it
 without importing numpy.
 """
 
@@ -148,19 +148,6 @@ def test_apply_with_delta_interleaves_with_batches():
     rest = stream[2 * third:]
     assert batched.apply_all(rest) == _one_by_one(single, rest)
     _assert_identical(batched, single)
-
-
-def test_binding_indexes_force_the_per_tuple_path():
-    query = Q_HIERARCHICAL["E_T_QF"]
-    batched, single, stream = _pair(query, rounds=400)
-    batched.register_access_pattern(("x",))
-    single.register_access_pattern(("x",))
-    assert batched.apply_all(stream) == _one_by_one(single, stream)
-    _assert_identical(batched, single)
-    for x in range(1, 7):
-        assert sorted(batched.enumerate_bound({"x": x})) == sorted(
-            single.enumerate_bound({"x": x})
-        )
 
 
 def test_wide_star_and_string_constants():

@@ -5,7 +5,8 @@ The invariant throughout: a bound read (``cursor(u=c)``,
 to filtering the unbound result/delta stream client-side — across the
 threads, sharded and processes backends, under concurrent writes, and
 across a ``kill -9`` recovery.  The bound path is an optimisation
-(pinned probes / binding indexes / one O(δ) fan-out pass), never a
+(pinned / probed walks, delta-IVM's binding index, one O(δ) fan-out
+pass), never a
 semantics change.
 """
 
@@ -130,7 +131,7 @@ class TestNormalizeBinding:
 
 
 # ---------------------------------------------------------------------------
-# classification: (query, access pattern) → pinned / indexed / filter
+# classification: (query, access pattern) → pinned / probed / indexed / filter
 # ---------------------------------------------------------------------------
 
 
@@ -146,34 +147,43 @@ class TestClassification:
             assert pattern.mode == "pinned", variables
             assert pattern.lookup.startswith("O(1)")
 
-    def test_non_prefix_on_qh_engine_is_indexed(self):
+    def test_non_prefix_on_qh_engine_is_probed(self):
         query = parse_view(QH_TEXT)
         # binding only a leaf variable skips its q-tree ancestor a
         for variables in (("me",), ("p",)):
             pattern = classify_access_pattern(
                 query, "qhierarchical", variables
             )
-            assert pattern.mode == "indexed", variables
-            assert "O(" in pattern.update
+            assert pattern.mode == "probed", variables
+            assert pattern.update.startswith("no extra cost")
+            assert "not constant" in pattern.delay
 
     def test_delta_ivm_gets_indexed(self):
         query = parse_view(HARD_TEXT)
         pattern = classify_access_pattern(query, "delta_ivm", ("x",))
         assert pattern.mode == "indexed"
+        # the only engine that keeps state for a binding
+        for engine in ("qhierarchical", "ucq_union", "recompute", "phi2_appendix"):
+            query = parse_view(QH_TEXT)
+            for variables in (("me",), ("a",), ("p",), ("me", "p")):
+                mode = classify_access_pattern(query, engine, variables).mode
+                assert mode != "indexed", (engine, variables)
 
     def test_recompute_gets_filter(self):
         query = parse_view(QH_TEXT)
         pattern = classify_access_pattern(query, "recompute", ("me",))
         assert pattern.mode == "filter"
+        appendix = classify_access_pattern(query, "phi2_appendix", ("me",))
+        assert appendix.mode == "filter"
 
     def test_ucq_pinned_needs_every_disjunct_closed(self):
         union = parse_view(UCQ_TEXT)
         pattern = classify_access_pattern(union, "ucq_union", ("d",))
-        assert pattern.mode in ("pinned", "indexed")
+        assert pattern.mode == "pinned"
         # binding the inner variable e alone cannot be prefix-closed
-        # in the first disjunct (d is its root) — must fall to indexed
+        # in the first disjunct (d is its root) — it is probed there
         inner = classify_access_pattern(union, "ucq_union", ("e",))
-        assert inner.mode == "indexed"
+        assert inner.mode == "probed"
 
     def test_declaration_normalizes_and_validates(self):
         patterns = normalize_access_declaration(
@@ -191,13 +201,13 @@ class TestClassification:
 
 
 # ---------------------------------------------------------------------------
-# engine layer: binding indexes and per-binding deltas
+# engine layer: delta-IVM's binding indexes and per-binding deltas
 # ---------------------------------------------------------------------------
 
 
 class TestEngineBindingIndex:
     def test_enumerate_bound_matches_filter_under_updates(self):
-        engine = make_engine("qhierarchical", parse_view(QH_TEXT))
+        engine = make_engine("delta_ivm", parse_view(QH_TEXT))
         key = engine.register_access_pattern(("a",))
         assert key == ("a",)
         assert engine.access_patterns == (("a",),)
@@ -215,8 +225,8 @@ class TestEngineBindingIndex:
             engine.result_set(), free, {"a": "a0"}
         )
 
-    def test_plain_insert_routes_through_delta_once_indexed(self):
-        engine = make_engine("qhierarchical", parse_view(QH_TEXT))
+    def test_plain_updates_and_net_batches_keep_the_index_exact(self):
+        engine = make_engine("delta_ivm", parse_view(QH_TEXT))
         engine.register_access_pattern(("me",))
         # insert/delete after registration must keep the index fresh
         engine.insert("Follows", ("u0", "a0"))
@@ -227,6 +237,12 @@ class TestEngineBindingIndex:
         engine.delete("Follows", ("u0", "a0"))
         assert set(engine.enumerate_bound({"me": "u0"})) == set()
         assert engine.binding_index_size() == 0
+        # so does a netted batch: the index rides the counts, not deltas
+        engine.apply_net({"Follows": ([("u1", "a0")], [], 3, 2)})
+        assert list(engine.enumerate_bound({"me": "u1"})) == [
+            ("u1", "a0", "p1")
+        ]
+        assert engine.epoch == 8
 
     def test_delta_for_binding_restricts_in_place(self):
         engine = make_engine("qhierarchical", parse_view(QH_TEXT))
@@ -257,15 +273,15 @@ class TestEngineBindingIndex:
 
     def test_bound_reads_on_union_engine(self):
         engine = make_engine("ucq_union", parse_view(UCQ_TEXT))
-        engine.register_access_pattern(("d",))
         for i in range(6):
             engine.apply(insert("Event", (i % 3, i)))
             if i % 2 == 0:
                 engine.apply(insert("Flagged", (i % 3,)))
             engine.apply(insert("Critical", (i % 3, 100 + i)))
         free = list(engine._query.free)
-        for d in (0, 1, 2, 9):
-            binding = {"d": d}
+        for binding in [{"d": d} for d in (0, 1, 2, 9)] + [
+            {"e": e} for e in (0, 3, 101, 9)
+        ]:
             assert set(engine.enumerate_bound(binding)) == bound_filter(
                 engine.result_set(), free, binding
             )
@@ -299,9 +315,11 @@ class TestViewSurface:
         patterns = feed.access_patterns
         assert [p.variables for p in patterns] == [("p",)]
         assert not patterns[0].declared
-        assert patterns[0].mode == "indexed"
-        # the indexed pattern registered a real engine index
-        assert ("p",) in feed.engine.access_patterns
+        assert patterns[0].mode == "probed"
+        # the probed pattern is served from the structure: the engine
+        # holds no state for it beyond the walker compiled for ("p",)
+        assert not hasattr(feed.engine, "_binding_indexes")
+        assert feed.engine.plan_stats()["bound_walkers"] == ["p"]
 
     def test_invalid_declared_access_rejected_before_registration(self):
         session = Session()
