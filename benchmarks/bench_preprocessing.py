@@ -47,7 +47,7 @@ def test_preprocessing_linear_and_crossover(benchmark):
             engine.count()
         fast_round = (time.perf_counter() - start) / len(commands)
 
-        slow = make_engine("recompute", QUERY, database)
+        slow = make_engine("recompute", QUERY, database.copy())
         start = time.perf_counter()
         for command in commands:
             slow.apply(command)

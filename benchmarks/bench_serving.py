@@ -110,7 +110,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.engine import QHierarchicalEngine
 from repro.cq import zoo
 from repro.errors import CursorInvalidatedError
-from repro.interface import DynamicEngine
 from repro.serve import Server
 from repro.storage.database import Database
 from repro.storage.updates import UpdateCommand, delete, insert
@@ -237,7 +236,7 @@ def bench_subscription_delta(
     database = feed_database(rows, domain, rng)
 
     fast = QHierarchicalEngine(query, database)
-    slow = QHierarchicalEngine(query, database)
+    slow = QHierarchicalEngine(query, database.copy())
     stream = delta_update_stream(updates, domain, rng)
     # The naive side pays O(|result|) per update; sample it.
     slow_sample = stream[: max(10, updates // 100)]
@@ -247,8 +246,12 @@ def bench_subscription_delta(
             fast.apply_with_delta(command)
 
     def run_slow() -> None:
+        # Rematerialise and diff around each update.
         for command in slow_sample:
-            DynamicEngine.apply_with_delta(slow, command)
+            before = slow.result_set()
+            slow.apply(command)
+            after = slow.result_set()
+            (after - before, before - after)
 
     fast_s = _timed(run_fast)
     slow_s = _timed(run_slow)

@@ -195,7 +195,7 @@ def check_equivalence(
     cross-checked ``contains`` probes.
     """
     fast = QHierarchicalEngine(query, database)
-    slow = ReferenceEngine(query, database)
+    slow = ReferenceEngine(query, None if database is None else database.copy())
     for command in commands:
         fast.apply(command)
         slow.apply(command)
@@ -291,7 +291,7 @@ def bench_preprocessing(
             database.insert(command.relation, command.row)
 
         bulk = QHierarchicalEngine(query, database)
-        replay = ReferenceEngine(query, database)
+        replay = ReferenceEngine(query, database.copy())
         assert bulk.count() == replay.count(), name
         if 0 <= bulk.count() <= 50_000:
             assert bulk.result_set() == replay.result_set(), name

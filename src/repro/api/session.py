@@ -3,10 +3,13 @@
 A :class:`Session` is the serving-system front door the ROADMAP asks
 for: callers register named views from query text (CQ or UCQ) and the
 :class:`~repro.api.planner.Planner` picks the engine by the paper's
-dichotomy.  The session owns the authoritative set-semantics store;
-every effective update is fanned out exactly once to each view whose
-query mentions the updated relation, so unrelated views never pay for
-each other's traffic.
+dichotomy.  The session owns the one set-semantics store — a single
+:class:`~repro.storage.database.Database` that every view's engine
+reads and only the session writes.  A command is checked and decided
+effective once, by that store write, and the effective update is then
+fanned out exactly once to each view whose query mentions the updated
+relation, straight into the engine's effective body; unrelated views
+never pay for each other's traffic.
 
 A single :meth:`Session.apply` runs that fan-out per command.  A stream
 (:meth:`Session.apply_all`, and everything built on it:
@@ -61,9 +64,9 @@ from repro.api.access import (
     normalize_binding,
 )
 from repro.api.planner import Plan, Planner, QueryLike
-from repro.errors import EngineStateError, SchemaError, UpdateError
+from repro.errors import EngineStateError, SchemaError
 from repro.interface import DynamicEngine, _collector_paused
-from repro.storage.database import Constant, Database, Row, Schema
+from repro.storage.database import Constant, Database, Relation, Row, Schema
 from repro.storage.updates import (
     UpdateCommand,
     compress_commands,
@@ -440,8 +443,8 @@ class View:
         command: UpdateCommand,
     ) -> float:
         """Catch up with a stream this view sat out (nobody watched it):
-        one :meth:`~repro.interface.DynamicEngine.apply_net`; returns
-        the seconds it took.
+        one :meth:`~repro.interface.DynamicEngine.apply_net` over the
+        already-moved store; returns the seconds it took.
 
         A cursor opened on the view from a callback *during* the stream
         holds a walker over the pre-stream state and no delta exists to
@@ -461,7 +464,9 @@ class View:
         return seconds
 
     def _deliver(self, command: UpdateCommand) -> None:
-        """Apply one effective update with full serving choreography.
+        """Run one effective update — already in the session's store —
+        through the engine's effective body, with full serving
+        choreography.
 
         Order matters: snapshot cursors drain *before* the engine
         mutates (they pin the pre-update result); the delta is captured
@@ -479,6 +484,9 @@ class View:
                 cursor._before_view_update(command)
         subscriptions = self._subscriptions
         engine = self._engine
+        is_insert = command.op == "insert"
+        relation = command.relation
+        row = command.row
         want_delta = bool(subscriptions) or bool(self._bound_subs)
         if not want_delta and self._cursors:
             want_delta = getattr(
@@ -499,17 +507,17 @@ class View:
         if want_delta:
             if timed:
                 started = perf_counter()
-                added, removed = engine.apply_with_delta(command)
+                added, removed = engine._effective_with_delta(is_insert, relation, row)
                 self._publish(perf_counter() - started)
             else:
-                added, removed = engine.apply_with_delta(command)
+                added, removed = engine._effective_with_delta(is_insert, relation, row)
             pair = (tuple(added), tuple(removed))
         elif timed:
             started = perf_counter()
-            engine.apply(command)
+            engine._effective(is_insert, relation, row)
             self._publish(perf_counter() - started)
         else:
-            engine.apply(command)
+            engine._effective(is_insert, relation, row)
         if self._cursors:
             for cursor in list(self._cursors):
                 cursor._after_view_update(command, pair)
@@ -663,8 +671,9 @@ class Session:
         self, planner: Optional[Planner] = None, observe: bool = True
     ):
         self._planner = planner or Planner()
-        self._arities: Dict[str, int] = {}
-        self._rows: Dict[str, Set[Row]] = {}
+        # The one database D: every view's engine reads it, only the
+        # session writes it.
+        self._db = Database(Schema({}))
         self._views: Dict[str, View] = {}
         self._views_by_relation: Dict[str, List[View]] = {}
         self._active_batch: Optional[Batch] = None
@@ -755,35 +764,25 @@ class Session:
             )
 
         # Check schema compatibility before any state changes.
-        arities = {r: parsed.arity_of(r) for r in parsed.relations}
-        for relation, arity in arities.items():
-            declared = self._arities.get(relation, arity)
-            if declared != arity:
+        db = self._db
+        for relation in parsed.relations:
+            arity = parsed.arity_of(relation)
+            if relation in db and db.relation(relation).arity != arity:
                 raise SchemaError(
                     f"view {name!r} uses {relation}/{arity} but the session "
-                    f"already serves {relation}/{declared}"
+                    f"already serves {relation}/{db.relation(relation).arity}"
                 )
 
-        # Preprocessing: build the engine over the session's current
-        # contents restricted to the view's relations.  Session rows
-        # were arity-checked on entry, so they bulk-copy without
-        # per-row validation, and the engine's own bulk path takes it
-        # from there.  One collector pause spans the engine build and
-        # any declared binding index, so the registration pays at
-        # most one closing generation-0 pass.
+        # Preprocessing: build the engine over the session's store — it
+        # reads the rows in place and adds the view's new relations.
+        # One collector pause spans the engine build and any declared
+        # binding index, so the registration pays at most one closing
+        # generation-0 pass.
         with _collector_paused():
-            preload = Database(Schema(arities))
-            for relation in arities:
-                rows = self._rows.get(relation)
-                if rows:
-                    preload.bulk_insert(relation, rows, checked=True)
-            built = plan.build(preload)
-
-            self._arities.update(arities)
+            built = plan.build(db)
             view = View(name, self, plan, built)
             self._views[name] = view
-            for relation in arities:
-                self._rows.setdefault(relation, set())
+            for relation in parsed.relations:
                 self._views_by_relation.setdefault(relation, []).append(view)
             for pattern in declared_patterns:
                 view._ensure_access_pattern(pattern, declared=True)
@@ -837,7 +836,6 @@ class Session:
             )
         if self._streaming and get_ident() in self._streaming:
             raise EngineStateError(_STREAMING)
-        self._check(command.relation, command.row)
         return self._apply_effective(command)
 
     def apply_all(
@@ -895,7 +893,6 @@ class Session:
                 relation = command.relation
                 group = groups.get(relation)
                 if group is None:
-                    self._check(relation, command.row)
                     group = groups[relation] = self._stream_group(
                         relation, watching
                     )
@@ -939,7 +936,9 @@ class Session:
         ``(store rows, arity, watched views, net map, [_, inserts,
         deletes], lagging views)`` — the net map is ``None`` when every
         view of the relation is watched and nothing has to catch up
-        afterwards."""
+        afterwards.  Raises the session's error for an unknown
+        relation."""
+        stored = self._relation(relation)
         watched: List[View] = []
         lagging: List[View] = []
         for view in self._views_by_relation.get(relation, ()):
@@ -948,8 +947,8 @@ class Session:
                 live = watching[view] = view._watched()
             (watched if live else lagging).append(view)
         return (
-            self._rows[relation],
-            self._arities[relation],
+            stored._rows,
+            stored.arity,
             watched,
             {} if lagging else None,
             [0, 0, 0],  # indexed by sign: [1] inserts, [-1] deletes
@@ -1139,35 +1138,45 @@ class Session:
 
     # -- internals ------------------------------------------------------------
 
-    def _check(self, relation: str, row: Row) -> None:
+    def _relation(self, relation: str) -> Relation:
+        """The store's relation, or the session's unknown-relation
+        error."""
         try:
-            arity = self._arities[relation]
-        except KeyError:
-            known = ", ".join(sorted(self._arities)) or "(none)"
-            raise SchemaError(
-                f"no registered view uses relation {relation!r}; "
-                f"known relations: {known}"
-            ) from None
-        if len(row) != arity:
-            raise UpdateError(
-                f"tuple {tuple(row)!r} has arity {len(row)}, relation "
-                f"{relation!r} expects {arity}"
-            )
+            return self._db.relation(relation)
+        except SchemaError:
+            raise self._unknown(relation) from None
+
+    def _unknown(self, relation: str) -> SchemaError:
+        known = ", ".join(self.relations) or "(none)"
+        return SchemaError(
+            f"no registered view uses relation {relation!r}; "
+            f"known relations: {known}"
+        )
+
+    def _check(self, relation: str, row: Row) -> None:
+        """Validate a command without applying it (a batch, a cluster
+        transaction's prepare)."""
+        self._relation(relation)._check(row)
 
     def _present(self, relation: str, row: Row) -> bool:
-        return row in self._rows.get(relation, ())
+        return row in self._db.relation(relation)
 
     def _apply_effective(self, command: UpdateCommand) -> bool:
-        rows = self._rows[command.relation]
-        if command.is_insert:
-            if command.row in rows:
-                return False
-            rows.add(command.row)
-        else:
-            if command.row not in rows:
-                return False
-            rows.remove(command.row)
-        for view in self._views_by_relation.get(command.relation, ()):
+        """The one store write — it checks the command and decides its
+        effectiveness — then the fan-out to the views of its relation.
+        """
+        db = self._db
+        relation = command.relation
+        try:
+            if command.op == "insert":
+                changed = db.insert(relation, command.row)
+            else:
+                changed = db.delete(relation, command.row)
+        except SchemaError:
+            raise self._unknown(relation) from None
+        if not changed:
+            return False
+        for view in self._views_by_relation.get(relation, ()):
             view._deliver(command)
         return True
 
@@ -1186,34 +1195,21 @@ class Session:
 
     @property
     def relations(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._arities))
+        return self._db.schema.relations()
 
     @property
     def cardinality(self) -> int:
         """Total number of stored tuples across all relations."""
-        return sum(len(rows) for rows in self._rows.values())
+        return self._db.cardinality
 
     def rows(self, relation: str) -> Set[Row]:
         """Snapshot of one relation's tuples."""
-        self._check_known(relation)
-        return set(self._rows[relation])
-
-    def _check_known(self, relation: str) -> None:
-        if relation not in self._arities:
-            raise SchemaError(f"unknown relation {relation!r}")
+        return set(self._db.relation(relation))
 
     @property
     def database(self) -> Database:
-        """A :class:`Database` snapshot of the shared store (O(||D||)).
-
-        Rows were arity-checked on entry, so they bulk-copy without
-        per-row validation.
-        """
-        snapshot = Database(Schema(self._arities))
-        for relation, rows in self._rows.items():
-            if rows:
-                snapshot.bulk_insert(relation, rows, checked=True)
-        return snapshot
+        """A :class:`Database` snapshot of the shared store (O(||D||))."""
+        return self._db.copy()
 
     def __repr__(self) -> str:
         inner = ", ".join(

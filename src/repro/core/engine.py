@@ -155,15 +155,17 @@ class QHierarchicalEngine(DynamicEngine):
         if sole is not None:
             self.contains = sole.contains
 
-    def _preload(self, database: Database) -> None:
-        """Preprocessing: bulk-load the initial database.
+    def _preload(self) -> None:
+        """Preprocessing: bulk-load the stored rows.
 
-        The rows are deduplicated into the engine's own store with one
-        set operation per relation, then every component structure
-        ingests the per-relation groups through
-        :meth:`ComponentStructure.bulk_load`.
+        Every component structure ingests the store's relations
+        through :meth:`ComponentStructure.bulk_load`, iterating them in
+        place — no row is copied.
         """
-        rows_by_relation = self._db.mirror_from(database)
+        db = self._db
+        rows_by_relation = {
+            relation: db.relation(relation) for relation in self._query.relations
+        }
         for structure in self._structures:
             structure.bulk_load(rows_by_relation)
 
@@ -213,15 +215,12 @@ class QHierarchicalEngine(DynamicEngine):
     def apply_net(self, net) -> None:
         """A stream's net effect, straight through the runners.
 
-        The session decided effectiveness, so the rows go into the
-        engine's store with :meth:`Database.apply_net` (no second
-        set-semantics filter) and each generated runner of a touched
-        relation walks the net rows in one tight loop — a row the
-        stream inserted and deleted again costs nothing here, while
-        ``epoch`` and the update counters still advance by the
-        effective counts.
+        The session decided effectiveness and moved the store, so each
+        generated runner of a touched relation walks the net rows in
+        one tight loop — a row the stream inserted and deleted again
+        costs nothing here, while ``epoch`` and the update counters
+        still advance by the effective counts.
         """
-        self._db.apply_net(net)
         dispatch = self._dispatch
         counters = self._obs_insert
         for relation, (inserted, deleted, n_inserts, n_deletes) in net.items():
@@ -235,8 +234,10 @@ class QHierarchicalEngine(DynamicEngine):
                 for row in inserted:
                     runner(True, row)
 
-    def apply_with_delta(self, command) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
-        """Apply one command and derive the output-tuple delta in O(δ).
+    def _effective_with_delta(
+        self, is_insert: bool, relation: str, row: Row
+    ) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
+        """One effective update with the output-tuple delta in O(δ).
 
         One update pass, the same one :meth:`apply` runs: each touched
         component executes its matching runners once and reads its
@@ -256,21 +257,10 @@ class QHierarchicalEngine(DynamicEngine):
         A single-tuple command moves every component the same way, so
         one side of ``(added, removed)`` is always empty.
         """
-        relation = command.relation
-        row = tuple(command.row)
-        is_insert = command.op == "insert"
-        if is_insert:
-            if not self._db.insert(relation, row):
-                return (), ()
-            counters = self._obs_insert
-        else:
-            if not self._db.delete(relation, row):
-                return (), ()
-            counters = self._obs_delete
         self._epoch += 1
+        counters = self._obs_insert if is_insert else self._obs_delete
         if counters is not None:
-            # This path bypasses insert()/delete(), so the effective
-            # update is counted here to keep the series complete.
+            # This path bypasses _effective, so the update is counted here.
             counters[relation].value += 1
         sole = self._sole
         if sole is not None:

@@ -54,7 +54,7 @@ getter compiled at construction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.items import FitList, Item
 from repro.core.plans import (
@@ -250,7 +250,7 @@ class ComponentStructure:
     # bulk preprocessing
     # ------------------------------------------------------------------
 
-    def bulk_load(self, rows_by_relation: Mapping[str, Sequence[Row]]) -> None:
+    def bulk_load(self, rows_by_relation: Mapping[str, Iterable[Row]]) -> None:
         """Batch-ingest an initial database into a pristine structure.
 
         Two passes replace the insert-by-insert replay:

@@ -28,6 +28,8 @@ The interesting parts are the operations that must *combine* them:
 
 Updates fan out to every engine (per-disjunct and per-intersection), so
 the update time is O(2^q · poly(Φ)) — constant in the data, as required.
+Every one of those engines reads the union engine's own database — the
+session's store when the union is a view — so the rows are kept once.
 
 :class:`UnionEngine` is a regular :class:`~repro.interface.DynamicEngine`
 registered as ``"ucq_union"``: it shares the interface's update/query
@@ -213,9 +215,9 @@ class UnionEngine(DynamicEngine):
     A full :class:`~repro.interface.DynamicEngine`: construction is the
     preprocessing phase, updates go through the shared
     ``insert``/``delete``/``apply`` front (set-semantics no-ops filtered
-    once by the base class) and fan out to the per-disjunct and
-    per-intersection Theorem 3.2 engines — O(2^q · poly(Φ)) per update,
-    constant in the data.
+    once, by the store write) and fan out to the effective bodies of
+    the per-disjunct and per-intersection Theorem 3.2 engines —
+    O(2^q · poly(Φ)) per update, constant in the data.
 
     Construction raises :class:`NotQHierarchicalError` if some disjunct
     is outside Theorem 3.2's class.  ``counting_supported`` reports
@@ -243,9 +245,12 @@ class UnionEngine(DynamicEngine):
         super().__init__(union, database)
 
     def _setup(self) -> None:
+        # Every sub-engine reads this engine's store and bulk-loads its
+        # rows on construction — the preprocessing phase.
         union: UnionOfCQs = self._query
+        db = self._db
         self._engines: List[QHierarchicalEngine] = [
-            QHierarchicalEngine(query) for query in union.disjuncts
+            QHierarchicalEngine(query, db) for query in union.disjuncts
         ]
 
         # Inclusion–exclusion engines for every subset of size >= 2.
@@ -255,7 +260,7 @@ class UnionEngine(DynamicEngine):
             if not q_hierarchical:
                 self.counting_supported = False
                 continue
-            self._intersections[subset] = QHierarchicalEngine(query)
+            self._intersections[subset] = QHierarchicalEngine(query, db)
 
         self._by_relation: Dict[str, List[QHierarchicalEngine]] = {}
         for engine in list(self._engines) + list(self._intersections.values()):
@@ -266,25 +271,9 @@ class UnionEngine(DynamicEngine):
             id(engine): index for index, engine in enumerate(self._engines)
         }
 
-    def _preload(self, database: Database) -> None:
-        """Preprocessing: bulk-load every sub-engine.
-
-        The replay default would push ``||D0||`` single-tuple inserts
-        through the full O(2^q) fan-out.  Instead the rows are
-        deduplicated once into the union's own store and every
-        per-disjunct / per-intersection engine ingests the restriction
-        to its schema through its own bulk path
-        (:meth:`QHierarchicalEngine._preload` → ``bulk_load``).
-        """
-        loaded = self._db.mirror_from(database)
-        for engine in list(self._engines) + list(self._intersections.values()):
-            schema = engine.database.schema
-            restricted = Database(schema)
-            for name in schema.relations():
-                rows = loaded.get(name)
-                if rows:
-                    restricted.bulk_insert(name, rows, checked=True)
-            engine._preload(restricted)
+    def _preload(self) -> None:
+        """Nothing left to load: :meth:`_setup` built every sub-engine
+        over the store, each through its own bulk path."""
 
     # ------------------------------------------------------------------
     # updates — O(2^q · poly(Φ)), constant in the data
@@ -292,14 +281,16 @@ class UnionEngine(DynamicEngine):
 
     def _on_insert(self, relation: str, row: Row) -> None:
         for engine in self._by_relation.get(relation, ()):
-            engine.insert(relation, row)
+            engine._effective(True, relation, row)
 
     def _on_delete(self, relation: str, row: Row) -> None:
         for engine in self._by_relation.get(relation, ()):
-            engine.delete(relation, row)
+            engine._effective(False, relation, row)
 
-    def apply_with_delta(self, command) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
-        """Apply and report the union-level result delta.
+    def _effective_with_delta(
+        self, is_insert: bool, relation: str, row: Row
+    ) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
+        """One effective update with the union-level result delta.
 
         Each touched disjunct engine reports its own O(δ) delta; a
         candidate enters the union iff no disjunct contained it before
@@ -308,30 +299,20 @@ class UnionEngine(DynamicEngine):
         Intersection engines are updated as usual but contribute no
         delta — they only serve counting.
         """
-        relation = command.relation
-        row = tuple(command.row)
-        if command.is_insert:
-            if not self._db.insert(relation, row):
-                return (), ()
-        else:
-            if not self._db.delete(relation, row):
-                return (), ()
         self._epoch += 1
-        if self._obs_registry is not None:
-            # Bypasses insert()/delete() — count the effective update
-            # here to keep the series complete.
-            self._count_update(
-                relation, "insert" if command.is_insert else "delete"
-            )
+        counters = self._obs_insert if is_insert else self._obs_delete
+        if counters is not None:
+            # This path bypasses _effective, so the update is counted here.
+            counters[relation].value += 1
         added_by: Dict[int, Tuple[Row, ...]] = {}
         removed_by: Dict[int, Tuple[Row, ...]] = {}
         for engine in self._by_relation.get(relation, ()):
             index = self._disjunct_index.get(id(engine))
             if index is None:
-                engine.apply(command)
+                engine._effective(is_insert, relation, row)
             else:
-                added_by[index], removed_by[index] = engine.apply_with_delta(
-                    command
+                added_by[index], removed_by[index] = (
+                    engine._effective_with_delta(is_insert, relation, row)
                 )
 
         added_sets = {i: set(rows) for i, rows in added_by.items()}

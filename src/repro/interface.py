@@ -9,11 +9,17 @@ the paper's algorithm (:class:`repro.core.engine.QHierarchicalEngine`)
 and the baselines (:mod:`repro.ivm`) are interchangeable in tests,
 benchmarks and the lower-bound reductions.
 
-Engines own their database state: construction *is* the preprocessing
-phase, and subsequent updates go through :meth:`insert` /
-:meth:`delete` / :meth:`apply`.  Set semantics no-ops (inserting a
-present tuple, deleting an absent one) are filtered here once, so
-subclasses only ever see effective changes.
+An engine reads a :class:`~repro.storage.database.Database` it does
+not copy: the one it is built over (a session's store, shared by every
+view of the session) or a fresh empty one.  Construction *is* the
+preprocessing phase.  Afterwards a standalone caller updates through
+the gate — :meth:`insert` / :meth:`delete` / :meth:`apply` /
+:meth:`apply_with_delta` / :meth:`apply_all` — which writes the store,
+filters set-semantics no-ops (inserting a present tuple, deleting an
+absent one) there, and runs the effective body (:meth:`_effective`,
+:meth:`_effective_with_delta`).  A session writes its store itself and
+calls the effective bodies directly, so no command is filtered twice
+and subclasses only ever see effective changes.
 
 The registry spans CQ engines *and* the UCQ union engine
 (``"ucq_union"``); an engine that can maintain a
@@ -119,7 +125,12 @@ class DynamicEngine(ABC):
         database: Optional[Database] = None,
     ):
         self._query = query
-        self._db = Database.empty_like(query)
+        if database is None:
+            self._db = Database.empty_like(query)
+        else:
+            for relation in query.relations:
+                database.add_relation(relation, query.arity_of(relation))
+            self._db = database
         self._epoch = 0
         # Observability (repro.obs): attached post-construction via
         # :meth:`instrument`; None keeps the update hot path at a
@@ -133,25 +144,27 @@ class DynamicEngine(ABC):
         self._setup()
         if database is not None:
             with _collector_paused():
-                self._preload(database)
+                self._preload()
 
     # -- hooks for subclasses -------------------------------------------------
 
     def _setup(self) -> None:
         """Initialise per-engine structures for the empty database."""
 
-    def _preload(self, database: Database) -> None:
-        """Preprocessing: ingest the initial database.
+    def _preload(self) -> None:
+        """Preprocessing: build the structure for the rows of
+        ``self._db``.
 
-        The default replays every tuple as a single insertion —
-        O(poly(ϕ)) each for the paper's engine, so O(poly(ϕ) · ||D0||)
-        overall.  Engines with a faster batch path (e.g.
-        :class:`repro.core.engine.QHierarchicalEngine`'s bulk loader)
-        override this hook.
+        The default feeds every stored tuple of the query's relations
+        to the effective body as a single insertion (the rows are
+        stored already) — O(poly(ϕ)) each for the paper's engine, so
+        O(poly(ϕ) · ||D0||) overall.  Engines with a faster batch path
+        (e.g. :class:`repro.core.engine.QHierarchicalEngine`'s bulk
+        loader) override this hook.
         """
-        for relation in database.relations():
-            for row in relation.rows:
-                self.insert(relation.name, row)
+        for relation in self._query.relations:
+            for row in self._db.relation(relation):
+                self._effective(True, relation, row)
 
     @abstractmethod
     def _on_insert(self, relation: str, row: Row) -> None:
@@ -206,26 +219,27 @@ class DynamicEngine(ABC):
                 registry, stats, engine=self.name, **self._obs_labels
             )
 
-    def _count_update(self, relation: str, op: str) -> None:
-        """Count one effective update on the attached registry.
-
-        For subclasses whose ``apply_with_delta`` bypasses
-        :meth:`insert`/:meth:`delete`; only call when
-        ``self._obs_registry is not None``.
+    def _effective(self, is_insert: bool, relation: str, row: Row) -> None:
+        """The effective body of one update: the store already holds
+        the change and it was effective.  Bumps the epoch, runs
+        :meth:`_on_insert` / :meth:`_on_delete` and counts the update.
         """
-        table = self._obs_insert if op == "insert" else self._obs_delete
-        table[relation].inc()
+        self._epoch += 1
+        if is_insert:
+            self._on_insert(relation, row)
+            counters = self._obs_insert
+        else:
+            self._on_delete(relation, row)
+            counters = self._obs_delete
+        if counters is not None:
+            counters[relation].value += 1
 
     def insert(self, relation: str, row: Sequence[Constant]) -> bool:
         """``insert R(ā)``; returns True iff the database changed."""
         row = tuple(row)
         if not self._db.insert(relation, row):
             return False
-        self._epoch += 1
-        self._on_insert(relation, row)
-        counters = self._obs_insert
-        if counters is not None:
-            counters[relation].value += 1
+        self._effective(True, relation, row)
         return True
 
     def delete(self, relation: str, row: Sequence[Constant]) -> bool:
@@ -233,11 +247,7 @@ class DynamicEngine(ABC):
         row = tuple(row)
         if not self._db.delete(relation, row):
             return False
-        self._epoch += 1
-        self._on_delete(relation, row)
-        counters = self._obs_delete
-        if counters is not None:
-            counters[relation].value += 1
+        self._effective(False, relation, row)
         return True
 
     def apply(self, command: UpdateCommand) -> bool:
@@ -272,21 +282,20 @@ class DynamicEngine(ABC):
         that relation — cancelled pairs included, so ``epoch`` and the
         ``repro_engine_updates_total`` counters advance exactly as if
         every command had been applied on its own.  The caller
-        (:meth:`repro.api.session.Session.apply_all`) decided
-        effectiveness against its own store, so no row here is a
-        set-semantics no-op.
+        (:meth:`repro.api.session.Session.apply_all`) already moved the
+        store the engine reads, so no row here is a set-semantics no-op
+        and nothing is written to the store.
 
-        The default runs :meth:`delete` / :meth:`insert` over the net
-        rows and tops the epoch and counters up by the cancelled
-        remainder — correct for engines that read their store per
-        command (delta-IVM, the UCQ union, recompute).
+        The default runs the effective body over the net rows and tops
+        the epoch and counters up by the cancelled remainder.
         """
         epoch = self._epoch
+        effective = self._effective
         for relation, (inserted, deleted, n_inserts, n_deletes) in net.items():
             for row in deleted:
-                self.delete(relation, row)
+                effective(False, relation, row)
             for row in inserted:
-                self.insert(relation, row)
+                effective(True, relation, row)
             epoch += n_inserts + n_deletes
             if self._obs_insert is not None:
                 self._obs_insert[relation].value += n_inserts - len(inserted)
@@ -304,8 +313,24 @@ class DynamicEngine(ABC):
         serving layer's delta subscriptions are built on
         (:mod:`repro.serve.subscriptions`).
 
-        The default implementation diffs :meth:`result_set` before and
-        after — O(|result|) per update, correct for every engine.
+        The gate writes the store, then runs
+        :meth:`_effective_with_delta`.
+        """
+        is_insert = command.op == "insert"
+        db = self._db
+        write = db.insert if is_insert else db.delete
+        if not write(command.relation, command.row):
+            return (), ()
+        return self._effective_with_delta(is_insert, command.relation, command.row)
+
+    def _effective_with_delta(
+        self, is_insert: bool, relation: str, row: Row
+    ) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
+        """:meth:`_effective` plus the result-tuple delta it caused.
+
+        The default diffs :meth:`result_set` before and after —
+        O(|result|) per update, correct for every engine whose result
+        does not read the store (the store already holds the change).
         Engines with structural update knowledge override it:
         :class:`~repro.core.engine.QHierarchicalEngine` derives the
         delta in O(poly(ϕ) + δ) from the touched root paths, the union
@@ -313,8 +338,7 @@ class DynamicEngine(ABC):
         reads it off the sign flips of its maintained counts.
         """
         before = self.result_set()
-        if not self.apply(command):
-            return (), ()
+        self._effective(is_insert, relation, row)
         after = self.result_set()
         return tuple(after - before), tuple(before - after)
 
@@ -463,16 +487,18 @@ class DynamicEngine(ABC):
 
     @property
     def database(self) -> Database:
-        """The engine's view of the current database (do not mutate)."""
+        """The database the engine reads — for a session's view, the
+        session's one store (do not mutate)."""
         return self._db
 
     @property
     def active_domain_size(self) -> int:
-        """``n = |adom(D)|`` — the parameter of all paper bounds."""
+        """``n = |adom(D)|`` — the parameter of all paper bounds
+        (O(||D||))."""
         return self._db.active_domain_size
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._query.name}, n={self.active_domain_size})"
+        return f"{type(self).__name__}({self._query.name}, |D|={self._db.cardinality})"
 
 
 #: name → engine class, filled by :func:`register_engine` decorators.

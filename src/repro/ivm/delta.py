@@ -52,14 +52,14 @@ from repro.cq.query import Atom
 from repro.errors import QueryStructureError
 from repro.eval_static.naive import evaluate_sources, valuation_counts
 from repro.interface import DynamicEngine, _collector_paused, register_engine
-from repro.storage.database import Constant, Database, Row
+from repro.storage.database import Constant, Row
 from repro.storage.indexes import HashIndex
 
 __all__ = ["DeltaIVMEngine"]
 
 
 class _IndexedRelation:
-    """A relation mirror with incrementally maintained hash indexes.
+    """A relation's rows with incrementally maintained hash indexes.
 
     Unlike :class:`repro.eval_static.naive.RowSource` (built per
     evaluation), these indexes persist across updates: every index ever
@@ -286,8 +286,11 @@ class DeltaIVMEngine(DynamicEngine):
                 if not bucket:
                     del index[values]
 
-    def apply_with_delta(self, command) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
-        """Apply and report the result delta from the touched keys.
+    def _effective_with_delta(
+        self, is_insert: bool, relation: str, row: Row
+    ) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
+        """One effective update with the result delta from the touched
+        keys.
 
         The telescoping delta evaluation already visits exactly the
         output keys whose valuation counts change; a key enters the
@@ -298,24 +301,22 @@ class DeltaIVMEngine(DynamicEngine):
         """
         self._capture = ([], [])
         try:
-            changed = self.apply(command)
+            self._effective(is_insert, relation, row)
         finally:
             entered, left = self._capture
             self._capture = None
-        if not changed:
-            return (), ()
         return tuple(entered), tuple(left)
 
-    def _preload(self, database: "Database") -> None:
-        """Preprocessing: bulk-mirror the rows, evaluate the view once.
+    def _preload(self) -> None:
+        """Preprocessing: index the stored rows, evaluate the view once.
 
         Replaying ``||D0||`` insertions costs one telescoping delta
         evaluation *per tuple*; the initial materialisation is just the
         valuation counts of the full query, computable with a single
-        backtracking evaluation over the loaded database.
+        backtracking evaluation over the store.
         """
-        for name, fresh in self._db.mirror_from(database).items():
-            self._relations[name].bulk_add(fresh)
+        for name, relation in self._relations.items():
+            relation.bulk_add(self._db.relation(name))
         self._counts = valuation_counts(self._query, self._db)
         self._distinct = len(self._counts)
 

@@ -15,7 +15,7 @@ charge ``n·t_u + t_a`` per round as well.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Set
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.cq.acyclicity import join_tree
 from repro.eval_static.naive import evaluate as evaluate_naive
@@ -42,6 +42,21 @@ class RecomputeEngine(DynamicEngine):
 
     def _on_delete(self, relation: str, row: Row) -> None:
         self._cache = None
+
+    def _effective_with_delta(
+        self, is_insert: bool, relation: str, row: Row
+    ) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
+        """The base diff, with the result it replaces materialised
+        first: the store already holds the command, so a stale cache is
+        recomputed over the store stepped back by that one row."""
+        if self._cache is None:
+            stored = self._db.relation(relation)
+            (stored.delete if is_insert else stored.insert)(row)
+            try:
+                self._result()
+            finally:
+                (stored.insert if is_insert else stored.delete)(row)
+        return super()._effective_with_delta(is_insert, relation, row)
 
     def _result(self) -> Set[Row]:
         if self._cache is None:

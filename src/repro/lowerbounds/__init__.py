@@ -8,17 +8,17 @@ from repro.lowerbounds.counting_lemma import (
 from repro.lowerbounds.omv import (
     OMvInstance,
     OuMvInstance,
+    solve_omv_bits,
     solve_omv_naive,
-    solve_omv_numpy,
+    solve_oumv_bits,
     solve_oumv_naive,
-    solve_oumv_numpy,
 )
 from repro.lowerbounds.ov import (
     OVInstance,
     find_orthogonal_pair,
     log_dimension,
+    solve_ov_bits,
     solve_ov_naive,
-    solve_ov_numpy,
 )
 from repro.lowerbounds.reductions import (
     OMvEnumerationReduction,
@@ -35,15 +35,15 @@ __all__ = [
     "solve_vandermonde",
     "OMvInstance",
     "OuMvInstance",
+    "solve_omv_bits",
     "solve_omv_naive",
-    "solve_omv_numpy",
+    "solve_oumv_bits",
     "solve_oumv_naive",
-    "solve_oumv_numpy",
     "OVInstance",
     "find_orthogonal_pair",
     "log_dimension",
+    "solve_ov_bits",
     "solve_ov_naive",
-    "solve_ov_numpy",
     "OMvEnumerationReduction",
     "OuMvBooleanReduction",
     "OuMvCountingReduction",

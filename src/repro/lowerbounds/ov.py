@@ -13,15 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ReductionError
+from repro.lowerbounds.omv import _pack_bits
 
 __all__ = [
     "OVInstance",
     "log_dimension",
+    "solve_ov_bits",
     "solve_ov_naive",
-    "solve_ov_numpy",
     "find_orthogonal_pair",
 ]
 
@@ -76,9 +75,12 @@ def solve_ov_naive(instance: OVInstance) -> bool:
     return find_orthogonal_pair(instance) is not None
 
 
-def solve_ov_numpy(instance: OVInstance) -> bool:
-    """Vectorised O(n²d) OV decision via a Boolean matrix product."""
-    u = np.asarray(instance.u_set, dtype=bool)
-    v = np.asarray(instance.v_set, dtype=bool)
-    products = u @ v.T  # (i, j) entry: u_i · v_j over the Boolean semiring
-    return bool((~products).any())
+def solve_ov_bits(instance: OVInstance) -> bool:
+    """Bit-parallel O(n²d) OV decision: each vector packed into one
+    Python int, ``u ⊥ v`` iff ``u & v == 0``."""
+    v_packed = [_pack_bits(v) for v in instance.v_set]
+    return any(
+        not u & v
+        for u in map(_pack_bits, instance.u_set)
+        for v in v_packed
+    )

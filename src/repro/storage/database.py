@@ -6,14 +6,15 @@ single-tuple ``insert``/``delete`` commands.  Constants may be any
 hashable Python values (the paper takes ``dom = N``, but nothing here
 depends on that).
 
-The active domain ``adom(D)`` is maintained incrementally with
-reference counts, so ``n = |adom(D)|`` — the parameter of all the
-paper's bounds — is available in O(1) at any time.
+A :class:`Database` stores the relation sets and nothing else:
+``|D|`` is a sum of relation lengths, and ``adom(D)`` (hence ``n``, the
+parameter of all the paper's bounds) is computed when asked, in
+O(||D||).  No update command touches any cross-relation state, so
+threads writing disjoint relations of one store do not race.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 from typing import (
     Any,
@@ -157,23 +158,16 @@ class Relation:
 
 
 class Database:
-    """A σ-db: one :class:`Relation` per symbol, plus the active domain.
+    """A σ-db: one :class:`Relation` per symbol.
 
-    The active domain is reference-counted per constant: a constant is
-    active while it occurs in at least one (relation, tuple, position)
-    slot.  Inserts and deletes therefore maintain ``|adom(D)|``, ``|D|``
-    and ``||D||`` in constant time per command.
+    The schema is the set of relations present; :meth:`add_relation`
+    grows it, so one store can serve queries registered over time.
     """
 
     def __init__(self, schema: Schema):
-        self._schema = schema
         self._relations: Dict[str, Relation] = {
             name: Relation(name, schema.arity(name)) for name in schema.relations()
         }
-        # A Counter so bulk loads can fold whole relations in via the
-        # C-level ``Counter.update``; single updates use plain dict ops.
-        self._adom_refcount: Counter = Counter()
-        self._tuple_count = 0
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -213,11 +207,10 @@ class Database:
         return cls(Schema.from_query(query))
 
     def copy(self) -> "Database":
-        clone = Database(self._schema)
-        for name, relation in self._relations.items():
-            clone._relations[name] = relation.copy()
-        clone._adom_refcount = Counter(self._adom_refcount)
-        clone._tuple_count = self._tuple_count
+        clone = Database(Schema({}))
+        clone._relations = {
+            name: relation.copy() for name, relation in self._relations.items()
+        }
         return clone
 
     # ------------------------------------------------------------------
@@ -226,13 +219,32 @@ class Database:
 
     @property
     def schema(self) -> Schema:
-        return self._schema
+        return Schema(
+            {name: relation.arity for name, relation in self._relations.items()}
+        )
 
     def relation(self, name: str) -> Relation:
         try:
             return self._relations[name]
         except KeyError:
             raise SchemaError(f"unknown relation {name!r}") from None
+
+    def add_relation(self, name: str, arity: int) -> None:
+        """Add relation ``name``, empty, unless the store has it.
+
+        The one way a store gains a relation: an engine built over a
+        store — a session's, shared by all its views — adds the
+        relations of its query here.  A present relation of another
+        arity raises :class:`SchemaError`.
+        """
+        relation = self._relations.get(name)
+        if relation is None:
+            self._relations[name] = Relation(name, arity)
+        elif relation.arity != arity:
+            raise SchemaError(
+                f"relation {name!r} has arity {relation.arity}, "
+                f"query expects {arity}"
+            )
 
     def relations(self) -> Tuple[Relation, ...]:
         return tuple(self._relations[name] for name in sorted(self._relations))
@@ -247,9 +259,10 @@ class Database:
     def insert(self, name: str, row: Sequence[Constant]) -> bool:
         """``insert R(a1, ..., ar)``; True iff the database changed.
 
-        Inlined hot path: this runs once per update command of every
-        engine, so the per-row work is a membership probe, a set add
-        and the active-domain refcounts — no intermediate frames.
+        Inlined hot path: this runs once per update command — the
+        session's one store write, or a standalone engine's gate — so
+        the per-row work is a membership probe and a set add, no
+        intermediate frames.
         """
         relation = self._relations.get(name)
         if relation is None:
@@ -264,10 +277,6 @@ class Database:
                 f"{name!r} expects {relation.arity}"
             )
         rows.add(row)
-        self._tuple_count += 1
-        refcount = self._adom_refcount
-        for value in row:
-            refcount[value] = refcount.get(value, 0) + 1
         return True
 
     def bulk_insert(
@@ -279,45 +288,10 @@ class Database:
         """Insert many tuples in one shot; returns the genuinely new ones.
 
         Equivalent to calling :meth:`insert` per row, but the
-        deduplication is a single set difference and the active-domain
-        reference counts are folded in with one C-level
-        ``Counter.update`` over a C-level flattening — the
-        preprocessing fast path of the dynamic engines.  ``checked``
-        is forwarded to :meth:`Relation.bulk_insert`.
+        deduplication is a single set difference.  ``checked`` is
+        forwarded to :meth:`Relation.bulk_insert`.
         """
-        relation = self.relation(name)
-        fresh = relation.bulk_insert(rows, checked=checked)
-        if fresh:
-            self._tuple_count += len(fresh)
-            self._adom_refcount.update(chain.from_iterable(fresh))
-        return fresh
-
-    def mirror_from(self, source: "Database") -> Dict[str, FrozenSet[Row]]:
-        """Bulk-copy every non-empty relation of ``source`` into this
-        database; returns ``{relation: genuinely new rows}``.
-
-        The shared preprocessing mirror of the dynamic engines: arity
-        mismatches raise the same :class:`UpdateError` a per-row replay
-        would (and unknown relations the same :class:`SchemaError`, via
-        :meth:`bulk_insert`), while matching relations copy with the
-        checked fast path.  Relations contributing no new rows are
-        omitted from the result.
-        """
-        loaded: Dict[str, FrozenSet[Row]] = {}
-        for relation in source.relations():
-            rows = relation.rows
-            if not rows:
-                continue
-            name = relation.name
-            if name in self._schema and relation.arity != self._schema.arity(name):
-                raise UpdateError(
-                    f"relation {name!r} has arity {relation.arity}, "
-                    f"engine expects {self._schema.arity(name)}"
-                )
-            fresh = self.bulk_insert(name, rows, checked=True)
-            if fresh:
-                loaded[name] = fresh
-        return loaded
+        return self.relation(name).bulk_insert(rows, checked=checked)
 
     def fold_stream(
         self, commands, grouped: Optional[Dict[str, Tuple[list, list]]] = None
@@ -329,93 +303,50 @@ class Database:
         ``False`` for a delete).
 
         Equivalent to calling :meth:`insert`/:meth:`delete` per command
-        and keeping the ones that changed the database, but the
-        active-domain refcounts fold in per batch (one C-level
-        ``Counter`` pass per direction) instead of per row, and the
+        and keeping the ones that changed the database; the
         per-relation grouping
         :meth:`repro.core.engine.QHierarchicalEngine.apply_all` walks
         its runners over rides the same loop.  On a mid-stream error
-        the commands already applied stay applied, refcounts folded in;
-        a caller that must act on that prefix passes its own
-        ``grouped`` dict, which is filled in place.
+        the commands already applied stay applied; a caller that must
+        act on that prefix passes its own ``grouped`` dict, which is
+        filled in place.
         """
         relations = self._relations
         if grouped is None:
             grouped = {}
-        inserted_rows: list = []
-        deleted_rows: list = []
-        try:
-            for command in commands:
-                name = command.relation
-                relation = relations.get(name)
-                if relation is None:
-                    raise SchemaError(f"unknown relation {name!r}")
-                row = command.row
-                rows = relation._rows
-                if command.op == "insert":
-                    if row in rows:
-                        continue
+        changed = 0
+        for command in commands:
+            name = command.relation
+            relation = relations.get(name)
+            if relation is None:
+                raise SchemaError(f"unknown relation {name!r}")
+            row = command.row
+            rows = relation._rows
+            if command.op == "insert":
+                if row in rows:
+                    continue
+                if len(row) != relation.arity:
+                    raise UpdateError(
+                        f"tuple {row!r} has arity {len(row)}, relation "
+                        f"{name!r} expects {relation.arity}"
+                    )
+                rows.add(row)
+                is_insert = True
+            else:
+                if row not in rows:
                     if len(row) != relation.arity:
-                        raise UpdateError(
-                            f"tuple {row!r} has arity {len(row)}, relation "
-                            f"{name!r} expects {relation.arity}"
-                        )
-                    rows.add(row)
-                    inserted_rows.append(row)
-                    is_insert = True
-                else:
-                    if row not in rows:
-                        if len(row) != relation.arity:
-                            relation._check(row)  # precise arity error
-                        continue
-                    rows.remove(row)
-                    deleted_rows.append(row)
-                    is_insert = False
-                group = grouped.get(name)
-                if group is None:
-                    group = ([], [])
-                    grouped[name] = group
-                group[0].append(row)
-                group[1].append(is_insert)
-        finally:
-            self._fold_refcounts(inserted_rows, deleted_rows)
-        return len(inserted_rows) + len(deleted_rows), grouped
-
-    def _fold_refcounts(
-        self, inserted_rows: Sequence[Row], deleted_rows: Sequence[Row]
-    ) -> None:
-        """Fold rows that already entered / left the relation sets into
-        the tuple count and the active-domain refcounts — one C-level
-        ``Counter`` pass per direction instead of a loop per row."""
-        self._tuple_count += len(inserted_rows) - len(deleted_rows)
-        refcount = self._adom_refcount
-        if inserted_rows:
-            refcount.update(chain.from_iterable(inserted_rows))
-        if deleted_rows:
-            refcount.subtract(chain.from_iterable(deleted_rows))
-            for value in set(chain.from_iterable(deleted_rows)):
-                if not refcount[value]:
-                    del refcount[value]
-
-    def apply_net(
-        self, net: Mapping[str, Tuple[Sequence[Row], Sequence[Row], int, int]]
-    ) -> None:
-        """Fold a stream's per-relation *net* effect into the store.
-
-        ``net`` maps each relation to ``(inserted, deleted, n_inserts,
-        n_deletes)`` as :meth:`repro.interface.DynamicEngine.apply_net`
-        receives it; only the two row sequences matter here.  The caller
-        (the session's single effectiveness pass) guarantees every
-        ``deleted`` row is present, every ``inserted`` row absent and
-        both have the relation's arity, so there is no second
-        set-semantics filter: one C-level ``difference_update`` /
-        ``update`` per relation and one refcount fold per direction.
-        """
-        for name, (inserted, deleted, _n_inserts, _n_deletes) in net.items():
-            rows = self.relation(name)._rows
-            rows.difference_update(deleted)
-            rows.update(inserted)
-            self._fold_refcounts(inserted, deleted)
+                        relation._check(row)  # precise arity error
+                    continue
+                rows.remove(row)
+                is_insert = False
+            changed += 1
+            group = grouped.get(name)
+            if group is None:
+                group = ([], [])
+                grouped[name] = group
+            group[0].append(row)
+            group[1].append(is_insert)
+        return changed, grouped
 
     def delete(self, name: str, row: Sequence[Constant]) -> bool:
         """``delete R(a1, ..., ar)``; True iff the database changed."""
@@ -429,14 +360,6 @@ class Database:
                 relation._check(row)  # raise the precise arity error
             return False
         rows.remove(row)
-        self._tuple_count -= 1
-        refcount = self._adom_refcount
-        for value in row:
-            remaining = refcount[value] - 1
-            if remaining:
-                refcount[value] = remaining
-            else:
-                del refcount[value]
         return True
 
     # ------------------------------------------------------------------
@@ -445,18 +368,24 @@ class Database:
 
     @property
     def active_domain(self) -> FrozenSet[Constant]:
-        """``adom(D)`` as a frozen set (O(n) to materialise)."""
-        return frozenset(self._adom_refcount)
+        """``adom(D)`` as a frozen set, computed in O(||D||)."""
+        return frozenset(
+            chain.from_iterable(
+                chain.from_iterable(
+                    relation._rows for relation in self._relations.values()
+                )
+            )
+        )
 
     @property
     def active_domain_size(self) -> int:
-        """``n = |adom(D)|`` in O(1)."""
-        return len(self._adom_refcount)
+        """``n = |adom(D)|``, computed in O(||D||)."""
+        return len(self.active_domain)
 
     @property
     def cardinality(self) -> int:
-        """``|D|``: total number of stored tuples."""
-        return self._tuple_count
+        """``|D|``: total number of stored tuples (O(|σ|))."""
+        return sum(len(relation._rows) for relation in self._relations.values())
 
     @property
     def size(self) -> int:
@@ -469,7 +398,7 @@ class Database:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):
             return NotImplemented
-        if self._schema != other._schema:
+        if self.schema != other.schema:
             return False
         return all(
             self._relations[name].rows == other._relations[name].rows

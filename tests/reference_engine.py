@@ -245,8 +245,8 @@ class ReferenceEngine(QHierarchicalEngine):
     apply_all = DynamicEngine.apply_all
     apply_net = DynamicEngine.apply_net
 
-    def _preload(self, database: Database) -> None:
-        DynamicEngine._preload(self, database)
+    def _preload(self) -> None:
+        DynamicEngine._preload(self)
 
     def _on_insert(self, relation: str, row: Row) -> None:
         for structure in self._by_relation.get(relation, ()):

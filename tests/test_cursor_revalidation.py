@@ -221,6 +221,24 @@ def test_no_delta_engine_revalidates_when_a_subscriber_pays_for_the_diff():
     assert [d.size for d in subscription.poll()] == [1]  # empty ones skipped
 
 
+def test_no_delta_engine_diffs_against_the_result_before_the_command():
+    # The session writes its store before the view's engine runs, so a
+    # recompute view whose cached result went stale must not read the
+    # "before" side off the moved store.
+    session = Session()
+    view = session.view("v", VIEW_TEXT, engine="recompute")
+    session.insert("T", (1,))  # unwatched: the cache goes stale
+    subscription = view.subscribe()
+    session.insert("E", (1, 1))
+    assert [(d.added, d.removed) for d in subscription.poll()] == [(((1, 1),), ())]
+    session.delete("T", (1,))
+    session.insert("T", (1,))
+    assert [(d.added, d.removed) for d in subscription.poll()] == [
+        ((), ((1, 1),)),
+        (((1, 1),), ()),
+    ]
+
+
 def test_snapshot_cursor_still_pins_across_survivable_writes():
     rng = random.Random(7)
     session, view = populated_session(rng)

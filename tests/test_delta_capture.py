@@ -125,7 +125,7 @@ def test_one_update_pass_per_matching_plan(name, compiled):
     rng = random.Random(f"version/{name}/{compiled}")
     database = random_database(query, rng)
     subscribed = build_engine(compiled, query, database)
-    plain = build_engine(compiled, query, database)
+    plain = build_engine(compiled, query, database.copy())
 
     def versions(engine):
         return sum(structure.version for structure in engine.structures)

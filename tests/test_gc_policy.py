@@ -116,7 +116,7 @@ class _FailingEngine(DynamicEngine):
     name = "failing-preload"
     built = None
 
-    def _preload(self, database):
+    def _preload(self):
         type(self).built = weakref.ref(self)
         # a cycle through the half-built engine, as a real structure has
         self._self_loop = [self]

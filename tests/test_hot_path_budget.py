@@ -28,6 +28,11 @@ not the path, and are not counted.  300 dense commands measure their
 ``Database.insert`` frame per command coming back adds 300 or more, and
 a stream that is its own undo makes no runner call at all.
 
+The session's store is the only store: a ``Session.apply`` writes it
+once — one ``storage/database.py`` frame whether one view or nine read
+the relation — and the engines take the effective command without a
+store write or a second set-semantics check of their own.
+
 A bound read buys no write: after ``view.cursor(x=5)`` on a view where
 ``x`` sits below an unbound q-tree ancestor, an update makes exactly
 the calls it made before, at every |D|, and a batch still nets the
@@ -36,6 +41,7 @@ flip every output row, so any per-row state kept for the binding shows
 as calls that grow with |D|.
 """
 
+import os
 import sys
 
 from repro import Session
@@ -51,12 +57,14 @@ OPEN_BUDGET = 24
 BATCH_BUDGET = 64
 
 
-def python_calls(operation, *args):
+def python_calls(operation, *args, where=lambda code: True):
+    """Python-level calls made by ``operation`` (those whose code object
+    satisfies ``where``)."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and where(frame.f_code):
             calls += 1
 
     sys.setprofile(profiler)
@@ -208,3 +216,55 @@ def test_a_bound_read_leaves_the_update_path_as_it_was():
         assert others <= BATCH_BUDGET, others
         assert view.count() == size + 1
     assert toggles[0] == toggles[1], toggles
+
+
+STORE_FILE = os.path.join("storage", "database.py")
+
+#: One relation E read by a q-hierarchical, a delta-IVM and a union view.
+E_VIEWS = (
+    "Q(x, y) :- E(x, y), T(y)",
+    "Q(x, y) :- S(x), E(x, y), T(y)",
+    "Q(x, y) :- E(x, y), T(y); Q(x, y) :- E(x, y), U(y)",
+)
+
+
+def test_one_store_write_per_command_for_any_number_of_views():
+    for k in (1, 3, 9):
+        session = Session()
+        views = [
+            session.view(f"v{i}", E_VIEWS[i % len(E_VIEWS)]) for i in range(k)
+        ]
+        seen = []
+        views[0].subscribe(callback=seen.append)
+        seeds = {"T": (2,), "U": (2,), "S": (1,)}
+        session.apply_all(
+            insert(relation, seeds[relation])
+            for relation in session.relations
+            if relation in seeds
+        )
+        command = insert("E", (1, 2))
+        session.apply(command)  # warm the path
+        session.apply(command.inverse())
+
+        writes = python_calls(
+            session.apply,
+            command,
+            where=lambda code: code.co_filename.endswith(STORE_FILE),
+        )
+        assert writes == 1, (k, writes)
+        assert all(view.result_set() == {(1, 2)} for view in views), k
+        assert seen[-1].added == ((1, 2),)
+
+
+def test_every_engine_of_a_session_reads_its_one_store():
+    session = Session()
+    plain = session.view("plain", E_VIEWS[0])
+    hard = session.view("hard", E_VIEWS[1])
+    union = session.view("union", E_VIEWS[2])
+    store = session._db
+    sub_engines = list(union.engine._engines) + list(
+        union.engine._intersections.values()
+    )
+    assert len(sub_engines) == 3  # two disjuncts, one intersection
+    for engine in [plain.engine, hard.engine, union.engine] + sub_engines:
+        assert engine.database is store

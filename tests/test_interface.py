@@ -50,10 +50,10 @@ class TestDynamicEngineBase:
         engine.insert("T", (2,))
         assert engine.result_set() == {(1, 2)}
 
-    def test_repr_mentions_n(self):
+    def test_repr_mentions_cardinality(self):
         engine = make_engine("recompute", zoo.E_T_QF)
         engine.insert("E", (1, 2))
-        assert "n=2" in repr(engine)
+        assert "|D|=1" in repr(engine)
 
     def test_database_view_tracks_updates(self):
         engine = make_engine("qhierarchical", zoo.E_T_QF)

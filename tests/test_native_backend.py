@@ -8,8 +8,8 @@ rows; the differential guarantee checked here is that this is
 same counts, same enumerations, same digests, and byte-identical
 per-component snapshots — across bulk loads, churny and small batches,
 interleaved ``apply_with_delta``, a mid-stream error, and a kill -9
-journal replay.  The serving path does all of it
-without importing numpy.
+journal replay.  Nothing in the package — the serving path, the
+workload generators, the lower-bound solvers — imports numpy.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _pair(query, rounds=400, seed=3, domain=6, preload_rounds=150):
         else:
             db.delete(command.relation, command.row)
     batched = QHierarchicalEngine(query, db)
-    single = QHierarchicalEngine(query, db)
+    single = QHierarchicalEngine(query, db.copy())
     stream = random_stream(query, rng, rounds=rounds, domain=domain)
     return batched, single, stream
 
@@ -292,6 +292,21 @@ _NO_NUMPY_SCRIPT = textwrap.dedent(
         server.apply(delete(commands[0].relation, commands[0].row))
         assert seen, "the subscriber saw no delta"
     assert "numpy" not in sys.modules, "the serving path imported numpy"
+
+    # Nor does the rest of the package: the workload generators and the
+    # lower-bound solvers run on plain Python ints.
+    import random
+
+    import repro.lowerbounds as lowerbounds
+    import repro.workloads  # noqa: F401
+    from repro.workloads.matrices import random_omv_instance, random_ov_instance
+
+    rng = random.Random(3)
+    omv = random_omv_instance(rng, n=6)
+    ov = random_ov_instance(rng, n=8)
+    assert lowerbounds.solve_omv_bits(omv) == lowerbounds.solve_omv_naive(omv)
+    assert lowerbounds.solve_ov_bits(ov) == lowerbounds.solve_ov_naive(ov)
+    assert "numpy" not in sys.modules, "the package imported numpy"
     print("ok", sum(len(session.views) for session, _ in sessions))
     """
 )

@@ -9,16 +9,16 @@ from repro.lowerbounds.omv import (
     OMvInstance,
     OuMvInstance,
     solve_omv_naive,
-    solve_omv_numpy,
+    solve_omv_bits,
     solve_oumv_naive,
-    solve_oumv_numpy,
+    solve_oumv_bits,
 )
 from repro.lowerbounds.ov import (
     OVInstance,
     find_orthogonal_pair,
     log_dimension,
     solve_ov_naive,
-    solve_ov_numpy,
+    solve_ov_bits,
 )
 from repro.workloads.matrices import (
     random_omv_instance,
@@ -65,7 +65,7 @@ class TestOMvSolvers:
     def test_naive_vs_numpy(self, seed):
         rng = random.Random(seed)
         instance = random_omv_instance(rng, n=9)
-        assert solve_omv_naive(instance) == solve_omv_numpy(instance)
+        assert solve_omv_naive(instance) == solve_omv_bits(instance)
 
 
 class TestOuMvSolvers:
@@ -84,7 +84,7 @@ class TestOuMvSolvers:
     def test_naive_vs_numpy(self, seed):
         rng = random.Random(seed + 50)
         instance = random_oumv_instance(rng, n=9)
-        assert solve_oumv_naive(instance) == solve_oumv_numpy(instance)
+        assert solve_oumv_naive(instance) == solve_oumv_bits(instance)
 
 
 class TestOVSolvers:
@@ -109,7 +109,7 @@ class TestOVSolvers:
     def test_naive_vs_numpy(self, seed):
         rng = random.Random(seed + 100)
         instance = random_ov_instance(rng, n=20)
-        assert solve_ov_naive(instance) == solve_ov_numpy(instance)
+        assert solve_ov_naive(instance) == solve_ov_bits(instance)
 
     def test_paper_dimension_default(self):
         rng = random.Random(1)

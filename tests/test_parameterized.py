@@ -238,6 +238,8 @@ class TestEngineBindingIndex:
         assert set(engine.enumerate_bound({"me": "u0"})) == set()
         assert engine.binding_index_size() == 0
         # so does a netted batch: the index rides the counts, not deltas
+        # (apply_net follows a store its caller already moved)
+        engine.database.insert("Follows", ("u1", "a0"))
         engine.apply_net({"Follows": ([("u1", "a0")], [], 3, 2)})
         assert list(engine.enumerate_bound({"me": "u1"})) == [
             ("u1", "a0", "p1")

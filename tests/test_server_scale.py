@@ -106,6 +106,12 @@ def test_concurrent_disjoint_writers_match_sequential_oracle(shards):
             epochs.append(delta.epoch)
         assert mirror == view.result_set()
         assert epochs == sorted(epochs) and len(set(epochs)) == len(epochs)
+    # The parallel writers shared one store and kept no shared counter
+    # in it: its size is the sum of its relations.
+    session = server.session
+    assert session.cardinality == sum(
+        len(session.rows(relation)) for relation in session.relations
+    )
 
 
 def test_cross_shard_writers_on_a_shared_relation_stay_consistent():

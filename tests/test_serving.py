@@ -611,12 +611,12 @@ def test_merged_loaders_state_identical_to_per_atom_and_replay(
     ):
         database.insert(command.relation, command.row)
     merged = QHierarchicalEngine(query, database)
-    replay = ReferenceEngine(query, database)
+    replay = ReferenceEngine(query, database.copy())
     with monkeypatch.context() as patch:
         patch.setattr(
             "repro.core.structure.compile_relation_loader", per_atom_loader
         )
-        per_atom = QHierarchicalEngine(query, database)
+        per_atom = QHierarchicalEngine(query, database.copy())
     assert merged.count() == per_atom.count() == replay.count()
     for sm, sp, sr in zip(
         merged.structures, per_atom.structures, replay.structures

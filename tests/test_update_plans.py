@@ -95,7 +95,7 @@ class TestCompiledVsReference:
         commands = insert_only_stream(rng, query, 1200, domain=UniformDomain(20))
         database = build_database(query, commands)
         bulk = QHierarchicalEngine(query, database)
-        replay = ReferenceEngine(query, database)
+        replay = ReferenceEngine(query, database.copy())
         assert snapshots(bulk) == snapshots(replay)
         assert bulk.count() == replay.count()
         assert bulk.result_set() == replay.result_set()
@@ -106,7 +106,7 @@ class TestCompiledVsReference:
         commands = insert_only_stream(rng, query, 600, domain=UniformDomain(12))
         database = build_database(query, commands)
         bulk = QHierarchicalEngine(query, database)
-        replay = ReferenceEngine(query, database)
+        replay = ReferenceEngine(query, database.copy())
         for command in mixed_stream(rng, query, 600, domain=UniformDomain(12)):
             assert bulk.apply(command) == replay.apply(command)
         assert snapshots(bulk) == snapshots(replay)
@@ -206,15 +206,28 @@ class TestPreloadParity:
         database.insert("E", (1, 2))
         database.insert("T", (2,))
         bulk = QHierarchicalEngine(zoo.E_T_QF, database)
-        replay = ReferenceEngine(zoo.E_T_QF, database)
+        replay = ReferenceEngine(zoo.E_T_QF, database.copy())
         assert bulk.count() == replay.count() == 1
 
-    def test_populated_unknown_relation_raises_in_both_modes(self):
-        from repro.errors import SchemaError
+    def test_populated_foreign_relation_ignored_in_both_modes(self):
+        # A shared store holds other views' relations: an engine reads
+        # only its query's relations, in either preprocessing mode.
         from repro.storage.database import Schema
 
         database = Database(Schema({"E": 2, "T": 1, "UNRELATED": 2}))
         database.insert("UNRELATED", (1, 1))
+        database.insert("E", (1, 2))
+        database.insert("T", (2,))
+        bulk = QHierarchicalEngine(zoo.E_T_QF, database)
+        replay = ReferenceEngine(zoo.E_T_QF, database.copy())
+        assert bulk.result_set() == replay.result_set() == {(1, 2)}
+        assert snapshots(bulk) == snapshots(replay)
+
+    def test_mismatched_arity_raises_in_both_modes(self):
+        from repro.errors import SchemaError
+        from repro.storage.database import Schema
+
+        database = Database(Schema({"E": 3, "T": 1}))
         for engine_class in (QHierarchicalEngine, ReferenceEngine):
             with pytest.raises(SchemaError):
                 engine_class(zoo.E_T_QF, database)
