@@ -4,6 +4,10 @@ Python frames.
 Counts Python-level ``call`` events (``sys.setprofile``) around one
 warmed, subscribed ``Server.apply`` and one ``Server.count`` — a count,
 not a timer, so it repeats exactly and cannot flake on a shared box.
+The cyclic collector is held off while counting: a generation-0 pass
+lands wherever the process's allocation count happens to cross its
+threshold, and its ``gc.callbacks`` hook adds frames that belong to the
+process's history, not to the path.
 The path measures 20 and 8 calls (the parent of the flattening: 52 and
 24); the budgets leave a few frames of slack for interpreter
 differences, and a context-manager generator (six calls), an
@@ -41,6 +45,7 @@ flip every output row, so any per-row state kept for the binding shows
 as calls that grow with |D|.
 """
 
+import gc
 import os
 import sys
 
@@ -57,6 +62,22 @@ OPEN_BUDGET = 24
 BATCH_BUDGET = 64
 
 
+def profiled(profiler, operation, *args):
+    """Run ``operation`` under ``profiler`` with the cyclic collector
+    held off, so that no collector pass (and its callbacks) lands in
+    the count."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        operation(*args)
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+
+
 def python_calls(operation, *args, where=lambda code: True):
     """Python-level calls made by ``operation`` (those whose code object
     satisfies ``where``)."""
@@ -67,11 +88,7 @@ def python_calls(operation, *args, where=lambda code: True):
         if event == "call" and where(frame.f_code):
             calls += 1
 
-    sys.setprofile(profiler)
-    try:
-        operation(*args)
-    finally:
-        sys.setprofile(None)
+    profiled(profiler, operation, *args)
     return calls
 
 
@@ -139,11 +156,7 @@ def calls_around_runners(operation, *args):
         elif event == "return" and inside:
             inside -= 1
 
-    sys.setprofile(profiler)
-    try:
-        operation(*args)
-    finally:
-        sys.setprofile(None)
+    profiled(profiler, operation, *args)
     return runners, others
 
 
