@@ -675,7 +675,11 @@ class Session:
         # session writes it.
         self._db = Database(Schema({}))
         self._views: Dict[str, View] = {}
-        self._views_by_relation: Dict[str, List[View]] = {}
+        # Copy-on-write, so a view registered by a callback mid-fan-out
+        # (it preloaded the store) does not take the command again.
+        self._views_by_relation: Dict[str, Tuple[View, ...]] = {}
+        # The ``reads_store`` engines, told of each write before the fan-out.
+        self._readers_by_relation: Dict[str, Tuple[DynamicEngine, ...]] = {}
         self._active_batch: Optional[Batch] = None
         # The threads inside apply_all: views that sat a stream out lag
         # the store until its fan-out, so a callback writing (or
@@ -774,16 +778,26 @@ class Session:
                 )
 
         # Preprocessing: build the engine over the session's store — it
-        # reads the rows in place and adds the view's new relations.
-        # One collector pause spans the engine build and any declared
-        # binding index, so the registration pays at most one closing
-        # generation-0 pass.
+        # reads the rows in place and adds the view's new relations (a
+        # failed build gives them back).  One collector pause spans the
+        # engine build and any declared binding index, so the
+        # registration pays at most one closing generation-0 pass.
+        added = [relation for relation in parsed.relations if relation not in db]
         with _collector_paused():
-            built = plan.build(db)
+            try:
+                built = plan.build(db)
+            except BaseException:
+                for relation in added:
+                    db.remove_relation(relation)
+                raise
             view = View(name, self, plan, built)
             self._views[name] = view
             for relation in parsed.relations:
-                self._views_by_relation.setdefault(relation, []).append(view)
+                views = self._views_by_relation
+                views[relation] = views.get(relation, ()) + (view,)
+                if built.reads_store:
+                    readers = self._readers_by_relation
+                    readers[relation] = readers.get(relation, ()) + (built,)
             for pattern in declared_patterns:
                 view._ensure_access_pattern(pattern, declared=True)
         return view
@@ -797,9 +811,15 @@ class Session:
         except KeyError:
             raise EngineStateError(f"no view named {name!r}") from None
         view._close_serving()
-        for views in self._views_by_relation.values():
-            if view in views:
-                views.remove(view)
+        for relation in view.query.relations:
+            for index, member in (
+                (self._views_by_relation, view),
+                (self._readers_by_relation, view._engine),
+            ):
+                if relation in index:
+                    index[relation] = tuple(
+                        kept for kept in index[relation] if kept is not member
+                    )
 
     def __getitem__(self, name: str) -> View:
         try:
@@ -896,7 +916,7 @@ class Session:
                     group = groups[relation] = self._stream_group(
                         relation, watching
                     )
-                rows, arity, watched, net, counts, _lagging = group
+                rows, arity, watched, net, counts, _lagging, readers = group
                 row = command.row
                 if len(row) != arity:
                     self._check(relation, row)
@@ -918,6 +938,8 @@ class Session:
                 last = command
                 if flags is not None:
                     flags.append(True)
+                for engine in readers:
+                    engine._store_moved(relation, row, sign)
                 for view in watched:
                     view._deliver(command)
                 if net is not None:
@@ -934,10 +956,10 @@ class Session:
     ) -> Tuple[Any, ...]:
         """One relation's state for the length of an :meth:`apply_all`:
         ``(store rows, arity, watched views, net map, [_, inserts,
-        deletes], lagging views)`` — the net map is ``None`` when every
-        view of the relation is watched and nothing has to catch up
-        afterwards.  Raises the session's error for an unknown
-        relation."""
+        deletes], lagging views, store-reading engines)`` — the net map
+        is ``None`` when every view of the relation is watched and
+        nothing has to catch up afterwards.  Raises the session's error
+        for an unknown relation."""
         stored = self._relation(relation)
         watched: List[View] = []
         lagging: List[View] = []
@@ -953,6 +975,7 @@ class Session:
             {} if lagging else None,
             [0, 0, 0],  # indexed by sign: [1] inserts, [-1] deletes
             lagging,
+            self._readers_by_relation.get(relation, ()),
         )
 
     def _fan_out(
@@ -965,7 +988,7 @@ class Session:
         that follow a batch — observing sessions record one
         per-command-mean sample and the result size per moved view."""
         pending: Dict[View, Dict[str, Tuple[List[Row], List[Row], int, int]]] = {}
-        for relation, (_, _, _, net, counts, lagging) in groups.items():
+        for relation, (_, _, _, net, counts, lagging, _) in groups.items():
             if not net:
                 continue
             entry = (
@@ -1176,6 +1199,11 @@ class Session:
             raise self._unknown(relation) from None
         if not changed:
             return False
+        readers = self._readers_by_relation.get(relation)
+        if readers:
+            sign = 1 if command.op == "insert" else -1
+            for engine in readers:
+                engine._store_moved(relation, command.row, sign)
         for view in self._views_by_relation.get(relation, ()):
             view._deliver(command)
         return True

@@ -29,7 +29,8 @@ The interesting parts are the operations that must *combine* them:
 Updates fan out to every engine (per-disjunct and per-intersection), so
 the update time is O(2^q · poly(Φ)) — constant in the data, as required.
 Every one of those engines reads the union engine's own database — the
-session's store when the union is a view — so the rows are kept once.
+session's store when the union is a view — so the union keeps no copy
+of the store per disjunct.
 
 :class:`UnionEngine` is a regular :class:`~repro.interface.DynamicEngine`
 registered as ``"ucq_union"``: it shares the interface's update/query

@@ -9,17 +9,14 @@ the paper's algorithm (:class:`repro.core.engine.QHierarchicalEngine`)
 and the baselines (:mod:`repro.ivm`) are interchangeable in tests,
 benchmarks and the lower-bound reductions.
 
-An engine reads a :class:`~repro.storage.database.Database` it does
-not copy: the one it is built over (a session's store, shared by every
-view of the session) or a fresh empty one.  Construction *is* the
-preprocessing phase.  Afterwards a standalone caller updates through
-the gate — :meth:`insert` / :meth:`delete` / :meth:`apply` /
-:meth:`apply_with_delta` / :meth:`apply_all` — which writes the store,
-filters set-semantics no-ops (inserting a present tuple, deleting an
-absent one) there, and runs the effective body (:meth:`_effective`,
-:meth:`_effective_with_delta`).  A session writes its store itself and
-calls the effective bodies directly, so no command is filtered twice
-and subclasses only ever see effective changes.
+An engine reads the :class:`~repro.storage.database.Database` it is
+built over (a session's store, shared by every view) or a fresh empty
+one; construction *is* the preprocessing phase.  A standalone caller
+updates through the gate (:meth:`insert`, :meth:`delete`, :meth:`apply`,
+:meth:`apply_with_delta`, :meth:`apply_all`): it writes the store, which
+drops set-semantics no-ops, then runs the effective body.  A session
+writes its store itself and calls the effective bodies directly, so
+no command is filtered twice and subclasses see only effective changes.
 
 The registry spans CQ engines *and* the UCQ union engine
 (``"ucq_union"``); an engine that can maintain a
@@ -119,6 +116,11 @@ class DynamicEngine(ABC):
     #: only worth it when a subscriber needs the delta anyway.
     supports_cheap_delta: bool = False
 
+    #: Whether reads evaluate over the store itself (recompute).  A
+    #: session reports each write to such an engine first
+    #: (:meth:`_store_moved`), so its reads can keep showing its epoch.
+    reads_store: bool = False
+
     def __init__(
         self,
         query: ConjunctiveQuery,
@@ -152,12 +154,10 @@ class DynamicEngine(ABC):
         """Initialise per-engine structures for the empty database."""
 
     def _preload(self) -> None:
-        """Preprocessing: build the structure for the rows of
-        ``self._db``.
+        """Preprocessing: build the structure for the stored rows.
 
-        The default feeds every stored tuple of the query's relations
-        to the effective body as a single insertion (the rows are
-        stored already) — O(poly(ϕ)) each for the paper's engine, so
+        The default feeds each row of the query's relations to the
+        effective body — O(poly(ϕ)) each for the paper's engine, so
         O(poly(ϕ) · ||D0||) overall.  Engines with a faster batch path
         (e.g. :class:`repro.core.engine.QHierarchicalEngine`'s bulk
         loader) override this hook.
@@ -165,6 +165,10 @@ class DynamicEngine(ABC):
         for relation in self._query.relations:
             for row in self._db.relation(relation):
                 self._effective(True, relation, row)
+
+    def _store_moved(self, relation: str, row: Row, sign: int) -> None:
+        """The store took a change (``sign`` ±1) the effective body
+        has not seen yet."""
 
     @abstractmethod
     def _on_insert(self, relation: str, row: Row) -> None:
@@ -329,8 +333,7 @@ class DynamicEngine(ABC):
         """:meth:`_effective` plus the result-tuple delta it caused.
 
         The default diffs :meth:`result_set` before and after —
-        O(|result|) per update, correct for every engine whose result
-        does not read the store (the store already holds the change).
+        O(|result|) per update; the store already holds the change.
         Engines with structural update knowledge override it:
         :class:`~repro.core.engine.QHierarchicalEngine` derives the
         delta in O(poly(ϕ) + δ) from the touched root paths, the union

@@ -246,6 +246,13 @@ class Database:
                 f"query expects {arity}"
             )
 
+    def remove_relation(self, name: str) -> None:
+        """Give back relation ``name`` if it is present and empty — what
+        a failed registration added over a shared store."""
+        relation = self._relations.get(name)
+        if relation is not None and not relation._rows:
+            del self._relations[name]
+
     def relations(self) -> Tuple[Relation, ...]:
         return tuple(self._relations[name] for name in sorted(self._relations))
 

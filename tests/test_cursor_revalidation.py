@@ -239,6 +239,66 @@ def test_no_delta_engine_diffs_against_the_result_before_the_command():
     ]
 
 
+def test_a_snapshot_cursor_on_a_stale_recompute_view_pins_the_result_before_the_write():
+    session = Session()
+    view = session.view("v", VIEW_TEXT, engine="recompute")
+    session.insert("T", (1,))
+    session.insert("E", (1, 1))  # fresh view, cache never filled
+    before = view.result_set()
+    session.insert("E", (2, 1))  # unwatched: the cache goes stale again
+    before |= {(2, 1)}
+    cursor = view.cursor(snapshot=True)
+    session.insert("E", (3, 1))
+    assert set(cursor.fetch_all()) == before
+
+
+def test_a_callback_reading_a_recompute_view_mid_fan_out_leaves_its_delta_intact():
+    # The first view's subscriber reads the recompute view after the
+    # store moved and before the recompute view's turn in the fan-out.
+    session = Session()
+    first = session.view("first", VIEW_TEXT)
+    recompute = session.view("recompute", VIEW_TEXT, engine="recompute")
+    session.insert("T", (1,))
+    read = []
+    first.subscribe(callback=lambda delta: read.append(recompute.count()))
+    subscription = recompute.subscribe()
+    session.insert("E", (1, 1))
+    assert read == [0]  # the recompute view's epoch has not moved yet
+    assert [(d.added, d.removed) for d in subscription.poll()] == [(((1, 1),), ())]
+    assert recompute.result_set() == {(1, 1)}
+
+
+def test_an_unwatched_recompute_view_read_mid_stream_shows_the_state_before_the_call():
+    session = Session()
+    watched = session.view("watched", VIEW_TEXT)
+    recompute = session.view("recompute", VIEW_TEXT, engine="recompute")
+    session.insert("T", (1,))
+    session.insert("E", (9, 1))  # the recompute cache is stale
+    read = []
+    watched.subscribe(callback=lambda delta: read.append(recompute.count()))
+    session.apply_all(
+        [insert("E", (0, 1)), insert("E", (1, 1)), delete("E", (9, 1))]
+    )
+    assert read == [1, 1, 1]
+    assert recompute.result_set() == watched.result_set() == {(0, 1), (1, 1)}
+
+
+def test_a_view_registered_by_a_callback_mid_fan_out_takes_the_command_once():
+    # The new view preloads the store, which already holds the command.
+    session = Session()
+    first = session.view("first", VIEW_TEXT)
+    session.insert("T", (1,))
+
+    def register(delta):
+        if "late" not in session:
+            session.view("late", VIEW_TEXT)
+
+    first.subscribe(callback=register)
+    session.insert("E", (1, 1))
+    session.delete("E", (1, 1))
+    assert session["late"].result_set() == first.result_set() == set()
+
+
 def test_snapshot_cursor_still_pins_across_survivable_writes():
     rng = random.Random(7)
     session, view = populated_session(rng)

@@ -25,7 +25,13 @@ import pytest
 from conftest import random_stream
 from repro import Server, Session
 from repro.cq import zoo
-from repro.interface import DynamicEngine, _collector_paused, make_engine
+from repro.errors import SchemaError
+from repro.interface import (
+    ENGINE_REGISTRY,
+    DynamicEngine,
+    _collector_paused,
+    make_engine,
+)
 from repro.obs import GC_PAUSE_METRIC
 from repro.storage.database import Database
 from repro.storage.updates import insert
@@ -146,6 +152,19 @@ def _build_failing_engine():
     except RuntimeError:
         return True
     return False
+
+
+def test_a_failing_registration_gives_back_the_relations_it_added(monkeypatch):
+    monkeypatch.setitem(ENGINE_REGISTRY, _FailingEngine.name, _FailingEngine)
+    session = Session()
+    session.view("e", "Q(x) :- E(x, y)")
+    session.insert("E", (1, 2))
+    with pytest.raises(RuntimeError):
+        session.view("broken", zoo.E_T, engine=_FailingEngine.name)
+    assert session.relations == ("E",)
+    assert session.rows("E") == {(1, 2)}
+    with pytest.raises(SchemaError, match="no registered view uses relation"):
+        session.insert("T", (2,))
 
 
 def test_a_failing_preload_leaves_the_collector_on_and_its_engine_collectable():
