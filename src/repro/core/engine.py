@@ -75,6 +75,9 @@ class QHierarchicalEngine(DynamicEngine):
     #: the touched root paths — O(poly(ϕ) + δ), never O(|result|).
     supports_cheap_delta = True
 
+    #: Theorem 3.2: O(1) count and answer, O(poly(ϕ)) membership.
+    constant_reads = frozenset(("count", "answer", "contains"))
+
     #: The per-component structure :meth:`_setup` instantiates.
     structure_class = ComponentStructure
 

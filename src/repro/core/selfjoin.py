@@ -86,6 +86,9 @@ class Phi2Engine(DynamicEngine):
 
     name = "phi2_appendix"
 
+    #: ``count()`` walks the edges.
+    constant_reads = frozenset(("answer",))
+
     def __init__(
         self,
         query: ConjunctiveQuery,

@@ -262,6 +262,12 @@ class UnionEngine(DynamicEngine):
                 self.counting_supported = False
                 continue
             self._intersections[subset] = QHierarchicalEngine(query, db)
+        # Without inclusion–exclusion a count enumerates the union.
+        self.constant_reads = frozenset(
+            ("count", "answer", "contains")
+            if self.counting_supported
+            else ("answer", "contains")
+        )
 
         self._by_relation: Dict[str, List[QHierarchicalEngine]] = {}
         for engine in list(self._engines) + list(self._intersections.values()):

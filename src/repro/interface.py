@@ -34,6 +34,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     Mapping,
@@ -120,6 +121,14 @@ class DynamicEngine(ABC):
     #: session reports each write to such an engine first
     #: (:meth:`_store_moved`), so its reads can keep showing its epoch.
     reads_store: bool = False
+
+    #: The point reads — ``"count"``, ``"answer"``, ``"contains"`` —
+    #: this engine answers in time independent of the data.  A cluster
+    #: worker answers these on the thread that received them, keeping
+    #: its receive role; a read that may walk or re-evaluate the data
+    #: (a stale recompute cache, a count by enumeration, membership in
+    #: a materialised result set) runs after the role passed on.
+    constant_reads: FrozenSet[str] = frozenset()
 
     def __init__(
         self,

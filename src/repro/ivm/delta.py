@@ -170,6 +170,10 @@ class DeltaIVMEngine(DynamicEngine):
     #: valuation counts during the update itself — no result diff.
     supports_cheap_delta = True
 
+    #: The materialised distinct count; membership goes through the
+    #: result set.
+    constant_reads = frozenset(("count", "answer"))
+
     def _setup(self) -> None:
         self._relations: Dict[str, _IndexedRelation] = {
             relation: _IndexedRelation() for relation in self._query.relations

@@ -14,8 +14,8 @@ makes the whole path one story:
   the trace but each get a fresh span — tail latency is attributable
   to the exact attempt/leg/worker that produced it.
 
-Propagation is plain data: :func:`inject` adds a ``_trace`` key —
-``{"t": trace_id, "s": span_id}`` — to the request dict before it is
+Propagation is plain data: :func:`inject` sets a ``_trace`` key —
+``{"t": trace_id, "s": span_id}`` — on the request dict before it is
 encoded, and :func:`extract` pops it on the worker.  It rides in the
 frame's JSON header untouched, and the mux protocol's ``mux_id``
 tagging composes with it: out-of-order replies re-match by mux id while
@@ -26,12 +26,20 @@ process must never grow without bound for observability's sake).
 Spans slower than the ``REPRO_SLOW_OP_MS`` threshold are *also* kept
 in a dedicated slow ring, so the interesting tail survives long after
 the torrent of fast spans has rotated the main ring.
+
+Every cluster RPC opens a span on each side, so the span path is
+priced per request: ids come from a per-process generator (seeded from
+the OS, reseeded in a forked child so the two never draw the same
+sequence) instead of an ``os.urandom`` call each, a finished span is
+one ``deque.append`` (thread-safe on its own; readers copy the ring
+before walking it), and :func:`inject` tags the caller's request dict
+in place rather than copying it.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+import random
 import time
 from collections import deque
 from typing import Dict, List, Optional
@@ -51,12 +59,22 @@ __all__ = [
 TRACE_KEY = "_trace"
 
 
+#: the process's id generator (``random.Random()`` seeds itself from
+#: the OS); ``getrandbits`` runs under the GIL, so threads share it.
+_ids = random.Random()
+if hasattr(os, "register_at_fork"):
+    # A forked child would otherwise replay its parent's id sequence.
+    os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
+
+
 def new_trace_id() -> str:
-    return os.urandom(8).hex()
+    """16 hex digits, the width of the former ``os.urandom(8).hex()``."""
+    return "%016x" % _ids.getrandbits(64)
 
 
 def new_span_id() -> str:
-    return os.urandom(4).hex()
+    """8 hex digits."""
+    return "%08x" % _ids.getrandbits(32)
 
 
 def default_slow_ms() -> float:
@@ -141,7 +159,7 @@ class SpanLog:
         self, capacity: int = 2048, slow_ms: Optional[float] = None
     ):
         self.slow_ms = default_slow_ms() if slow_ms is None else slow_ms
-        self._lock = threading.Lock()
+        # Both rings take lock-free appends; every reader walks a copy.
         self._ring: deque = deque(maxlen=capacity)
         self._slow: deque = deque(maxlen=max(64, capacity // 8))
 
@@ -167,44 +185,41 @@ class SpanLog:
         """Open a child span under an extracted wire context (or a
         fresh root when the caller sent no context)."""
         if context:
-            return self.start(
+            return Span(
                 name,
-                trace_id=context.get("t"),
-                parent_id=context.get("s"),
-                **attrs,
+                context.get("t") or new_trace_id(),
+                new_span_id(),
+                context.get("s"),
+                attrs,
             )
         return self.start(name, **attrs)
 
     def finish(self, span: Span, error: Optional[str] = None) -> Span:
-        span.end = time.perf_counter()
+        span.end = end = time.perf_counter()
         if error is not None:
             span.error = error
-        with self._lock:
-            self._ring.append(span)
-            if span.duration_ms is not None and span.duration_ms >= self.slow_ms:
-                self._slow.append(span)
+        self._ring.append(span)
+        if (end - span.start) * 1000.0 >= self.slow_ms:
+            self._slow.append(span)
         return span
 
     # -- introspection --------------------------------------------------
 
     def snapshot(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [span.to_dict() for span in self._ring]
+        # list(deque) copies in one C call, which no append interleaves.
+        return [span.to_dict() for span in list(self._ring)]
 
     def slow_snapshot(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [span.to_dict() for span in self._slow]
+        return [span.to_dict() for span in list(self._slow)]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
+        return len(self._ring)
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"SpanLog({len(self._ring)} spans, {len(self._slow)} slow, "
-                f"slow_ms={self.slow_ms})"
-            )
+        return (
+            f"SpanLog({len(self._ring)} spans, {len(self._slow)} slow, "
+            f"slow_ms={self.slow_ms})"
+        )
 
 
 class _NullSpan:
@@ -264,17 +279,17 @@ NULL_SPANLOG = _NullSpanLog()
 
 
 def inject(message: Dict[str, object], context: Optional[Dict[str, str]]) -> Dict[str, object]:
-    """A copy of ``message`` carrying ``context`` under ``_trace``.
+    """``message``, carrying ``context`` under ``_trace``.
 
-    ``None`` context returns the message unchanged (the no-op path),
-    so untraced callers pay nothing and untouched tests see identical
-    frames.
+    The key is set in place: the request dict a caller hands over is
+    the frame it sends (a retried attempt sets its own context over the
+    last one).  ``None`` context leaves the message as it is (the no-op
+    path), so untraced callers pay nothing and untouched tests see
+    identical frames.
     """
-    if not context:
-        return message
-    traced = dict(message)
-    traced[TRACE_KEY] = context
-    return traced
+    if context:
+        message[TRACE_KEY] = context
+    return message
 
 
 def extract(message: Dict[str, object]) -> Optional[Dict[str, str]]:

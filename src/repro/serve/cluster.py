@@ -137,6 +137,7 @@ from typing import (
     Set,
     Tuple,
     Union,
+    cast,
 )
 
 from repro.errors import (
@@ -160,6 +161,7 @@ from repro.errors import (
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY, merge_snapshots
 from repro.obs.tracing import (
     NULL_SPANLOG,
+    TRACE_KEY,
     SpanLog,
     extract as extract_trace,
     inject as inject_trace,
@@ -342,6 +344,9 @@ class _WorkerHost:
     #: run the reads they received (beside the serial lane's thread).
     RECEIVERS = 9
 
+    #: ops that take no lock: the receiving thread answers them itself.
+    LOCK_FREE = frozenset(("ping", "push_sync"))
+
     def __init__(
         self,
         worker_id: int,
@@ -353,10 +358,13 @@ class _WorkerHost:
         # child imports this module before repro.api exists in its
         # interpreter, and Session's import graph pulls the engines in.
         from repro.api.session import Session
-        from repro.serve.server import Server
+        from repro.serve.server import POINT_READS, Server
 
         self.worker_id = worker_id
         self.server = Server(Session(observe=observe), shards=1)
+        #: the O(1) reads a receiving thread tries to answer itself.
+        self._point_reads = frozenset(POINT_READS)
+        self._pid = os.getpid()
         # Worker-side observability handles.  The registry/span log live
         # on the worker's session, so the ``metrics`` op (served by the
         # Server's own request loop) returns everything in one scrape;
@@ -364,6 +372,9 @@ class _WorkerHost:
         # the per-request overhead is two attribute checks.
         self._registry = self.server.session.metrics
         self._spans = self.server.session.spans
+        #: op → its ``repro_worker_op_seconds`` histogram, looked up in
+        #: the registry once per op rather than once per request.
+        self._op_seconds: Dict[str, Any] = {}
         # A respawned incarnation binds a fresh socket name: the old
         # AF_UNIX path may linger on disk after a kill -9, and binding
         # over it would fail.
@@ -444,8 +455,12 @@ class _WorkerHost:
             lane = _SerialLane(f"repro-shard-{self.worker_id}-serial")
             with self._state_lock:
                 self._lanes.add(lane)
+            handle = functools.partial(
+                self.server.handle,
+                dispatch=functools.partial(self._worker_op, client_id, staged),
+            )
             receive = functools.partial(
-                self._receive, conn, client_id, staged, lane, _Receivers()
+                self._receive, conn, handle, lane, _Receivers()
             )
             for index in range(1, self.RECEIVERS):
                 threading.Thread(
@@ -469,8 +484,7 @@ class _WorkerHost:
     def _receive(
         self,
         conn: Connection,
-        client_id: str,
-        staged: _Staged,
+        handle: Callable[[Dict[str, object]], Dict[str, object]],
         lane: _SerialLane,
         receivers: _Receivers,
     ) -> None:
@@ -479,20 +493,25 @@ class _WorkerHost:
         The threads take turns holding ``receivers.role`` — the right to
         read the next frame.  The holder queues serial ops on the lane
         and keeps reading, so the lane runs them in arrival order and a
-        write wakes no other receiver.  At the first other op it checks
-        for a peer parked on the role: if there is one, it releases the
-        role to it and runs the op right here, so a read costs no queue
-        hop and a slow one holds up only its own thread.  If every peer
-        is busy it leaves the op in ``receivers.pending`` and keeps
-        reading — the last free receiver never blocks, so the
-        ``batch_commit`` that releases a prepared worker's exclusive
-        hold is read even while every other receiver waits on it.  A
-        receiver drains ``pending`` before it parks on the role again.
-        ``ping`` takes no lock, so the holder answers it itself: the
-        liveness sweep between prepare and commit (and the supervisor's
-        heartbeat) never queues behind reads the prepare is holding up.
-        The first receiver to see the connection end sets ``done`` and
-        the others follow it out.
+        write wakes no other receiver.  ``ping`` and ``push_sync`` take
+        no lock, so the holder answers them itself: the liveness sweep
+        between prepare and commit (and the supervisor's heartbeat)
+        never queues behind reads the prepare is holding up.  The O(1)
+        reads — ``count``, ``answer``, ``contains``, where the view's
+        engine answers them in time independent of the data — it
+        answers itself too, but only when their shard's read lock can be
+        taken without waiting (:meth:`Server._handle_now`): a free lock
+        costs such a read no hand-off, and a held one never stalls the
+        reader.  At any other op, or a point read that may wait or walk
+        the data, it checks for a peer parked on the role: if there is
+        one, it releases the role to it and runs the op right here, so
+        a slow read holds up only its own thread.  If every peer is busy
+        it leaves the op in ``receivers.pending`` and keeps reading — the
+        last free receiver never blocks, so the ``batch_commit`` that
+        releases a prepared worker's exclusive hold is read even while
+        every other receiver waits on it.  A receiver drains ``pending``
+        before it parks on the role again.  The first receiver to see the
+        connection end sets ``done`` and the others follow it out.
         """
         while True:
             with receivers.mu:
@@ -503,7 +522,7 @@ class _WorkerHost:
                 with receivers.role:
                     with receivers.mu:
                         receivers.idle -= 1
-                    task = self._next_read(conn, client_id, staged, lane, receivers)
+                    task = self._next_read(conn, handle, lane, receivers)
                 if task is None:
                     return
             try:
@@ -514,14 +533,13 @@ class _WorkerHost:
     def _next_read(
         self,
         conn: Connection,
-        client_id: str,
-        staged: _Staged,
+        handle: Callable[[Dict[str, object]], Dict[str, object]],
         lane: _SerialLane,
         receivers: _Receivers,
     ) -> Optional[Callable[[], None]]:
         """Read frames (receive role held) until one is an op to run on
-        this thread — returned as a task — or the connection ends —
-        ``None``."""
+        this thread after the role passed on — returned as a task — or
+        the connection ends — ``None``."""
         while not (receivers.done or self._stop.is_set()):
             try:
                 request = conn.recv()
@@ -530,27 +548,29 @@ class _WorkerHost:
             mux_id = (
                 request.pop("mux_id", None) if isinstance(request, dict) else None
             )
-            if mux_id is None:
+            if type(mux_id) is not int:
+                # answered untagged: there is no id to route a reply by
                 try:
                     conn.send(
                         error_reply(
                             TransportError(
-                                "requests must be dicts tagged with a mux_id"
+                                "requests must be dicts tagged with an "
+                                "integer mux_id"
                             )
                         )
                     )
                 except (ConnectionClosedError, TransportError, OSError):
                     pass
                 continue
-            task = functools.partial(
-                self._handle_mux, conn, request, client_id, staged, int(mux_id)
-            )
             op = str(request.get("op", ""))
+            if op in self._point_reads and self._answer_now(conn, request, mux_id):
+                continue
+            task = functools.partial(self._handle_mux, conn, request, handle, mux_id)
             if op in _SerialLane.OPS:
                 lane.submit(task)
                 continue
-            if op == "ping":
-                task()  # lock-free: liveness is this loop answering
+            if op in self.LOCK_FREE:
+                task()  # liveness is this loop answering
                 continue
             with receivers.mu:
                 if not receivers.idle:
@@ -564,15 +584,15 @@ class _WorkerHost:
         self,
         conn: Connection,
         request: Dict[str, object],
-        client_id: str,
-        staged: _Staged,
+        handle: Callable[[Dict[str, object]], Dict[str, object]],
         mux_id: int,
     ) -> None:
         """One request: handle, flush this thread's buffered deltas,
         then send the tagged reply (its rows as column blocks)."""
         self._push_buffer.frames = {}
         try:
-            reply = self._handle(request, client_id, staged)
+            # the request loop answers every request it is handed
+            reply = cast(Dict[str, object], self._handle(request, handle))
         finally:
             self._flush_push_buffer()
         if reply.get("ok"):
@@ -581,9 +601,29 @@ class _WorkerHost:
             if request.get("op") == "snapshot_read":
                 for entry in reply["views"].values():  # type: ignore[union-attr]
                     entry["rows"] = RowBlock(entry["rows"])
+        self._reply(conn, reply, mux_id)
+
+    def _answer_now(
+        self, conn: Connection, request: Dict[str, object], mux_id: int
+    ) -> bool:
+        """Answer a point read on the receiving thread if its shard's
+        read lock is free (:meth:`Server._handle_now`); False — nothing
+        sent, the request as it arrived — if taking it would wait.  A
+        read writes nothing, so no push buffer is installed."""
+        reply = self._handle(request, self.server._handle_now)
+        if reply is None:
+            return False
+        self._reply(conn, reply, mux_id)
+        return True
+
+    @staticmethod
+    def _reply(conn: Connection, reply: Dict[str, object], mux_id: int) -> None:
+        """Send ``reply`` tagged with ``mux_id`` (in place: every reply
+        is built for its request)."""
+        reply["mux_id"] = mux_id
         try:
             try:
-                conn.send(dict(reply, mux_id=mux_id))
+                conn.send(reply)
             except FrameTooLargeError as error:
                 # The reply outgrew the frame cap; the channel is
                 # untouched, so report it instead of dropping the
@@ -654,24 +694,28 @@ class _WorkerHost:
     # -- request handling ------------------------------------------------------
 
     def _handle(
-        self, request: Dict[str, object], client_id: str, staged: _Staged
-    ) -> Dict[str, object]:
-        """Trace + time one request around the Server's request loop,
-        with :meth:`_worker_op` as its first-refusal op table.
+        self,
+        request: Dict[str, object],
+        serve: Callable[[Dict[str, object]], Optional[Dict[str, object]]],
+    ) -> Optional[Dict[str, object]]:
+        """Trace + time one request around ``serve`` — the Server's
+        request loop with :meth:`_worker_op` as its first-refusal op
+        table, or :meth:`Server._handle_now`.
 
         The client's per-attempt span context travels inside the
         request dict (the ``_trace`` key, popped here); the worker opens
         a **child** span under it — same trace id, new span id, parent
         id = the client attempt's span id — so one logical RPC shows up
         as a cross-process parent/child pair.  Per-op wall time lands in
-        ``repro_worker_op_seconds{op=...}``.
+        ``repro_worker_op_seconds{op=...}``.  When ``serve`` declines
+        (``None``) nothing is recorded and the context goes back on the
+        request for the path that will serve it.
         """
         context = extract_trace(request)
-        dispatch = functools.partial(self._worker_op, client_id, staged)
         spans = self._spans
         registry = self._registry
         if not spans.enabled and not registry.enabled:
-            return self.server.handle(request, dispatch)
+            return serve(request)
         op = str(request.get("op", ""))
         span = None
         if spans.enabled:
@@ -680,19 +724,26 @@ class _WorkerHost:
                 context,
                 op=op,
                 worker=self.worker_id,
-                pid=os.getpid(),
+                pid=self._pid,
             )
         started = time.perf_counter()
         try:
-            reply = self.server.handle(request, dispatch)
+            reply = serve(request)
         except BaseException as error:
             if span is not None:
                 spans.finish(span, error=f"{type(error).__name__}: {error}")
             raise
+        if reply is None:
+            if context is not None:
+                request[TRACE_KEY] = context
+            return None
         if registry.enabled:
-            registry.histogram("repro_worker_op_seconds", op=op).observe(
-                time.perf_counter() - started
-            )
+            seconds = self._op_seconds.get(op)
+            if seconds is None:
+                seconds = self._op_seconds[op] = registry.histogram(
+                    "repro_worker_op_seconds", op=op
+                )
+            seconds.observe(time.perf_counter() - started)
         if span is not None:
             spans.finish(
                 span,
@@ -714,7 +765,7 @@ class _WorkerHost:
             return {
                 "ok": True,
                 "worker": self.worker_id,
-                "pid": os.getpid(),
+                "pid": self._pid,
                 "reads": self.server.reads,
                 "writes": self.server.writes,
             }
@@ -1363,6 +1414,9 @@ class ClusterClient:
         self._observe = bool(observe)
         self.metrics_registry = MetricsRegistry() if observe else NULL_REGISTRY
         self.spans = SpanLog() if observe else NULL_SPANLOG
+        #: op → its ``repro_rpc_seconds`` histogram, looked up in the
+        #: registry once per op rather than once per request.
+        self._rpc_seconds: Dict[str, Any] = {}
         #: last-known per-worker traffic counters (refreshed by every
         #: heartbeat ping and stats scrape) and the retired totals of
         #: dead incarnations — what keeps merged stats/metrics monotone
@@ -1591,6 +1645,11 @@ class ClusterClient:
         attempts of one logical request share a trace id; callers
         composing multi-leg protocols (the 2PC ops, apply fan-out) pass
         their own ``trace_id`` so the legs share a trace too.
+
+        ``message`` becomes the frame: the trace context and the mux tag
+        are set on it in place, so pass a dict built for this request.
+        Apart from the retry and crash paths, a request takes the
+        connection's locks and no client lock.
         """
         op = str(message.get("op", ""))
         attempts = 0
@@ -1599,18 +1658,18 @@ class ClusterClient:
         tracing = spans.enabled
         if tracing and trace_id is None:
             trace_id = new_trace_id()
-        hist = (
-            self.metrics_registry.histogram("repro_rpc_seconds", op=op)
-            if self.metrics_registry.enabled
-            else None
-        )
+        hist = self._rpc_seconds.get(op)
+        if hist is None and self.metrics_registry.enabled:
+            hist = self._rpc_seconds[op] = self.metrics_registry.histogram(
+                "repro_rpc_seconds", op=op
+            )
         while True:
-            self._await_alive(worker, context)
-            with self._lock:
-                conn = self._conns[worker]
+            if worker in self._dead:
+                self._await_alive(worker, context)
+            # One list read is atomic: recovery swaps the entry whole.
+            conn = self._conns[worker]
             attempts += 1
             span = None
-            wire = message
             if tracing:
                 span = spans.start(
                     f"rpc:{op}",
@@ -1619,10 +1678,10 @@ class ClusterClient:
                     worker=worker,
                     attempt=attempts,
                 )
-                wire = inject_trace(message, span.context())
+                inject_trace(message, span.context())
             attempt_started = time.perf_counter()
             try:
-                reply = conn.request(wire, timeout=self._request_timeout)
+                reply = conn.request(message, timeout=self._request_timeout)
             except FrameTooLargeError as oversize:
                 # The oversize check fired before any byte hit the
                 # wire: the worker is fine, the *payload* is the
@@ -1671,7 +1730,10 @@ class ClusterClient:
                     continue
                 raise self._crashed(worker, context) from error
             if reply.get("ok"):
-                self._finish_attempt(span, hist, attempt_started)
+                if hist is not None:
+                    hist.observe(time.perf_counter() - attempt_started)
+                if span is not None:
+                    spans.finish(span)
                 return reply
             self._finish_attempt(
                 span, hist, attempt_started, error=str(reply.get("error"))
@@ -1901,11 +1963,12 @@ class ClusterClient:
         return cls(message)
 
     def _worker_of_view(self, view: str) -> int:
-        with self._lock:
-            try:
-                return self._views[view].worker
-            except KeyError:
-                raise EngineStateError(f"no view named {view!r}") from None
+        # Lock-free: one dict read is atomic, and holding the lock for
+        # it would order nothing — the view may move once it is released.
+        record = self._views.get(view)
+        if record is None:
+            raise EngineStateError(f"no view named {view!r}")
+        return record.worker
 
     def _push_loop(self, worker: int, conn: Connection) -> None:
         while True:

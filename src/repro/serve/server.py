@@ -156,6 +156,18 @@ class RWLock:
             self._readers += 1
         return False
 
+    def try_acquire_read(self) -> Optional[bool]:
+        """:meth:`acquire_read` when it would not wait — the re-entry
+        flag — else ``None``, with nothing taken: a writer holds the
+        lock or waits for it."""
+        if self._writer_thread == get_ident():
+            return True
+        with self._lock:
+            if self._writer_thread is not None or self._writers_waiting:
+                return None
+            self._readers += 1
+        return False
+
     def release_read(self, reentrant: bool) -> None:
         if reentrant:
             return
@@ -244,6 +256,21 @@ def _write_held(locks: Sequence[RWLock]) -> Iterator[None]:
         while held:
             held -= 1
             locks[held].release_write()
+
+
+#: The O(1) single-view reads: request op → the :class:`View` method
+#: answering it.  The reply carries the value under the op's own name;
+#: ``contains`` takes the request's ``row``.  :meth:`Server._handle_now`
+#: serves exactly these.
+POINT_READS: Dict[str, Callable[..., object]] = {
+    "count": View.count,
+    "answer": View.answer,
+    "contains": View.contains,
+}
+
+
+def _point_args(op: object, request: Dict[str, object]) -> Tuple[object, ...]:
+    return (tuple(request["row"]),) if op == "contains" else ()  # type: ignore[call-overload]
 
 
 class _Route(NamedTuple):
@@ -979,6 +1006,47 @@ class Server:
             # client errors too — a transport loop must not die on them.
             return error_reply(error, f"malformed request: {error!r}")
 
+    def _handle_now(self, request: Dict[str, object]) -> Optional[Dict[str, object]]:
+        """:meth:`handle` for a :data:`POINT_READS` request that its
+        view's engine answers in time independent of the data
+        (:attr:`~repro.interface.DynamicEngine.constant_reads`) and
+        whose shard read lock can be taken without waiting.
+
+        ``None`` — nothing read, nothing counted — when taking the lock
+        would wait (a writer holds it or waits for it), when the engine
+        may walk or re-evaluate the data for it, and for every request
+        :meth:`handle` has to answer instead: another op, an unknown
+        view, a malformed or failing read (its error reply is shaped
+        there; the read has no effect, so running it twice is
+        harmless).  A cluster worker answers reads with it on the
+        thread that received them.
+        """
+        op = request.get("op")
+        read = POINT_READS.get(op) if isinstance(op, str) else None
+        view = request.get("view")
+        if read is None or not isinstance(view, str):
+            return None
+        shard = self._shard_of_view.get(view)
+        if shard is None:
+            return None
+        lock = self._shards[shard]
+        reentrant = lock.try_acquire_read()
+        if reentrant is None:
+            return None
+        try:
+            if self._shard_of_view.get(view) != shard:
+                return None  # a registration moved it: the plain path retries
+            live = self._session[view]
+            if op not in live.engine.constant_reads:
+                return None
+            value = read(live, *_point_args(op, request))
+        except (ReproError, KeyError, TypeError, ValueError):
+            return None
+        finally:
+            lock.release_read(reentrant)
+        self._reads.value += 1
+        return {"ok": True, op: value}  # type: ignore[dict-item]
+
     def serve(
         self, requests: Iterable[Dict[str, object]]
     ) -> Iterator[Dict[str, object]]:
@@ -1065,17 +1133,12 @@ class Server:
         if op == "batch":
             commands = commands_from_wire(request["commands"])
             return {"ok": True, "stats": self.batch(commands)}
-        if op == "count":
-            return {"ok": True, "count": self.count(request["view"])}
-        if op == "answer":
-            return {"ok": True, "answer": self.answer(request["view"])}
-        if op == "contains":
-            return {
-                "ok": True,
-                "contains": self.contains(
-                    request["view"], tuple(request["row"])
-                ),
-            }
+        read = POINT_READS.get(op) if isinstance(op, str) else None
+        if read is not None:
+            view, args = request["view"], _point_args(op, request)
+            self._reads.value += 1
+            value = self._read_view(view, read, *args)  # type: ignore[arg-type]
+            return {"ok": True, op: value}  # type: ignore[dict-item]
         if op == "result_set":
             return {"ok": True, "rows": self.result_rows(request["view"])}
         if op == "digest":

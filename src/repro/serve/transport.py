@@ -80,8 +80,24 @@ Two connection disciplines share the framing:
   them, and stops at its own, passing the reader role to a parked
   caller; otherwise it parks until its reply arrives or it is promoted.
   A lone caller therefore pays one socket round trip and no thread
-  hand-off.  Frames without a ``mux_id`` go to the optional ``on_push``
-  callback.
+  hand-off, three turns of the connection lock and no copy of its
+  message (the ``mux_id`` is set on it in place).  Frames without a
+  ``mux_id`` go to the optional ``on_push`` callback.
+
+The worker reads its end the same way: a few receiver threads per
+connection take turns holding the receive role (``_WorkerHost._receive``
+in :mod:`repro.serve.cluster`).  The holder answers what cannot wait on
+a lock itself — ``ping``, ``push_sync``, and the O(1) reads ``count``,
+``answer`` and ``contains`` when the view's engine answers them in time
+independent of the data and their shard's read lock can be taken
+without waiting — and reads on, so such a request costs no thread
+hand-off on either side of the socket.  Writes and the two-phase-batch
+ops queue on the connection's serial lane; anything else, a point read
+behind a held lock included, passes the role to a parked receiver
+first and runs on the thread that read it.
+
+Plain messages (every request and most replies) are encoded and decoded
+by one JSON encoder and one scanner built at import.
 """
 
 from __future__ import annotations
@@ -95,7 +111,7 @@ import threading
 import time
 import zlib
 from itertools import accumulate, chain, count as _counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConnectionClosedError,
@@ -404,6 +420,35 @@ def _unserialisable(value: object) -> object:
     )
 
 
+class _HoldsBlocks(Exception):
+    """Internal: the plain encoder met a :class:`RowBlock`."""
+
+
+def _plain_default(value: object) -> object:
+    if isinstance(value, RowBlock):
+        raise _HoldsBlocks
+    return _unserialisable(value)
+
+
+#: Plain messages — every request and most replies — go through one
+#: encoder and one scanner built at import, not one per frame: the C
+#: encoder ``json.dumps`` would build per call (compact separators, no
+#: ASCII escaping), or the pure-Python one's ``iterencode`` where the
+#: interpreter has no C accelerator.  Both take ``(message, 0)`` and
+#: yield the text in chunks.
+_ENCODE: Callable[..., Any] = (
+    json.encoder.c_make_encoder(  # type: ignore[attr-defined]
+        None, _plain_default, json.encoder.encode_basestring,
+        None, ":", ",", False, False, True,
+    )
+    if json.encoder.c_make_encoder is not None  # type: ignore[attr-defined]
+    else json.JSONEncoder(
+        separators=(",", ":"), ensure_ascii=False, default=_plain_default
+    ).iterencode
+)
+_SCAN = json.JSONDecoder().scan_once
+
+
 class Codec:
     """The message codec: ``encode(dict) -> bytes`` and back.
 
@@ -415,6 +460,10 @@ class Codec:
     name = "json"
 
     def encode(self, message: object) -> bytes:
+        try:
+            return "".join(_ENCODE(message, 0)).encode("utf-8")
+        except _HoldsBlocks:
+            pass
         tail: List[bytes] = []
         size = 0
         blocks = 0
@@ -440,8 +489,6 @@ class Codec:
             ).encode("utf-8")
 
         header = dumps(message)
-        if not blocks:
-            return header
         # Inside a JSON string a quote is escaped, so ``"#`` opens a key
         # or string starting with '#'.  One per block is its marker; any
         # more may be a user key that reads as a marker: escape them.
@@ -460,7 +507,11 @@ class Codec:
     def decode(self, payload: bytes) -> object:
         try:
             if payload[:1] != _MARK:
-                return json.loads(payload)
+                text = str(payload, "utf-8", "surrogatepass")
+                message, end = _SCAN(text, 0)
+                if end != len(text):
+                    raise _Corrupt("bytes after the message")
+                return message
             return self._decode_blocks(payload)
         except Exception as error:
             raise TransportError(
@@ -545,15 +596,28 @@ class _RecvTimeout(Exception):
         self.partial = partial
 
 
-def _readable(sock: socket.socket, timeout: float) -> bool:
-    """Wait up to ``timeout`` seconds for ``sock`` to become readable.
+def _poller(sock: socket.socket) -> Optional[Any]:
+    """A poll object watching ``sock`` for input, or ``None`` where the
+    platform has no ``poll``."""
+    if not hasattr(select, "poll"):
+        return None
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return poller
+
+
+def _readable(
+    sock: socket.socket, timeout: float, poller: Optional[Any] = None
+) -> bool:
+    """Wait up to ``timeout`` seconds for ``sock`` to become readable
+    (``poller``: a :func:`_poller` of ``sock`` to reuse).
 
     Waiting here instead of ``settimeout`` leaves the socket blocking,
     so a deadline on the reading caller never reaches a concurrent
     sender's ``sendall``."""
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
+    if poller is None:
+        poller = _poller(sock)
+    if poller is not None:
         return bool(poller.poll(max(timeout, 0.0) * 1000.0))
     return bool(select.select((sock,), (), (), max(timeout, 0.0))[0])
 
@@ -569,13 +633,14 @@ def _fill(
     need: int,
     timeout: Optional[float],
     ahead: bool,
+    poller: Optional[Any] = None,
 ) -> None:
     """Read until ``buf`` holds ``need`` bytes (``ahead``: possibly
     more) or raise :class:`ConnectionClosedError`; ``timeout`` bounds
     each blocking read (:class:`_RecvTimeout`, ``partial`` = what
     ``buf`` held)."""
     while len(buf) < need:
-        if timeout is not None and not _readable(sock, timeout):
+        if timeout is not None and not _readable(sock, timeout, poller):
             raise _RecvTimeout(len(buf))
         want = need - len(buf)
         try:
@@ -616,9 +681,10 @@ def recv_frame(
     max_frame: Optional[int] = None,
     timeout: Optional[float] = None,
     inbox: Optional[bytearray] = None,
+    poller: Optional[Any] = None,
 ) -> bytes:
     """Read one length-prefixed frame's payload (cap as in
-    :func:`send_frame`).
+    :func:`send_frame`; ``poller`` as in :func:`_readable`).
 
     ``inbox`` holds bytes read past the previous frame: given one, the
     reads may run ahead into it (the caller passes the same buffer to
@@ -637,7 +703,8 @@ def recv_frame(
     ahead = inbox is not None
     buf = inbox if ahead else bytearray()
     try:
-        _fill(sock, buf, _LENGTH.size, timeout, ahead)
+        if len(buf) < _LENGTH.size:
+            _fill(sock, buf, _LENGTH.size, timeout, ahead, poller)
     except _RecvTimeout as stall:
         if stall.partial == 0:
             raise DeadlineExceededError(
@@ -658,7 +725,8 @@ def recv_frame(
         )
     end = _LENGTH.size + length
     try:
-        _fill(sock, buf, end, timeout, ahead)
+        if len(buf) < end:
+            _fill(sock, buf, end, timeout, ahead, poller)
     except _RecvTimeout as stall:
         raise ConnectionClosedError(
             f"read timed out {stall.partial - _LENGTH.size}/{length} bytes "
@@ -697,8 +765,10 @@ class Connection:
         )
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
-        #: bytes read past the last frame (guarded by ``_recv_lock``).
+        #: bytes read past the last frame, and the poll object a
+        #: deadline waits on (both guarded by ``_recv_lock``).
         self._inbox = bytearray()
+        self._poller = _poller(sock)
         self._request_lock = threading.Lock()
         self._closed = False
         # Frame-byte accounting (payload + 4-byte header per frame).
@@ -736,7 +806,7 @@ class Connection:
                 raise ConnectionClosedError("connection already closed")
             send_frame(self._sock, payload, self.max_frame)
         if self._bytes_sent is not None:
-            self._bytes_sent.inc(len(payload) + _LENGTH.size)
+            self._bytes_sent.value += len(payload) + _LENGTH.size
 
     def recv(self, timeout: Optional[float] = None) -> object:
         """Read one message.  ``timeout`` bounds the wait: a clean
@@ -748,10 +818,14 @@ class Connection:
             if self._closed:
                 raise ConnectionClosedError("connection already closed")
             payload = recv_frame(
-                self._sock, self.max_frame, timeout=timeout, inbox=self._inbox
+                self._sock,
+                self.max_frame,
+                timeout=timeout,
+                inbox=self._inbox,
+                poller=self._poller,
             )
         if self._bytes_received is not None:
-            self._bytes_received.inc(len(payload) + _LENGTH.size)
+            self._bytes_received.value += len(payload) + _LENGTH.size
         return self._codec.decode(payload)
 
     def request(
@@ -811,14 +885,12 @@ class _Waiter:
     exists once the caller has parked (a caller that reads its own
     reply never needs one) and is set when the reply (or the channel's
     failure) lands — or when the caller is nominated to take over as
-    reader."""
+    reader.  The fields start as class defaults: making one runs no
+    ``__init__``."""
 
-    __slots__ = ("event", "reply", "error")
-
-    def __init__(self) -> None:
-        self.event: Optional[threading.Event] = None
-        self.reply: Optional[Dict[str, object]] = None
-        self.error: Optional[BaseException] = None
+    event: Optional[threading.Event] = None
+    reply: Optional[Dict[str, object]] = None
+    error: Optional[BaseException] = None
 
     def wake(self) -> None:
         if self.event is not None:
@@ -925,22 +997,30 @@ class MuxConnection:
         *clean*: the waiter is unparked, a late reply is dropped by
         whoever reads it, and the channel stays healthy — so the caller
         may safely retry idempotent requests.
+
+        ``message`` is the frame: its ``mux_id`` is set in place, so a
+        dict must not be in flight on two requests at once (a retry
+        re-tags it).  A lone caller takes three turns of the connection
+        lock — register, take the reader role, hand in its own reply —
+        and copies nothing.
         """
         if timeout is None:
             timeout = self.default_timeout
         self._started = True
         waiter = _Waiter()
+        waiters = self._waiters
         with self._lock:
             if self._failure is not None:
                 raise ConnectionClosedError(
                     f"multiplexed connection is down: {self._failure}"
                 ) from self._failure
             mux_id = next(self._ids)
-            self._waiters[mux_id] = waiter
-            if len(self._waiters) > self.max_in_flight_seen:
-                self.max_in_flight_seen = len(self._waiters)
+            waiters[mux_id] = waiter
+            if len(waiters) > self.max_in_flight_seen:
+                self.max_in_flight_seen = len(waiters)
+        message["mux_id"] = mux_id
         try:
-            self._conn.send(dict(message, mux_id=mux_id))
+            self._conn.send(message)
         except BaseException:
             with self._lock:
                 self._waiters.pop(mux_id, None)
@@ -960,7 +1040,7 @@ class MuxConnection:
                     waiter.event.clear()
             if lead:
                 if self._lead(mux_id, waiter, deadline):
-                    continue
+                    break
             else:
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
@@ -1007,15 +1087,18 @@ class MuxConnection:
         """Read frames as the reader until ``waiter``'s reply (or the
         channel's failure) lands — True — or its deadline passes on a
         frame boundary — False, waiter reaped.  Either way the role is
-        handed on before returning."""
+        handed on before returning; the reader's own reply unregisters
+        it and hands the role on under one turn of the lock."""
+        waiters = self._waiters
+        recv = self._conn.recv
         try:
-            while waiter.reply is None:
+            while True:
                 timeout = None
                 if deadline is not None:
                     timeout = deadline - time.monotonic()
                     if timeout <= 0:
                         raise DeadlineExceededError("deadline passed")
-                frame = self._conn.recv(timeout=timeout)
+                frame = recv(timeout=timeout)
                 if not isinstance(frame, dict):
                     continue
                 tag = frame.pop("mux_id", None)
@@ -1025,10 +1108,17 @@ class MuxConnection:
                         handler(frame)
                     continue
                 with self._lock:
-                    other = self._waiters.pop(int(tag), None)  # type: ignore[arg-type]
-                    if other is not None:
+                    other = waiters.pop(int(tag), None)  # type: ignore[arg-type]
+                    if other is waiter:
+                        self._reading = False
+                        if waiters:
+                            self._nominate_locked()
+                    elif other is not None:
                         other.reply = frame
                         other.wake()
+                if other is waiter:
+                    waiter.reply = frame
+                    return True
         except DeadlineExceededError:
             with self._lock:
                 self._reading = False
@@ -1044,10 +1134,6 @@ class MuxConnection:
                     other.wake()
                 self._waiters.clear()
             return True
-        with self._lock:
-            self._reading = False
-            self._nominate_locked()
-        return True
 
     def close(self) -> None:
         self._conn.close()

@@ -1066,6 +1066,104 @@ def test_slow_read_on_the_worker_does_not_hold_up_a_ping(tmp_path):
         host.stop()
 
 
+def test_a_count_runs_where_it_was_read_unless_its_lock_is_held(
+    tmp_path, monkeypatch
+):
+    # With its shard's read lock free, a count of a q-hierarchical view
+    # (O(1), Theorem 3.2) is answered by the receiver that read its
+    # frame, which keeps the receive role: the next frame is read by
+    # the same thread.  Behind a held exclusive
+    # lock the receiver hands the role on before it waits, so a ping
+    # sent meanwhile is read — and answered — by another receiver.
+    from repro.serve import transport
+
+    host = cluster_module._WorkerHost(0, str(tmp_path), observe=False)
+    threading.Thread(target=host.run, daemon=True).start()
+    received = []  # (receiving thread, op) per request frame
+    counted = []  # the thread each count ran on
+    recv = transport.Connection.recv
+
+    def spy_recv(self, timeout=None):
+        frame = recv(self, timeout)
+        name = threading.current_thread().name
+        if name.startswith("repro-shard-") and isinstance(frame, dict):
+            received.append((name, frame.get("op")))
+        return frame
+
+    monkeypatch.setattr(transport.Connection, "recv", spy_recv)
+    try:
+        with ClusterClient(addresses=[host.address], observe=False) as facade:
+            facade.view("ir", "V(x) :- IR(x)")
+            facade.insert("IR", (1,))
+            engine = host.server.session["ir"].engine
+            count = engine.count
+
+            def spy_count():
+                counted.append(threading.current_thread().name)
+                return count()
+
+            engine.count = spy_count
+            del received[:]
+            assert [facade.count("ir") for _ in range(3)] == [1, 1, 1]
+            facade.ping()
+            readers = {name for name, _op in received}
+            assert len(readers) == 1, received
+            assert set(counted) == readers
+            assert [op for _name, op in received] == ["count"] * 3 + ["ping"]
+
+            del received[:], counted[:]
+            results = []
+            with host.server.exclusive():
+                reader = threading.Thread(
+                    target=lambda: results.append(facade.count("ir"))
+                )
+                reader.start()
+                deadline = time.monotonic() + 5.0
+                while not received and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert facade.ping() == {0: os.getpid()}
+                assert not results  # still waiting on the lock
+            reader.join(timeout=5.0)
+            assert results == [1]
+            (count_reader, op), (ping_reader, ping) = received
+            assert (op, ping) == ("count", "ping")
+            assert ping_reader != count_reader
+            assert counted == [count_reader]
+
+            # A recompute view may re-evaluate for a count: it is handed
+            # off even with its lock free, so the next frame is read by
+            # another receiver.
+            facade.view("rc", "V(x) :- IR(x)", engine="recompute")
+            del received[:]
+            assert facade.count("rc") == 1
+            facade.ping()
+            (count_reader, op), (ping_reader, ping) = received
+            assert (op, ping) == ("count", "ping")
+            assert ping_reader != count_reader
+    finally:
+        host.stop()
+
+
+def test_a_request_tagged_with_a_non_integer_mux_id_is_refused_not_fatal(tmp_path):
+    # More such frames than the connection has receivers: each gets an
+    # untagged TransportError and no receiver thread dies of it.
+    from repro.serve.transport import connect
+
+    host = cluster_module._WorkerHost(0, str(tmp_path), observe=False)
+    threading.Thread(target=host.run, daemon=True).start()
+    try:
+        with connect(host.address) as raw:
+            assert raw.request({"op": "_hello", "kind": "request", "client": "t"})["ok"]
+            for tag in ["x"] * cluster_module._WorkerHost.RECEIVERS + [1.5, None]:
+                reply = raw.request({"op": "ping", "mux_id": tag}, timeout=5.0)
+                assert reply["error"] == "TransportError", reply
+                assert "integer mux_id" in reply["message"]
+            reply = raw.request({"op": "ping", "mux_id": 7}, timeout=5.0)
+            assert reply["ok"] and reply["mux_id"] == 7
+    finally:
+        host.stop()
+
+
 def test_untagged_request_frame_gets_a_transport_error(cluster):
     # The multiplexed channel is the only request protocol: a frame
     # without a mux_id is answered (not dropped, not served serially).

@@ -37,6 +37,16 @@ once — one ``storage/database.py`` frame whether one view or nine read
 the relation — and the engines take the effective command without a
 store write or a second set-semantics check of their own.
 
+A cluster read has two budgets, one per side of the socket: the
+calls a warmed, traced ``ClusterClient.count`` makes on the calling
+thread (the RPC, its span and histogram, the multiplexed round trip,
+the codec) and the calls the worker's threads make to serve it (read
+the frame, answer the count on the thread that read it, reply, read
+on).  They measure 21 and 26 calls (the parent of the lean read path:
+46 and 48); a per-request lock, histogram lookup, dict copy or id
+syscall helper coming back, or a count handed to a second receiver
+thread, overshoots them.
+
 A bound read buys no write: after ``view.cursor(x=5)`` on a view where
 ``x`` sits below an unbound q-tree ancestor, an update makes exactly
 the calls it made before, at every |D|, and a batch still nets the
@@ -48,10 +58,13 @@ as calls that grow with |D|.
 import gc
 import os
 import sys
+import threading
+import time
 
 from repro import Session
 from repro.cq import zoo
 from repro.serve import Server
+from repro.serve.cluster import ClusterClient, _WorkerHost
 from repro.storage.updates import delete, insert
 
 APPLY_BUDGET = 24
@@ -60,6 +73,8 @@ PAGE = 64
 FETCH_BUDGET = PAGE + 16
 OPEN_BUDGET = 24
 BATCH_BUDGET = 64
+CLUSTER_CLIENT_BUDGET = 26
+CLUSTER_WORKER_BUDGET = 30
 
 
 def profiled(profiler, operation, *args):
@@ -136,6 +151,59 @@ def test_a_page_is_one_resume_per_tuple_and_an_open_stays_in_budget():
     assert open_calls - 1 <= OPEN_BUDGET, open_calls  # minus the lambda
     assert first_page_calls <= FETCH_BUDGET, first_page_calls
     assert next_page_calls <= FETCH_BUDGET, next_page_calls
+
+
+def test_a_cluster_count_stays_within_its_frame_budgets(tmp_path):
+    # Worker threads start after this, so each inherits the profiler;
+    # it counts only while armed, and only on the worker's threads.
+    armed = False
+    worker_calls = 0
+
+    def on_worker(frame, event, arg):
+        nonlocal worker_calls
+        if (
+            armed
+            and event == "call"
+            and threading.current_thread().name.startswith("repro-shard-")
+        ):
+            worker_calls += 1
+
+    def count_and_settle(client):
+        nonlocal armed
+        armed = True
+        assert client.count("v") == 1
+        time.sleep(0.1)  # the worker reads on after its reply: let it block
+        armed = False
+
+    threading.setprofile(on_worker)
+    host = _WorkerHost(0, str(tmp_path))
+    try:
+        threading.Thread(target=host.run, daemon=True).start()
+        with ClusterClient(addresses=[host.address]) as client:
+            client.view("v", "Q(x, y) :- E(x, y), T(y)")
+            client.insert("T", (1,))
+            client.insert("E", (7, 1))
+            for _ in range(3):  # warm the path on both sides
+                client.count("v")
+            sides = []
+            # A connection's receiver threads finish starting up in the
+            # background; a late one adds its start-up calls to one
+            # round, so the least of three rounds is the path's count.
+            for _ in range(3):
+                worker_calls = 0
+                client_calls = python_calls(count_and_settle, client) - 1
+                sides.append((client_calls, worker_calls))
+            histograms = client.metrics()["merged"]["histograms"]
+            assert histograms['repro_rpc_seconds{op="count"}']["count"] == 6
+            assert histograms['repro_worker_op_seconds{op="count"}']["count"] == 6
+    finally:
+        threading.setprofile(None)
+        host.stop()
+
+    client_calls = min(calls for calls, _ in sides)
+    worker_calls = min(calls for _, calls in sides)
+    assert client_calls <= CLUSTER_CLIENT_BUDGET, sides
+    assert worker_calls <= CLUSTER_WORKER_BUDGET, sides
 
 
 def calls_around_runners(operation, *args):

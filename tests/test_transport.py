@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -393,6 +394,39 @@ def test_mux_sustains_many_concurrent_in_flight():
             thread.join()
         assert harness.mux.max_in_flight_seen >= 8
     finally:
+        harness.close()
+
+
+def test_mux_callers_under_a_short_switch_interval_get_their_own_replies():
+    # More callers than cores take turns as the reader while the
+    # interpreter switches threads every few microseconds: each caller
+    # gets the reply to its own request, whether it read that reply
+    # itself or a peer handed it over, and nothing is left in flight.
+    harness = _MuxEcho()
+    callers, rounds = 8, 40
+    harness.serve(count=callers * rounds)
+    wrong = []
+
+    def ask(caller):
+        for step in range(rounds):
+            n = caller * rounds + step
+            reply = harness.mux.request({"op": "echo", "n": n}, timeout=10.0)
+            if reply["echo"] != n:
+                wrong.append((n, reply))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ask, args=(c,)) for c in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert harness.mux.in_flight == 0
+    finally:
+        sys.setswitchinterval(interval)
         harness.close()
 
 
