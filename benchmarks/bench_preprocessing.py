@@ -19,6 +19,7 @@ from repro.bench.reporting import format_table, format_time
 from repro.bench.timing import growth_exponent
 from repro.cq.zoo import star_query
 from repro.interface import make_engine
+from repro.ivm import RecomputeEngine
 
 from _common import emit, hub_star_database, hub_toggle_commands, reset, scaled
 
@@ -47,7 +48,7 @@ def test_preprocessing_linear_and_crossover(benchmark):
             engine.count()
         fast_round = (time.perf_counter() - start) / len(commands)
 
-        slow = make_engine("recompute", QUERY, database.copy())
+        slow = RecomputeEngine(QUERY, database.copy())
         start = time.perf_counter()
         for command in commands:
             slow.apply(command)

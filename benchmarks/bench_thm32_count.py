@@ -14,6 +14,7 @@ import time
 from repro.bench.harness import ScalingExperiment
 from repro.cq.zoo import star_query
 from repro.interface import make_engine
+from repro.ivm import RecomputeEngine
 
 from _common import emit, hub_star_database, hub_toggle_commands, reset, scaled
 
@@ -23,7 +24,10 @@ SIZES = scaled([300, 600, 1200, 2400])
 
 def measure(engine_name: str, n: int, rng: random.Random) -> float:
     database = hub_star_database(n, rng)
-    engine = make_engine(engine_name, QUERY, database)
+    if engine_name == RecomputeEngine.name:
+        engine = RecomputeEngine(QUERY, database)
+    else:
+        engine = make_engine(engine_name, QUERY, database)
     repeats = 20
     total = 0.0
     for command in hub_toggle_commands(n, repeats):
@@ -40,7 +44,7 @@ def test_thm32_constant_count(benchmark):
     rng = random.Random(7)
     database = hub_star_database(SIZES[0], rng)
     fast = make_engine("qhierarchical", QUERY, database)
-    slow = make_engine("recompute", QUERY, database)
+    slow = RecomputeEngine(QUERY, database)
     assert fast.count() == slow.count() > 0
 
     experiment = ScalingExperiment(

@@ -16,6 +16,7 @@ from repro.bench.reporting import format_table, format_time
 from repro.bench.timing import DelayRecorder, growth_exponent
 from repro.cq.zoo import star_query
 from repro.interface import make_engine
+from repro.ivm import RecomputeEngine
 
 from _common import emit, hub_star_database, reset, scaled
 
@@ -35,7 +36,7 @@ def test_thm32_constant_delay(benchmark):
         recorder = DelayRecorder()
         recorder.consume(fast.enumerate(), limit=LIMIT)
 
-        slow = make_engine("recompute", QUERY, database)
+        slow = RecomputeEngine(QUERY, database)
         start = time.perf_counter()
         next(iter(slow.enumerate()))
         first_tuple = time.perf_counter() - start

@@ -15,6 +15,7 @@ import random
 from repro.bench.harness import ScalingExperiment
 from repro.cq.zoo import star_query
 from repro.interface import make_engine
+from repro.ivm import RecomputeEngine
 
 import _common
 from _common import emit, hub_star_database, hub_toggle_commands, reset, scaled
@@ -27,7 +28,10 @@ ROUNDS = 30
 def measure(engine_name: str, n: int, rng: random.Random) -> float:
     """Seconds per update→count round at database size n."""
     database = hub_star_database(n, rng)
-    engine = make_engine(engine_name, QUERY, database)
+    if engine_name == RecomputeEngine.name:
+        engine = RecomputeEngine(QUERY, database)
+    else:
+        engine = make_engine(engine_name, QUERY, database)
     commands = hub_toggle_commands(n, ROUNDS)
 
     import time

@@ -31,8 +31,8 @@ that frontier:
              output rows, patched where a maintained count crosses
              zero — O(1) lookup, +O(δ) inside the O(|δ|) update that
              engine already pays
-  filter     no structural path (the recompute baseline, the Appendix
-             engine): bound reads scan and filter the full result
+  filter     no structural path (the Appendix engine): bound reads
+             scan and filter the full result
   =========  ==========================================================
 
 No engine on Theorem 3.2's side keeps state for a binding, so a bound
@@ -349,12 +349,6 @@ def classify_access_pattern(
         reason = (
             "materialised view — bound reads probe a hash index over "
             "the maintained result, patched where a count crosses zero"
-        )
-    elif engine_name == "recompute":
-        mode = "filter"
-        reason = (
-            "the recompute baseline maintains no incremental state — "
-            "bound reads filter the re-evaluated result"
         )
     else:
         mode = "filter"

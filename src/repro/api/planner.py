@@ -8,13 +8,14 @@ query shape                                    chosen engine
 =============================================  =================
 q-hierarchical CQ                              ``qhierarchical``
 UCQ, every disjunct q-hierarchical             ``ucq_union``
-any other CQ                                   ``delta_ivm`` (*)
+any other CQ                                   ``delta_ivm``
 UCQ with a non-q-hierarchical disjunct         refused, with the
                                                violation witness
 =============================================  =================
 
-(*) configurable via ``Planner(fallback=...)`` — ``"recompute"`` is the
-honest choice when queries are rare and updates plentiful.
+Forcing an engine by name picks from the same registry, which also
+holds Lemma A.2's ``phi2_appendix`` for the Appendix-A query ϕ2.  The
+recompute baseline is not a served engine and cannot be forced.
 
 The returned :class:`Plan` is the ``explain()`` artefact: it records
 the classification, the reason for the choice, and the paper's
@@ -96,13 +97,13 @@ _GUARANTEES: Dict[str, Dict[str, str]] = {
         "delta": "free with the update: sign flips of the touched "
         "valuation counts",
     },
-    "recompute": {
-        "preprocessing": "O(||D||) (store only, lazy evaluation)",
-        "update": "O(1) (cache invalidation)",
-        "delay": "first tuple only after full re-evaluation",
-        "count": "full re-evaluation when stale",
-        "answer": "full re-evaluation when stale",
-        "delta": "O(|result|) per update (full before/after diff)",
+    "phi2_appendix": {
+        "preprocessing": "O(||D||) (edge and loop sets)",
+        "update": "O(1) — two dict operations (Lemma A.2)",
+        "delay": "O(1) per tuple (Lemma A.2's interleaved two phases)",
+        "count": "O(|E|) (Theorem 3.5 rules out O(1))",
+        "answer": "O(1)",
+        "delta": "O(|result|) per update (result diff)",
     },
 }
 
@@ -294,16 +295,12 @@ def _format_observed_cell(cell: Optional[Dict[str, object]]) -> Optional[str]:
     )
 
 
+#: The engine for a CQ outside the q-hierarchical class.
+_FALLBACK = "delta_ivm"
+
+
 class Planner:
     """Select engines by the paper's dichotomy; see the module table."""
-
-    def __init__(self, fallback: str = "delta_ivm"):
-        if fallback not in ENGINE_REGISTRY:
-            known = ", ".join(sorted(ENGINE_REGISTRY))
-            raise EngineStateError(
-                f"unknown fallback engine {fallback!r}; known: {known}"
-            )
-        self._fallback = fallback
 
     def plan(self, query: Union[str, QueryLike], engine: str = "auto") -> Plan:
         """Plan a view: classify ``query`` and pick (or validate) an engine."""
@@ -336,12 +333,12 @@ class Planner:
         witness = classification.violation.describe()
         return Plan(
             query=query,
-            engine=self._fallback,
+            engine=_FALLBACK,
             kind="cq",
             auto=True,
             reason=f"not q-hierarchical ({witness}); Theorems 3.3–3.5 rule "
-            f"out constant-update maintenance → {self._fallback} baseline",
-            guarantees=dict(_GUARANTEES.get(self._fallback, {})),
+            f"out constant-update maintenance → {_FALLBACK} baseline",
+            guarantees=dict(_GUARANTEES[_FALLBACK]),
             classification=classification,
         )
 

@@ -137,11 +137,9 @@ class View:
 
             self._probe = ViewProbe(name, plan.engine, session.metrics)
             # The result-size gauge reads count() on the write path, so
-            # only where it is O(1): not recompute, not a union whose
-            # inclusion–exclusion left the q-hierarchical class.
-            self._sized = self._probe.constant_delay and getattr(
-                engine, "counting_supported", True
-            )
+            # only where it is O(1): not ϕ2's edge walk, not a union
+            # whose inclusion–exclusion left the q-hierarchical class.
+            self._sized = "count" in engine.constant_reads
             # Engine-level series: effective updates per relation/op
             # plus the static plan-shape gauges (repro.core.plans).
             engine.instrument(session.metrics, view=name)
@@ -226,12 +224,8 @@ class View:
         return self._engine.result_set()
 
     def contains(self, row: Sequence[Constant]) -> bool:
-        """Output-tuple membership; O(1) when the engine supports it."""
-        row = tuple(row)
-        probe = getattr(self._engine, "contains", None)
-        if probe is not None:
-            return probe(row)
-        return row in self._engine.result_set()
+        """Output-tuple membership, answered by the engine."""
+        return self._engine.contains(tuple(row))
 
     def result_digest(self) -> str:
         """Order-independent fingerprint of the result (see
@@ -678,8 +672,6 @@ class Session:
         # Copy-on-write, so a view registered by a callback mid-fan-out
         # (it preloaded the store) does not take the command again.
         self._views_by_relation: Dict[str, Tuple[View, ...]] = {}
-        # The ``reads_store`` engines, told of each write before the fan-out.
-        self._readers_by_relation: Dict[str, Tuple[DynamicEngine, ...]] = {}
         self._active_batch: Optional[Batch] = None
         # The threads inside apply_all: views that sat a stream out lag
         # the store until its fan-out, so a callback writing (or
@@ -795,9 +787,6 @@ class Session:
             for relation in parsed.relations:
                 views = self._views_by_relation
                 views[relation] = views.get(relation, ()) + (view,)
-                if built.reads_store:
-                    readers = self._readers_by_relation
-                    readers[relation] = readers.get(relation, ()) + (built,)
             for pattern in declared_patterns:
                 view._ensure_access_pattern(pattern, declared=True)
         return view
@@ -811,15 +800,12 @@ class Session:
         except KeyError:
             raise EngineStateError(f"no view named {name!r}") from None
         view._close_serving()
+        views = self._views_by_relation
         for relation in view.query.relations:
-            for index, member in (
-                (self._views_by_relation, view),
-                (self._readers_by_relation, view._engine),
-            ):
-                if relation in index:
-                    index[relation] = tuple(
-                        kept for kept in index[relation] if kept is not member
-                    )
+            if relation in views:
+                views[relation] = tuple(
+                    kept for kept in views[relation] if kept is not view
+                )
 
     def __getitem__(self, name: str) -> View:
         try:
@@ -916,7 +902,7 @@ class Session:
                     group = groups[relation] = self._stream_group(
                         relation, watching
                     )
-                rows, arity, watched, net, counts, _lagging, readers = group
+                rows, arity, watched, net, counts, _lagging = group
                 row = command.row
                 if len(row) != arity:
                     self._check(relation, row)
@@ -938,8 +924,6 @@ class Session:
                 last = command
                 if flags is not None:
                     flags.append(True)
-                for engine in readers:
-                    engine._store_moved(relation, row, sign)
                 for view in watched:
                     view._deliver(command)
                 if net is not None:
@@ -956,10 +940,10 @@ class Session:
     ) -> Tuple[Any, ...]:
         """One relation's state for the length of an :meth:`apply_all`:
         ``(store rows, arity, watched views, net map, [_, inserts,
-        deletes], lagging views, store-reading engines)`` — the net map
-        is ``None`` when every view of the relation is watched and
-        nothing has to catch up afterwards.  Raises the session's error
-        for an unknown relation."""
+        deletes], lagging views)`` — the net map is ``None`` when every
+        view of the relation is watched and nothing has to catch up
+        afterwards.  Raises the session's error for an unknown
+        relation."""
         stored = self._relation(relation)
         watched: List[View] = []
         lagging: List[View] = []
@@ -975,7 +959,6 @@ class Session:
             {} if lagging else None,
             [0, 0, 0],  # indexed by sign: [1] inserts, [-1] deletes
             lagging,
-            self._readers_by_relation.get(relation, ()),
         )
 
     def _fan_out(
@@ -988,7 +971,7 @@ class Session:
         that follow a batch — observing sessions record one
         per-command-mean sample and the result size per moved view."""
         pending: Dict[View, Dict[str, Tuple[List[Row], List[Row], int, int]]] = {}
-        for relation, (_, _, _, net, counts, lagging, _) in groups.items():
+        for relation, (_, _, _, net, counts, lagging) in groups.items():
             if not net:
                 continue
             entry = (
@@ -1199,11 +1182,6 @@ class Session:
             raise self._unknown(relation) from None
         if not changed:
             return False
-        readers = self._readers_by_relation.get(relation)
-        if readers:
-            sign = 1 if command.op == "insert" else -1
-            for engine in readers:
-                engine._store_moved(relation, command.row, sign)
         for view in self._views_by_relation.get(relation, ()):
             view._deliver(command)
         return True

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Type
 
 from repro.bench.reporting import format_table, format_time
 from repro.cq.query import ConjunctiveQuery
 from repro.errors import EngineStateError
-from repro.interface import DynamicEngine, make_engine
+from repro.interface import DynamicEngine
 from repro.storage.updates import UpdateCommand
 
 __all__ = ["ComparisonResult", "compare_engines"]
@@ -55,21 +55,23 @@ class ComparisonResult:
 def compare_engines(
     query: ConjunctiveQuery,
     commands: Sequence[UpdateCommand],
-    engine_names: Sequence[str],
+    engine_classes: Sequence[Type[DynamicEngine]],
     checkpoint_every: int = 25,
     query_each_round: bool = True,
 ) -> ComparisonResult:
     """Replay ``commands`` into every engine and verify agreement.
 
-    ``query_each_round`` also calls ``count()`` after every command (the
+    Each engine class is built over its own empty store and reported
+    under its ``name``.  ``query_each_round`` also calls ``count()`` after every command (the
     honest update→query round); checkpoints additionally compare the
     materialised result sets across engines and raise
     :class:`EngineStateError` on any disagreement.
     """
     engines: Dict[str, DynamicEngine] = {
-        name: make_engine(name, query) for name in engine_names
+        cls.name: cls(query) for cls in engine_classes
     }
-    result = ComparisonResult(query=query, engine_names=list(engine_names))
+    engine_names = list(engines)
+    result = ComparisonResult(query=query, engine_names=engine_names)
     for name in engine_names:
         result.seconds[name] = 0.0
 

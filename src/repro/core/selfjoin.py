@@ -28,6 +28,7 @@ actually needs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cq.query import ConjunctiveQuery
@@ -87,7 +88,7 @@ class Phi2Engine(DynamicEngine):
     name = "phi2_appendix"
 
     #: ``count()`` walks the edges.
-    constant_reads = frozenset(("answer",))
+    constant_reads = frozenset(("answer", "contains"))
 
     def __init__(
         self,
@@ -106,6 +107,8 @@ class Phi2Engine(DynamicEngine):
         self._out_positions = tuple(
             variable_order.index(v) for v in query.free
         )
+        # An output tuple's (x, y, z1, z2).
+        self._variables_of = itemgetter(*(query.free.index(v) for v in variable_order))
 
     def _setup(self) -> None:
         # Insertion-ordered sets: dicts with None values.
@@ -134,6 +137,16 @@ class Phi2Engine(DynamicEngine):
         """ϕ2(D) ≠ ∅ iff some loop exists (the loop itself supplies
         both ϕ1 and the independent edge atom)."""
         return bool(self._loops)
+
+    def contains(self, row: Row) -> bool:
+        """``(x, y, z1, z2) ∈ ϕ2(D)`` in O(1): both loops, the bridge
+        ``(x, y)`` and the free edge ``(z1, z2)``."""
+        if len(row) != 4:
+            return False
+        x, y, z1, z2 = self._variables_of(row)
+        loops = self._loops
+        edges = self._edges
+        return x in loops and y in loops and (x, y) in edges and (z1, z2) in edges
 
     def count(self) -> int:
         """``|ϕ2(D)| = |ϕ1(D)| · |E|``, computed in O(|E|)."""

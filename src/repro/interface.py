@@ -18,9 +18,13 @@ drops set-semantics no-ops, then runs the effective body.  A session
 writes its store itself and calls the effective bodies directly, so
 no command is filtered twice and subclasses see only effective changes.
 
-The registry spans CQ engines *and* the UCQ union engine
-(``"ucq_union"``); an engine that can maintain a
+The registry holds the served engines — the ones the dichotomy names:
+Theorem 3.2's ``"qhierarchical"``, the UCQ union engine
+(``"ucq_union"``), the ``"delta_ivm"`` fallback and Lemma A.2's
+``"phi2_appendix"``; an engine that can maintain a
 :class:`~repro.extensions.ucq.UnionOfCQs` sets ``accepts_unions``.
+The recompute baseline (:class:`repro.ivm.RecomputeEngine`) is not
+registered: benchmarks and reductions construct it directly.
 :func:`make_engine` additionally accepts raw rule text and the engine
 name ``"auto"``, which delegates selection to the dichotomy-driven
 :class:`repro.api.Planner` — the recommended way to pick an engine.
@@ -113,21 +117,17 @@ class DynamicEngine(ABC):
     #: the default rematerialise-and-diff (O(|result|)).  The serving
     #: layer consults this before computing deltas *speculatively*:
     #: delta-aware cursor revalidation is free to run per touching
-    #: write on a cheap-delta engine, but on a diff-based engine it is
-    #: only worth it when a subscriber needs the delta anyway.
+    #: write on a cheap-delta engine, but on a diff-based engine (the
+    #: Appendix ϕ2 engine, the recompute baseline) it is only worth it
+    #: when a subscriber needs the delta anyway.
     supports_cheap_delta: bool = False
-
-    #: Whether reads evaluate over the store itself (recompute).  A
-    #: session reports each write to such an engine first
-    #: (:meth:`_store_moved`), so its reads can keep showing its epoch.
-    reads_store: bool = False
 
     #: The point reads — ``"count"``, ``"answer"``, ``"contains"`` —
     #: this engine answers in time independent of the data.  A cluster
     #: worker answers these on the thread that received them, keeping
-    #: its receive role; a read that may walk or re-evaluate the data
-    #: (a stale recompute cache, a count by enumeration, membership in
-    #: a materialised result set) runs after the role passed on.
+    #: its receive role; a read that may walk the data (ϕ2's count over
+    #: the edges, a union count by enumeration) runs after the role
+    #: passed on.
     constant_reads: FrozenSet[str] = frozenset()
 
     def __init__(
@@ -174,10 +174,6 @@ class DynamicEngine(ABC):
         for relation in self._query.relations:
             for row in self._db.relation(relation):
                 self._effective(True, relation, row)
-
-    def _store_moved(self, relation: str, row: Row, sign: int) -> None:
-        """The store took a change (``sign`` ±1) the effective body
-        has not seen yet."""
 
     @abstractmethod
     def _on_insert(self, relation: str, row: Row) -> None:
@@ -436,6 +432,10 @@ class DynamicEngine(ABC):
     @abstractmethod
     def answer(self) -> bool:
         """Boolean answer: ``ϕ(D) ≠ ∅``."""
+
+    @abstractmethod
+    def contains(self, row: Row) -> bool:
+        """Membership test ``ā ∈ ϕ(D)`` for an output tuple."""
 
     @abstractmethod
     def enumerate(self) -> Iterator[Row]:

@@ -170,9 +170,8 @@ class DeltaIVMEngine(DynamicEngine):
     #: valuation counts during the update itself — no result diff.
     supports_cheap_delta = True
 
-    #: The materialised distinct count; membership goes through the
-    #: result set.
-    constant_reads = frozenset(("count", "answer"))
+    #: The materialised distinct count and valuation counts.
+    constant_reads = frozenset(("count", "answer", "contains"))
 
     def _setup(self) -> None:
         self._relations: Dict[str, _IndexedRelation] = {
@@ -325,7 +324,7 @@ class DeltaIVMEngine(DynamicEngine):
         self._distinct = len(self._counts)
 
     # ------------------------------------------------------------------
-    # queries — O(1) count/answer, O(|result|) enumeration
+    # queries — O(1) count/answer/contains, O(|result|) enumeration
     # ------------------------------------------------------------------
 
     def count(self) -> int:
@@ -333,6 +332,9 @@ class DeltaIVMEngine(DynamicEngine):
 
     def answer(self) -> bool:
         return self._distinct > 0
+
+    def contains(self, row: Row) -> bool:
+        return self._counts.get(row, 0) > 0
 
     def enumerate(self) -> Iterator[Row]:
         for key, amount in self._counts.items():

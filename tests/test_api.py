@@ -63,14 +63,6 @@ class TestPlanner:
         assert "condition (i)" in plan.reason
         assert not plan.classification.q_hierarchical
 
-    def test_configurable_fallback(self):
-        plan = Planner(fallback="recompute").plan(HARD_TEXT)
-        assert plan.engine == "recompute"
-
-    def test_unknown_fallback_rejected(self):
-        with pytest.raises(EngineStateError):
-            Planner(fallback="nope")
-
     def test_ucq_gets_union_engine(self):
         plan = Planner().plan(UCQ_TEXT)
         assert plan.engine == "ucq_union"
@@ -96,9 +88,17 @@ class TestPlanner:
         assert plan.engine == "qhierarchical"
 
     def test_forced_engine(self):
-        plan = Planner().plan(QH_TEXT, engine="recompute")
-        assert plan.engine == "recompute" and not plan.auto
+        plan = Planner().plan(QH_TEXT, engine="delta_ivm")
+        assert plan.engine == "delta_ivm" and not plan.auto
         assert "forced" in plan.render()
+
+    def test_the_recompute_baseline_is_not_a_served_engine(self):
+        with pytest.raises(EngineStateError, match="unknown engine 'recompute'"):
+            Planner().plan(HARD_TEXT, engine="recompute")
+        with pytest.raises(EngineStateError, match="unknown engine 'recompute'"):
+            Session().view("v", HARD_TEXT, engine="recompute")
+        with pytest.raises(TypeError):
+            Planner(fallback="recompute")
 
     def test_forced_infeasible_engine_refused_at_plan_time(self):
         # A plan must never advertise guarantees its build() would
@@ -148,8 +148,8 @@ class TestMakeEngineAuto:
         assert engine.result_set() == {(1, 2)}
 
     def test_named_engine_with_text(self):
-        engine = make_engine("recompute", QH_TEXT)
-        assert engine.name == "recompute"
+        engine = make_engine("delta_ivm", QH_TEXT)
+        assert engine.name == "delta_ivm"
 
     def test_union_engine_from_registry(self):
         engine = make_engine("ucq_union", UCQ_TEXT)

@@ -77,10 +77,36 @@ class TestPlanCommand:
         assert "kind:   ucq" in out
 
     def test_forced_engine(self, capsys):
-        status = main(["plan", "--engine", "recompute", "Q(x) :- R(x)"])
+        status = main(["plan", "--engine", "delta_ivm", "Q(x) :- R(x)"])
         out = capsys.readouterr().out
         assert status == 0
-        assert "engine: recompute (forced by caller)" in out
+        assert "engine: delta_ivm (forced by caller)" in out
+        # Lemma A.2's guarantees, stated for the Appendix ϕ2 engine.
+        status = main(
+            [
+                "plan",
+                "--engine",
+                "phi2_appendix",
+                "Q(x, y, z, w) :- E(x, x), E(x, y), E(y, y), E(z, w)",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert status == 0
+        assert "engine: phi2_appendix (forced by caller)" in out
+        assert "no stated guarantee" not in out
+        rows = {
+            line.split()[0]: line.split(None, 1)[1]
+            for line in out.splitlines()
+            if line.startswith("  ")
+        }
+        assert rows["update"].startswith("O(1)")
+        assert rows["delay"].startswith("O(1)")
+        assert rows["count"].startswith("O(|E|)")
+        assert rows["answer"] == "O(1)"
+        assert "result diff" in rows["delta"]
+        status = main(["plan", "--engine", "recompute", "Q(x) :- R(x)"])
+        assert status == 2
+        assert "unknown engine 'recompute'" in capsys.readouterr().err
 
     def test_ucq_with_hard_disjunct_exits_2(self, capsys):
         status = main(

@@ -215,6 +215,12 @@ def test_unknown_view_and_handles(client):
         client.fetch(999_999, 10)
     with pytest.raises(EngineStateError, match="unknown subscription handle"):
         client.poll(999_999)
+    # the recompute baseline is not a served engine
+    name = unique("rc")
+    with pytest.raises(EngineStateError, match="unknown engine 'recompute'"):
+        client.view(name, f"V(x) :- {unique('RR')}(x)", engine="recompute")
+    with pytest.raises(EngineStateError, match="no view named"):
+        client.count(name)
 
 
 def test_drop_view_releases_routing(client):
@@ -1072,9 +1078,11 @@ def test_a_count_runs_where_it_was_read_unless_its_lock_is_held(
     # With its shard's read lock free, a count of a q-hierarchical view
     # (O(1), Theorem 3.2) is answered by the receiver that read its
     # frame, which keeps the receive role: the next frame is read by
-    # the same thread.  Behind a held exclusive
-    # lock the receiver hands the role on before it waits, so a ping
-    # sent meanwhile is read — and answered — by another receiver.
+    # the same thread.  A count that may wait — behind a held exclusive
+    # lock, or on an engine whose count walks the data (ϕ2) — is handed
+    # to a parked receiver first: the reader passes the role on and
+    # runs the count itself, so a ping sent while that count is still
+    # running is read — and answered — by another receiver.
     from repro.serve import transport
 
     host = cluster_module._WorkerHost(0, str(tmp_path), observe=False)
@@ -1082,6 +1090,12 @@ def test_a_count_runs_where_it_was_read_unless_its_lock_is_held(
     received = []  # (receiving thread, op) per request frame
     counted = []  # the thread each count ran on
     recv = transport.Connection.recv
+    connections = []  # each request connection's shared receiver state
+
+    class SpyReceivers(cluster_module._Receivers):
+        def __init__(self):
+            super().__init__()
+            connections.append(self)
 
     def spy_recv(self, timeout=None):
         frame = recv(self, timeout)
@@ -1090,19 +1104,47 @@ def test_a_count_runs_where_it_was_read_unless_its_lock_is_held(
             received.append((name, frame.get("op")))
         return frame
 
+    def await_a_parked_receiver():
+        # Only a parked receiver can take the role over; with none the
+        # reader queues the count and reads on (``_next_read``).
+        deadline = time.monotonic() + 5.0
+        while not all(r.idle for r in connections):
+            assert time.monotonic() < deadline, "no receiver parked"
+            time.sleep(0.001)
+
+    def spy_counts(view, gate=None):
+        engine = host.server.session[view].engine
+        count = engine.count
+
+        def spy_count():
+            counted.append(threading.current_thread().name)
+            if gate is not None:
+                assert gate.wait(5.0)
+            return count()
+
+        engine.count = spy_count
+
+    def count_beside_a_ping(view):
+        # The count runs in the background; the ping must be answered
+        # while it has not returned.
+        results = []
+        reader = threading.Thread(target=lambda: results.append(facade.count(view)))
+        await_a_parked_receiver()
+        reader.start()
+        deadline = time.monotonic() + 5.0
+        while not received and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert facade.ping() == {0: os.getpid()}
+        assert not results  # the count has not returned yet
+        return reader, results
+
+    monkeypatch.setattr(cluster_module, "_Receivers", SpyReceivers)
     monkeypatch.setattr(transport.Connection, "recv", spy_recv)
     try:
         with ClusterClient(addresses=[host.address], observe=False) as facade:
             facade.view("ir", "V(x) :- IR(x)")
             facade.insert("IR", (1,))
-            engine = host.server.session["ir"].engine
-            count = engine.count
-
-            def spy_count():
-                counted.append(threading.current_thread().name)
-                return count()
-
-            engine.count = spy_count
+            spy_counts("ir")
             del received[:]
             assert [facade.count("ir") for _ in range(3)] == [1, 1, 1]
             facade.ping()
@@ -1112,17 +1154,8 @@ def test_a_count_runs_where_it_was_read_unless_its_lock_is_held(
             assert [op for _name, op in received] == ["count"] * 3 + ["ping"]
 
             del received[:], counted[:]
-            results = []
             with host.server.exclusive():
-                reader = threading.Thread(
-                    target=lambda: results.append(facade.count("ir"))
-                )
-                reader.start()
-                deadline = time.monotonic() + 5.0
-                while not received and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert facade.ping() == {0: os.getpid()}
-                assert not results  # still waiting on the lock
+                reader, results = count_beside_a_ping("ir")
             reader.join(timeout=5.0)
             assert results == [1]
             (count_reader, op), (ping_reader, ping) = received
@@ -1130,16 +1163,27 @@ def test_a_count_runs_where_it_was_read_unless_its_lock_is_held(
             assert ping_reader != count_reader
             assert counted == [count_reader]
 
-            # A recompute view may re-evaluate for a count: it is handed
-            # off even with its lock free, so the next frame is read by
-            # another receiver.
-            facade.view("rc", "V(x) :- IR(x)", engine="recompute")
-            del received[:]
-            assert facade.count("rc") == 1
-            facade.ping()
+            # ϕ2's count walks the edges (not in its constant_reads):
+            # it is handed off even with its lock free.
+            facade.view(
+                "phi2",
+                "V(x, y, z, w) :- IR2(x, x), IR2(x, y), IR2(y, y), IR2(z, w)",
+                engine="phi2_appendix",
+            )
+            facade.insert("IR2", (1, 1))
+            gate = threading.Event()
+            spy_counts("phi2", gate)
+            del received[:], counted[:]
+            try:
+                reader, results = count_beside_a_ping("phi2")
+            finally:
+                gate.set()
+            reader.join(timeout=5.0)
+            assert results == [1]
             (count_reader, op), (ping_reader, ping) = received
             assert (op, ping) == ("count", "ping")
             assert ping_reader != count_reader
+            assert counted == [count_reader]
     finally:
         host.stop()
 

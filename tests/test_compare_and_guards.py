@@ -8,6 +8,7 @@ from repro.bench.compare import compare_engines
 from repro.core.engine import QHierarchicalEngine
 from repro.cq import zoo
 from repro.errors import EngineStateError
+from repro.ivm import DeltaIVMEngine, RecomputeEngine
 from tests.conftest import feed_example_6_1_sorted, random_stream
 
 
@@ -16,7 +17,9 @@ class TestCompareEngines:
         rng = random.Random(1)
         stream = random_stream(zoo.E_T_QF, rng, rounds=60)
         result = compare_engines(
-            zoo.E_T_QF, stream, ["qhierarchical", "delta_ivm", "recompute"]
+            zoo.E_T_QF,
+            stream,
+            [QHierarchicalEngine, DeltaIVMEngine, RecomputeEngine],
         )
         assert result.checkpoints >= 2
         assert set(result.seconds) == {
@@ -31,7 +34,7 @@ class TestCompareEngines:
         rng = random.Random(2)
         stream = random_stream(zoo.E_T_QF, rng, rounds=40)
         result = compare_engines(
-            zoo.E_T_QF, stream, ["qhierarchical", "recompute"]
+            zoo.E_T_QF, stream, [QHierarchicalEngine, RecomputeEngine]
         )
         assert result.speedup("qhierarchical", "recompute") > 0
 
@@ -39,7 +42,7 @@ class TestCompareEngines:
         rng = random.Random(3)
         stream = random_stream(zoo.E_T_QF, rng, rounds=50)
         result = compare_engines(
-            zoo.E_T_QF, stream, ["qhierarchical", "delta_ivm"]
+            zoo.E_T_QF, stream, [QHierarchicalEngine, DeltaIVMEngine]
         )
         engine = QHierarchicalEngine(zoo.E_T_QF)
         for command in stream:

@@ -191,16 +191,22 @@ def test_every_cheap_delta_engine_revalidates(name, text, engine):
     assert set(got) == view.result_set()
 
 
-def test_no_delta_engine_still_invalidates_eagerly():
-    # recompute derives no cheap delta; without a subscriber the session
-    # applies plainly and the cursor must assume the worst.
+PHI2_TEXT = "V(x, y, z, w) :- E(x, x), E(x, y), E(y, y), E(z, w)"
+
+
+def phi2_session():
     session = Session()
-    view = session.view("v", VIEW_TEXT, engine="recompute")
+    return session, session.view("v", PHI2_TEXT, engine="phi2_appendix")
+
+
+def test_no_delta_engine_still_invalidates_eagerly():
+    # Appendix ϕ2 derives no cheap delta; without a subscriber the
+    # session applies plainly and the cursor must assume the worst.
+    session, view = phi2_session()
     assert not view.engine.supports_cheap_delta
-    session.insert("T", (1,))
-    session.insert("E", (1, 1))
+    session.insert("E", (1, 2))
     cursor = view.cursor()
-    session.insert("E", (5, 99))  # would be an empty delta
+    session.insert("E", (5, 99))  # no loop, no result: an empty delta
     assert not cursor.valid
     with pytest.raises(CursorInvalidatedError):
         cursor.fetch(1)
@@ -208,79 +214,33 @@ def test_no_delta_engine_still_invalidates_eagerly():
 
 def test_no_delta_engine_revalidates_when_a_subscriber_pays_for_the_diff():
     # With a subscriber the diff-based delta exists anyway, so the
-    # cursor revalidates opportunistically even on a recompute engine.
-    session = Session()
-    view = session.view("v", VIEW_TEXT, engine="recompute")
+    # cursor revalidates opportunistically even on the ϕ2 engine.
+    session, view = phi2_session()
     subscription = view.subscribe()
-    session.insert("T", (1,))
     session.insert("E", (1, 1))
     cursor = view.cursor()
-    session.insert("E", (5, 99))  # empty delta, derived by diff
+    assert cursor.fetch(1) == [(1, 1, 1, 1)]
+    session.insert("E", (5, 99))  # adds (1, 1, 5, 99), past the frontier
     assert cursor.valid and cursor.revalidations == 1
-    assert cursor.fetch_all() == [(1, 1)]
-    assert [d.size for d in subscription.poll()] == [1]  # empty ones skipped
+    assert cursor.fetch_all() == [(1, 1, 5, 99)]
+    assert [d.size for d in subscription.poll()] == [1, 1]
 
 
 def test_no_delta_engine_diffs_against_the_result_before_the_command():
-    # The session writes its store before the view's engine runs, so a
-    # recompute view whose cached result went stale must not read the
-    # "before" side off the moved store.
-    session = Session()
-    view = session.view("v", VIEW_TEXT, engine="recompute")
-    session.insert("T", (1,))  # unwatched: the cache goes stale
+    # The session writes its store before the view's engine runs; the
+    # diff's "before" side is the engine's result, not the moved store.
+    session, view = phi2_session()
+    session.insert("E", (1, 2))  # unwatched, and no loop yet
     subscription = view.subscribe()
     session.insert("E", (1, 1))
-    assert [(d.added, d.removed) for d in subscription.poll()] == [(((1, 1),), ())]
-    session.delete("T", (1,))
-    session.insert("T", (1,))
-    assert [(d.added, d.removed) for d in subscription.poll()] == [
-        ((), ((1, 1),)),
-        (((1, 1),), ()),
-    ]
-
-
-def test_a_snapshot_cursor_on_a_stale_recompute_view_pins_the_result_before_the_write():
-    session = Session()
-    view = session.view("v", VIEW_TEXT, engine="recompute")
-    session.insert("T", (1,))
-    session.insert("E", (1, 1))  # fresh view, cache never filled
-    before = view.result_set()
-    session.insert("E", (2, 1))  # unwatched: the cache goes stale again
-    before |= {(2, 1)}
-    cursor = view.cursor(snapshot=True)
-    session.insert("E", (3, 1))
-    assert set(cursor.fetch_all()) == before
-
-
-def test_a_callback_reading_a_recompute_view_mid_fan_out_leaves_its_delta_intact():
-    # The first view's subscriber reads the recompute view after the
-    # store moved and before the recompute view's turn in the fan-out.
-    session = Session()
-    first = session.view("first", VIEW_TEXT)
-    recompute = session.view("recompute", VIEW_TEXT, engine="recompute")
-    session.insert("T", (1,))
-    read = []
-    first.subscribe(callback=lambda delta: read.append(recompute.count()))
-    subscription = recompute.subscribe()
+    both = {(1, 1, 1, 1), (1, 1, 1, 2)}
+    assert [(set(d.added), d.removed) for d in subscription.poll()] == [(both, ())]
+    session.delete("E", (1, 1))
     session.insert("E", (1, 1))
-    assert read == [0]  # the recompute view's epoch has not moved yet
-    assert [(d.added, d.removed) for d in subscription.poll()] == [(((1, 1),), ())]
-    assert recompute.result_set() == {(1, 1)}
-
-
-def test_an_unwatched_recompute_view_read_mid_stream_shows_the_state_before_the_call():
-    session = Session()
-    watched = session.view("watched", VIEW_TEXT)
-    recompute = session.view("recompute", VIEW_TEXT, engine="recompute")
-    session.insert("T", (1,))
-    session.insert("E", (9, 1))  # the recompute cache is stale
-    read = []
-    watched.subscribe(callback=lambda delta: read.append(recompute.count()))
-    session.apply_all(
-        [insert("E", (0, 1)), insert("E", (1, 1)), delete("E", (9, 1))]
-    )
-    assert read == [1, 1, 1]
-    assert recompute.result_set() == watched.result_set() == {(0, 1), (1, 1)}
+    assert [(set(d.added), set(d.removed)) for d in subscription.poll()] == [
+        (set(), both),
+        (both, set()),
+    ]
 
 
 def test_a_view_registered_by_a_callback_mid_fan_out_takes_the_command_once():

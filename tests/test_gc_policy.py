@@ -140,6 +140,9 @@ class _FailingEngine(DynamicEngine):
     def answer(self):
         return False
 
+    def contains(self, row):
+        return False
+
     def enumerate(self):
         return iter(())
 

@@ -13,30 +13,23 @@ from repro.bench.compare import compare_engines
 from repro.bench.harness import ScalingExperiment
 from repro.bench.timing import DelayRecorder
 from repro.cq import zoo
+from repro.core.engine import QHierarchicalEngine
 from repro.errors import EngineStateError
-from repro.interface import ENGINE_REGISTRY, register_engine
 from repro.ivm.recompute import RecomputeEngine
 from tests.conftest import random_stream
 
 
-def _ensure_lying_engine_registered():
-    """Register (once) an engine that silently drops every delete."""
-    if "lying_for_tests" in ENGINE_REGISTRY:
-        return
+class LyingEngine(RecomputeEngine):
+    """A baseline that silently drops every delete."""
 
-    @register_engine
-    class LyingEngine(RecomputeEngine):  # noqa: N801 - test helper
-        name = "lying_for_tests"
+    name = "lying_for_tests"
 
-        def delete(self, relation, row):
-            return False  # pretends deletes never happen
-
-    return LyingEngine
+    def delete(self, relation, row):
+        return False  # pretends deletes never happen
 
 
 class TestCompareDetectsDisagreement:
     def test_lying_engine_is_caught(self):
-        _ensure_lying_engine_registered()
         rng = random.Random(5)
         stream = random_stream(
             zoo.E_T_QF, rng, rounds=60, delete_fraction=0.5
@@ -45,14 +38,13 @@ class TestCompareDetectsDisagreement:
             compare_engines(
                 zoo.E_T_QF,
                 stream,
-                ["qhierarchical", "lying_for_tests"],
+                [QHierarchicalEngine, LyingEngine],
                 checkpoint_every=10,
             )
 
     def test_insert_only_streams_agree_with_liar(self):
         # With no deletes the liar is accidentally correct — the
         # comparator should NOT cry wolf.
-        _ensure_lying_engine_registered()
         rng = random.Random(6)
         stream = [
             command
@@ -61,7 +53,7 @@ class TestCompareDetectsDisagreement:
             )
         ]
         result = compare_engines(
-            zoo.E_T_QF, stream, ["qhierarchical", "lying_for_tests"]
+            zoo.E_T_QF, stream, [QHierarchicalEngine, LyingEngine]
         )
         assert result.checkpoints >= 1
 

@@ -53,6 +53,11 @@ the calls it made before, at every |D|, and a batch still nets the
 view.  The skewed ``E(i, 0), T(0)`` state makes one toggle of ``T(0)``
 flip every output row, so any per-row state kept for the binding shows
 as calls that grow with |D|.
+
+A membership probe is a point read on every served engine: a
+``View.contains`` on a delta-IVM view makes the same calls at |D| = 10²
+and 10⁴ (its maintained valuation counts answer it; materialising the
+result set instead costs a generator resume per row).
 """
 
 import gc
@@ -349,3 +354,23 @@ def test_every_engine_of_a_session_reads_its_one_store():
     assert len(sub_engines) == 3  # two disjuncts, one intersection
     for engine in [plain.engine, hard.engine, union.engine] + sub_engines:
         assert engine.database is store
+
+
+def contains_calls(size):
+    """Calls of one present and one absent ``View.contains`` on a
+    delta-IVM ``E_T`` view over ``E(i, 0), T(0)``, i < ``size``."""
+    session = Session()
+    view = session.view("v", zoo.E_T)
+    assert view.engine_name == "delta_ivm"
+    session.apply_all([insert("T", (0,))] + [insert("E", (i, 0)) for i in range(size)])
+    assert view.contains((size - 1,)) and not view.contains((size,))  # warm
+
+    def probe():
+        assert view.contains((size // 2,))
+        assert not view.contains((size + 1,))
+
+    return python_calls(probe)
+
+
+def test_a_delta_ivm_contains_costs_the_same_at_every_size():
+    assert contains_calls(100) == contains_calls(10_000)

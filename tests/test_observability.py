@@ -278,7 +278,10 @@ def test_batches_feed_the_update_percentiles_and_the_result_size_gauge(monkeypat
     monkeypatch.setenv("REPRO_PROBE_STRIDE", "4")
     session = Session()
     view = session.view("q", "Q(x, y) :- R(x, y), S(y)")
-    hard = session.view("h", "H(x, y) :- A(x), R(x, y), S(y)", engine="recompute")
+    hard = session.view(
+        "h", "H(x, y, z, w) :- R(x, x), R(x, y), R(y, y), R(z, w)",
+        engine="phi2_appendix",
+    )
     size = 'repro_view_result_size{engine="qhierarchical",view="q"}'
 
     def gauges():
@@ -306,9 +309,10 @@ def test_batches_feed_the_update_percentiles_and_the_result_size_gauge(monkeypat
     session.delete("R", (1, 1))  # unsampled: the gauge keeps its value
     assert view._probe.update_hist.count == 3
     assert gauges()[size] == 15 and view.count() == 14
-    # count() is not O(1) for recompute: its gauge is never written.
-    recompute = 'repro_view_result_size{engine="recompute",view="h"}'
-    assert gauges()[recompute] == 0
+    # count() is not O(1) for ϕ2 (it walks the edges): its gauge is
+    # never written.
+    phi2 = 'repro_view_result_size{engine="phi2_appendix",view="h"}'
+    assert gauges()[phi2] == 0
 
 
 def test_observe_false_skips_the_publish_phase():

@@ -24,6 +24,7 @@ from repro.api.access import (
 from repro.api.planner import parse_view
 from repro.errors import QueryStructureError
 from repro.interface import make_engine
+from repro.ivm import RecomputeEngine
 from repro.storage.updates import delete, insert
 
 QH_TEXT = "Feed(me, a, p) :- Follows(me, a), Posted(a, p)"
@@ -163,7 +164,7 @@ class TestClassification:
         pattern = classify_access_pattern(query, "delta_ivm", ("x",))
         assert pattern.mode == "indexed"
         # the only engine that keeps state for a binding
-        for engine in ("qhierarchical", "ucq_union", "recompute", "phi2_appendix"):
+        for engine in ("qhierarchical", "ucq_union", "phi2_appendix"):
             query = parse_view(QH_TEXT)
             for variables in (("me",), ("a",), ("p",), ("me", "p")):
                 mode = classify_access_pattern(query, engine, variables).mode
@@ -263,15 +264,19 @@ class TestEngineBindingIndex:
             engine.delta_for_binding({"nope": 1}, (added, removed))
 
     def test_bound_reads_on_every_engine(self):
-        for engine_name in ("qhierarchical", "delta_ivm", "recompute"):
-            engine = make_engine(engine_name, parse_view(QH_TEXT))
+        query = parse_view(QH_TEXT)
+        for engine in (
+            make_engine("qhierarchical", query),
+            make_engine("delta_ivm", query),
+            RecomputeEngine(query),
+        ):
             for command in feed_commands():
                 engine.apply(command)
             free = list(engine._query.free)
             binding = {"me": "u1"}
             assert set(engine.enumerate_bound(binding)) == bound_filter(
                 engine.result_set(), free, binding
-            ), engine_name
+            ), engine.name
 
     def test_bound_reads_on_union_engine(self):
         engine = make_engine("ucq_union", parse_view(UCQ_TEXT))

@@ -170,7 +170,8 @@ SUBSCRIPTION_VIEWS = [
     ("qh", "V(x, y) :- E(x, y), T(y)", "auto"),  # q-hierarchical
     ("union", "V(x, y) :- R(x, y), S(x); V(x, y) :- T(x, y)", "auto"),
     ("ivm", "V(x, y) :- S(x), E(x, y), T(y)", "auto"),  # delta-IVM fallback
-    ("rec", "V(x, y) :- S(x), E(x, y), T(y)", "recompute"),
+    # Appendix ϕ2: a result diff, not a structural delta
+    ("phi2", "V(x, y, z, w) :- E(x, x), E(x, y), E(y, y), E(z, w)", "phi2_appendix"),
 ]
 
 
