@@ -13,9 +13,11 @@ slopes, lower it for a smoke run.
 
 from __future__ import annotations
 
+import gc
 import os
 import pathlib
 import random
+import time
 from typing import Callable, Dict, List, Sequence
 
 from repro.interface import DynamicEngine, make_engine
@@ -44,6 +46,29 @@ def reset(experiment: str) -> None:
     """Truncate a previous run's artefact file."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{experiment}.txt").write_text("", encoding="utf-8")
+
+
+def best_time(action: Callable[[], object], repeats: int = 3) -> float:
+    """Best wall-clock seconds of ``repeats`` calls of ``action``.
+
+    Each call starts right after a full collection and runs with the
+    cyclic collector held off (restored in ``finally``), so a collector
+    pass triggered by earlier allocations never lands inside a timed
+    call; the best of the repeats drops the remaining scheduler noise.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            action()
+            best = min(best, time.perf_counter() - start)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return best
 
 
 def replay(engine: DynamicEngine, commands: Sequence[UpdateCommand]) -> None:

@@ -91,7 +91,7 @@ def algorithm1(
             return anchored
         parent_node = parent_of[node]
         assert parent_node is not None  # free subtree is rooted
-        fit_list = items[parent_node].lists.get(node)
+        fit_list = items[parent_node].fit_list(node)
         return fit_list.head if fit_list is not None else None
 
     # Lines 4–8: bail out on an empty start list, else seed the items.

@@ -165,7 +165,7 @@ def _product_below(
         return None
     factors = []
     for child in free_children:
-        fit_list = item.lists.get(child)
+        fit_list = item.fit_list(child)
         members = list(fit_list) if fit_list is not None else []
         factors.append(
             UnionNode(

@@ -16,9 +16,11 @@ resolves it **once, at structure construction**:
   ``delta_slots``: which free nodes sit on the atom's root path, which
   hang off it, and where each lands in the output tuple);
 * a :class:`LevelPlan` per path node: a direct reference to the node's
-  item store, the free flag, and the initial zero-factor counts a
-  freshly created item starts with (one zero factor per represented
-  atom and per child — everything is empty at birth).
+  item store and item class (whose slots are the node's counters, see
+  :func:`repro.core.items.node_classes`), the free flag, and the
+  initial zero-factor counts a freshly created item starts with (one
+  zero factor per represented atom and per child — everything is empty
+  at birth).
 
 With the plan in hand, one update is: check ``eq``, permute the row
 through ``extract``, and walk the precompiled level chain updating the
@@ -44,7 +46,7 @@ the generated ones are tested against, order included.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.core.items import FitList, Item
 from repro.core.qtree import QTree
@@ -87,14 +89,16 @@ class LevelPlan:
     """Per-path-node metadata resolved once at compile time.
 
     ``store`` is the node's item dict (shared with the owning
-    structure), ``init_zf``/``init_tzf`` the zero-factor counts of a
-    newly created item: every represented atom and every child starts
-    with count/sum 0, every free child with ``C̃``-sum 0.
+    structure), ``cls`` its item class, ``init_zf``/``init_tzf`` the
+    zero-factor counts of a newly created item: every represented atom
+    and every child starts with count/sum 0, every free child with
+    ``C̃``-sum 0.
     """
 
     __slots__ = (
         "node",
         "store",
+        "cls",
         "is_free",
         "is_leaf",
         "exclusive",
@@ -106,6 +110,7 @@ class LevelPlan:
         self,
         node: str,
         store: Dict[Row, Item],
+        cls: Type[Item],
         is_free: bool,
         is_leaf: bool,
         exclusive: bool,
@@ -114,6 +119,7 @@ class LevelPlan:
     ):
         self.node = node
         self.store = store
+        self.cls = cls
         self.is_free = is_free
         self.is_leaf = is_leaf
         #: True when exactly one atom mentions this node, i.e. only one
@@ -138,8 +144,9 @@ class AtomPlan:
     ``free_depth`` is the number of leading free levels of the path —
     the atom's *free chain* (free nodes only have free ancestors, so
     they form a prefix).  ``delta_slots`` lays out the result tuples an
-    update of this atom can add or remove: one ``(parent_slot, node,
-    output_position)`` entry per free node of the component, the
+    update of this atom can add or remove: one ``(parent_slot,
+    list_slot, output_position)`` entry per free node of the component
+    (``list_slot`` names the node's fit list on its parent item), the
     ``free_depth`` chain nodes first (in path order), then the free
     nodes hanging off the chain in document order, each after its
     parent.  A delta tuple pins the chain slots to the update's own
@@ -169,7 +176,7 @@ class AtomPlan:
         levels: Tuple[LevelPlan, ...],
         path: Tuple[str, ...],
         free_depth: int,
-        delta_slots: Tuple[Tuple[int, str, int], ...],
+        delta_slots: Tuple[Tuple[int, Optional[str], int], ...],
     ):
         self.atom_index = atom_index
         self.relation = relation
@@ -231,7 +238,7 @@ class AtomPlan:
 
 
 def _expand_slots(
-    slots: Sequence[Tuple[int, str, int]],
+    slots: Sequence[Tuple[int, Optional[str], int]],
     slot: int,
     frames: List[Optional[Item]],
     row: List[object],
@@ -243,8 +250,8 @@ def _expand_slots(
     items of a delete, just was) fit, so none is empty and each step
     contributes to an emitted tuple.
     """
-    parent, node, position = slots[slot]
-    item = frames[parent].lists[node].head
+    parent, list_slot, position = slots[slot]
+    item = getattr(frames[parent], list_slot).head
     if slot + 1 == len(slots):
         while item is not None:
             row[position] = item.key[-1]
@@ -262,12 +269,13 @@ def compile_plans(
     query: ConjunctiveQuery,
     qtree: QTree,
     stores: Dict[str, Dict[Row, Item]],
+    classes: Dict[str, Type[Item]],
 ) -> List[AtomPlan]:
     """Compile one :class:`AtomPlan` per atom of a connected component.
 
     ``stores`` maps each q-tree node to the item dict the plans should
-    write into (the structure's ``_items``).  Returns the plan list in
-    atom order.
+    write into (the structure's ``_items``), ``classes`` to its item
+    class.  Returns the plan list in atom order.
     """
     free = query.free_set
     children = qtree.children
@@ -288,6 +296,7 @@ def compile_plans(
             plan = LevelPlan(
                 node,
                 stores[node],
+                classes[node],
                 node in free,
                 not children.get(node),
                 len(qtree.atoms_at[node]) == 1,
@@ -300,13 +309,17 @@ def compile_plans(
     out_position = {v: i for i, v in enumerate(query.free)}
     free_order = qtree.free_document_order()
 
-    def delta_slots(chain: Tuple[str, ...]) -> Tuple[Tuple[int, str, int], ...]:
+    def delta_slots(
+        chain: Tuple[str, ...]
+    ) -> Tuple[Tuple[int, Optional[str], int], ...]:
         order = list(chain) + [v for v in free_order if v not in chain]
         slot_of = {v: i for i, v in enumerate(order)}
-        return tuple(
-            (slot_of.get(qtree.parent[v], -1), v, out_position[v])
-            for v in order
-        )
+        slots = []
+        for v in order:
+            up = qtree.parent[v]
+            list_slot = classes[up].list_slot[v] if up is not None else None
+            slots.append((slot_of.get(up, -1), list_slot, out_position[v]))
+        return tuple(slots)
 
     plans: List[AtomPlan] = []
     for atom_index, atom in enumerate(query.atoms):
@@ -338,43 +351,32 @@ def _emit_item_fields(
     emit,
     pad: str,
     var: str,
-    node_const: str,
+    class_const: str,
     key_var: str,
     store_var: str,
     parent: str,
     level: LevelPlan,
-    c_atom: str = "{}",
+    counted: Optional[str] = None,
     deferred: bool = False,
 ) -> None:
     """Emit an inline item-construction block with explicit names.
 
-    Bypassing ``Item.__init__`` saves a Python frame per created item,
-    and leaf nodes skip the three child-side dicts entirely — a leaf
-    can never be a parent, so its ``child_sum``/``tchild_sum``/``lists``
-    are never read (every consumer iterates ``qtree.children`` first).
-    They are set to ``None`` rather than left unset so an unforeseen
-    access fails loudly.
+    Bypassing ``Item.__init__`` saves a Python frame per created item.
+    The block writes exactly the slots of the node's class
+    (``level.cls``): the common ones, every counter and sum at 0 — the
+    one named ``counted`` at 1 — and every fit-list slot at ``None``.
 
     ``deferred=True`` (the bulk loader only) additionally skips the
     ``zf``/``tzf``/``tnzp`` counters: the phase-2 finalizer recomputes
     ``zf`` for every item, and sets ``tzf``/``tnzp`` for every free
     node — quantified nodes never have theirs read at all.
     """
-    emit(f"{pad}{var} = _new(_Item)")
-    emit(f"{pad}{var}.node = {node_const}")
+    emit(f"{pad}{var} = _new({class_const})")
     emit(f"{pad}{var}.key = {key_var}")
     emit(f"{pad}{var}.parent_item = {parent}")
-    emit(f"{pad}{var}.c_atom = {c_atom}")
+    _emit_node_slots(emit, pad, var, level.cls, counted)
     emit(f"{pad}{var}.weight = 0")
     emit(f"{pad}{var}.tweight = 0")
-    if level.is_leaf:
-        emit(f"{pad}{var}.child_sum = None")
-        emit(f"{pad}{var}.tchild_sum = None")
-        emit(f"{pad}{var}.lists = None")
-    else:
-        emit(f"{pad}{var}.child_sum = {{}}")
-        emit(f"{pad}{var}.tchild_sum = {{}}")
-        emit(f"{pad}{var}.lists = {{}}")
     emit(f"{pad}{var}.nzp = 1")
     if not deferred:
         emit(f"{pad}{var}.zf = {level.init_zf}")
@@ -384,6 +386,23 @@ def _emit_item_fields(
     emit(f"{pad}{var}.prev = None")
     emit(f"{pad}{var}.next = None")
     emit(f"{pad}{store_var}[{key_var}] = {var}")
+
+
+def _emit_node_slots(
+    emit, pad: str, var: str, cls: Type[Item], counted: Optional[str]
+) -> None:
+    """Initialise the node-specific slots of a new item of ``cls``."""
+    for name in cls.int_slots:
+        emit(f"{pad}{var}.{name} = {1 if name == counted else 0}")
+    for name in cls.list_slot.values():
+        emit(f"{pad}{var}.{name} = None")
+
+
+def _emit_list_for(emit, pad: str, target: str, up: str, list_slot: str) -> None:
+    """``target = up.list_for(child)`` inlined over the list slot."""
+    emit(f"{pad}{target} = {up}.{list_slot}")
+    emit(f"{pad}if {target} is None:")
+    emit(f"{pad}    {target} = {up}.{list_slot} = _FitList()")
 
 
 def compile_runner(plan: AtomPlan, structure) -> "object":
@@ -399,8 +418,10 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
     seed's literal Section 6.4 loop (the test suite's reference oracle;
     the differential suite holds both to byte-identical state), several
     times faster, and the closure carries only stable objects: the
-    item stores, the start list, the ``Item`` class and the structure
-    itself (for ``version``/``C_start``/``C̃_start``).
+    item stores, the start list, the node item classes and the structure
+    itself (for ``version``/``C_start``/``C̃_start``).  Counters are
+    read and written as the slots the node classes name
+    (``count = i2.c1 + delta``), never through a dict.
 
     The runner also *reports* the one thing about the result set it
     alone knows: whenever a free level's item enters or leaves its fit
@@ -441,7 +462,7 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
         emit("        if not is_insert:")
         emit(f"            raise _Err(_M{j}.format(k{j}))")
         _emit_item_fields(
-            emit, "        ", f"i{j}", f"_N{j}", f"k{j}", f"_S{j}", parent, level
+            emit, "        ", f"i{j}", f"_I{j}", f"k{j}", f"_S{j}", parent, level
         )
     emit("    delta = 1 if is_insert else -1")
 
@@ -449,12 +470,9 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
     for j in range(last, -1, -1):
         level = plan.levels[j]
         i = f"i{j}"
-        emit(f"    c_atom = {i}.c_atom")
-        emit(f"    count = c_atom.get({plan.atom_index}, 0) + delta")
-        emit("    if count:")
-        emit(f"        c_atom[{plan.atom_index}] = count")
-        emit("    else:")
-        emit(f"        del c_atom[{plan.atom_index}]")
+        counter = level.cls.atom_slot[plan.atom_index]
+        emit(f"    count = {i}.{counter} + delta")
+        emit(f"    {i}.{counter} = count")
         if j == last:
             # The represented-atom guard lives at the rep node only.
             emit("    if (count > 0) != (count - delta > 0):")
@@ -466,14 +484,22 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
             emit(f"    ntw = _tz if (nw == 0 or {i}.tzf) else {i}.tnzp")
             emit(f"    twd = ntw - {i}.tweight")
             emit(f"    {i}.tweight = ntw")
-        target = "_start" if j == 0 else f"i{j - 1}.list_for(_N{j})"
+        up_cls = plan.levels[j - 1].cls if j else None
         emit("    if nw > 0:")
         emit(f"        if not {i}.in_list:")
-        emit(f"            {target}.append({i})")
+        if j == 0:
+            emit(f"            _start.append({i})")
+        else:
+            list_slot = up_cls.list_slot[level.node]
+            _emit_list_for(emit, "            ", "fl", f"i{j - 1}", list_slot)
+            emit(f"            fl.append({i})")
         if j < free_depth:
             emit(f"            flip = {j}")
         emit(f"    elif {i}.in_list:")
-        emit(f"        {target}.remove({i})")
+        if j == 0:
+            emit(f"        _start.remove({i})")
+        else:
+            emit(f"        i{j - 1}.{list_slot}.remove({i})")
         if j < free_depth:
             emit(f"        flip = {j}")
         if j == 0:
@@ -484,11 +510,11 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
                 emit("        _st.t_start += twd")
         else:
             up = f"i{j - 1}"
+            sum_slot = up_cls.child_slot[level.node]
             emit("    if wd:")
-            emit(f"        sums = {up}.child_sum")
-            emit(f"        olds = sums.get(_N{j}, 0)")
+            emit(f"        olds = {up}.{sum_slot}")
             emit("        news = olds + wd")
-            emit(f"        sums[_N{j}] = news")
+            emit(f"        {up}.{sum_slot} = news")
             emit("        if olds == 0:")
             emit(f"            {up}.zf -= 1")
             emit(f"            {up}.nzp *= news")
@@ -498,11 +524,11 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
             emit("        else:")
             emit(f"            {up}.nzp = {up}.nzp // olds * news")
             if level.is_free:
+                sum_slot = up_cls.tchild_slot[level.node]
                 emit("    if twd:")
-                emit(f"        sums = {up}.tchild_sum")
-                emit(f"        olds = sums.get(_N{j}, 0)")
+                emit(f"        olds = {up}.{sum_slot}")
                 emit("        news = olds + twd")
-                emit(f"        sums[_N{j}] = news")
+                emit(f"        {up}.{sum_slot} = news")
                 emit("        if olds == 0:")
                 emit(f"            {up}.tzf -= 1")
                 emit(f"            {up}.tnzp *= news")
@@ -511,7 +537,11 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
                 emit(f"            {up}.tnzp //= olds")
                 emit("        else:")
                 emit(f"            {up}.tnzp = {up}.tnzp // olds * news")
-        emit("    if delta < 0 and not c_atom:")
+        support = " or ".join(
+            ["count"]
+            + [f"{i}.{name}" for name in level.cls.atom_slot.values() if name != counter]
+        )
+        emit(f"    if delta < 0 and not ({support}):")
         emit(f"        del _S{j}[{i}.key]")
     if free_depth:
         emit("    if flip >= 0:")
@@ -522,14 +552,14 @@ def compile_runner(plan: AtomPlan, structure) -> "object":
     namespace: Dict[str, object] = {
         "_st": structure,
         "_start": structure.start,
-        "_Item": Item,
         "_new": Item.__new__,
+        "_FitList": FitList,
         "_Err": EngineStateError,
         "_tz": 0,
     }
     for j, level in enumerate(plan.levels):
         namespace[f"_S{j}"] = level.store
-        namespace[f"_N{j}"] = level.node
+        namespace[f"_I{j}"] = level.cls
         namespace[f"_M{j}"] = (
             f"delete touches missing item [{level.node}, {{!r}}]; "
             "was the command filtered for set semantics?"
@@ -626,7 +656,9 @@ def compile_walker(
                 nest.append((s, f"_S{s}.get(i{slot[up]}.key + {key})", True))
             else:
                 head = (
-                    f"_start{c}" if up is None else f"i{slot[up]}.lists[{node!r}]"
+                    f"_start{c}"
+                    if up is None
+                    else f"i{slot[up]}.{structure.item_classes[up].list_slot[node]}"
                 )
                 nest.append((s, f"{head}.head", False))
 
@@ -821,23 +853,18 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
         emit(f"        r{pos} = row[{pos}]")
 
     def emit_flush(pad: str, trie: _TrieLevel) -> None:
-        emit(f"{pad}if n{trie.ident}:")
-        emit(f"{pad}    c_ = i{trie.ident}.c_atom")
+        item = f"i{trie.ident}"
+        run = f"n{trie.ident}"
+        cls = trie.level.cls
+        emit(f"{pad}if {run}:")
         for index in trie.plans:
-            ai = plans[index].atom_index
-            emit(f"{pad}    c_[{ai}] = c_.get({ai}, 0) + n{trie.ident}")
+            counter = cls.atom_slot[plans[index].atom_index]
+            emit(f"{pad}    {item}.{counter} += {run}")
         for index in trie.fused:
-            emit(f"{pad}    cs_ = i{trie.ident}.child_sum")
-            emit(
-                f"{pad}    cs_[_NL{index}] = "
-                f"cs_.get(_NL{index}, 0) + n{trie.ident}"
-            )
-            if plans[index].levels[-1].is_free:
-                emit(f"{pad}    ts_ = i{trie.ident}.tchild_sum")
-                emit(
-                    f"{pad}    ts_[_NL{index}] = "
-                    f"ts_.get(_NL{index}, 0) + n{trie.ident}"
-                )
+            leaf = plans[index].levels[-1]
+            emit(f"{pad}    {item}.{cls.child_slot[leaf.node]} += {run}")
+            if leaf.is_free:
+                emit(f"{pad}    {item}.{cls.tchild_slot[leaf.node]} += {run}")
             emit(f"{pad}    fl{index}.tail = tl{index}")
             emit(f"{pad}    fl{index}.length += n{trie.ident}")
         emit(f"{pad}    n{trie.ident} = 0")
@@ -855,20 +882,17 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
         leaf = plan.levels[-1]
         ai = plan.atom_index
         parent_var = f"i{parent.ident}" if parent is not None else "None"
+        counter = leaf.cls.atom_slot[ai]
         emit(f"{pad}kl{index} = {key_tuple(plan.extract)}")
         if index in fused_plans:
             # Born finalised: weight 1, fit, linked at the list tail
             # (the parent's sums and list length fold in per run).
-            emit(f"{pad}il{index} = _new(_Item)")
-            emit(f"{pad}il{index}.node = _NL{index}")
+            emit(f"{pad}il{index} = _new(_IL{index})")
             emit(f"{pad}il{index}.key = kl{index}")
             emit(f"{pad}il{index}.parent_item = {parent_var}")
-            emit(f"{pad}il{index}.c_atom = {{{ai}: 1}}")
+            _emit_node_slots(emit, pad, f"il{index}", leaf.cls, counter)
             emit(f"{pad}il{index}.weight = 1")
             emit(f"{pad}il{index}.tweight = {1 if leaf.is_free else 0}")
-            emit(f"{pad}il{index}.child_sum = None")
-            emit(f"{pad}il{index}.tchild_sum = None")
-            emit(f"{pad}il{index}.lists = None")
             emit(f"{pad}il{index}.nzp = 1")
             emit(f"{pad}il{index}.zf = 0")
             if leaf.is_free:
@@ -885,18 +909,17 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
             emit(f"{pad}_L{index}[kl{index}] = il{index}")
         elif leaf.exclusive:
             _emit_item_fields(
-                emit, pad, f"il{index}", f"_NL{index}", f"kl{index}",
-                f"_L{index}", parent_var, leaf, f"{{{ai}: 1}}", deferred=True,
+                emit, pad, f"il{index}", f"_IL{index}", f"kl{index}",
+                f"_L{index}", parent_var, leaf, counter, deferred=True,
             )
         else:
             emit(f"{pad}il{index} = _L{index}.get(kl{index})")
             emit(f"{pad}if il{index} is None:")
             _emit_item_fields(
-                emit, pad + "    ", f"il{index}", f"_NL{index}", f"kl{index}",
+                emit, pad + "    ", f"il{index}", f"_IL{index}", f"kl{index}",
                 f"_L{index}", parent_var, leaf, deferred=True,
             )
-            emit(f"{pad}c_ = il{index}.c_atom")
-            emit(f"{pad}c_[{ai}] = c_.get({ai}, 0) + 1")
+            emit(f"{pad}il{index}.{counter} += 1")
 
     def emit_trie(pad: str, trie: _TrieLevel) -> None:
         ident = trie.ident
@@ -914,15 +937,12 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
         emit(f"{inner}i{ident} = _S{ident}.get(k{ident})")
         emit(f"{inner}if i{ident} is None:")
         _emit_item_fields(
-            emit, inner + "    ", f"i{ident}", f"_N{ident}", f"k{ident}",
+            emit, inner + "    ", f"i{ident}", f"_I{ident}", f"k{ident}",
             f"_S{ident}", parent_var, trie.level, deferred=True,
         )
         for index in trie.fused:
-            emit(f"{inner}lists_ = i{ident}.lists")
-            emit(f"{inner}fl{index} = lists_.get(_NL{index})")
-            emit(f"{inner}if fl{index} is None:")
-            emit(f"{inner}    fl{index} = _FitList()")
-            emit(f"{inner}    lists_[_NL{index}] = fl{index}")
+            list_slot = trie.level.cls.list_slot[plans[index].levels[-1].node]
+            _emit_list_for(emit, inner, f"fl{index}", f"i{ident}", list_slot)
             emit(f"{inner}tl{index} = fl{index}.tail")
         emit(f"{pad}n{ident} += 1")
         for index in trie.terminals:
@@ -951,18 +971,17 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
 
     source = "\n".join(lines)
     namespace: Dict[str, object] = {
-        "_Item": Item,
         "_new": Item.__new__,
         "_miss": _MISS,
         "_FitList": FitList,
     }
     for trie in trie_nodes:
         namespace[f"_S{trie.ident}"] = trie.level.store
-        namespace[f"_N{trie.ident}"] = trie.level.node
+        namespace[f"_I{trie.ident}"] = trie.level.cls
     for index, plan in enumerate(plans):
         leaf = plan.levels[-1]
         namespace[f"_L{index}"] = leaf.store
-        namespace[f"_NL{index}"] = leaf.node
+        namespace[f"_IL{index}"] = leaf.cls
         plan.loader_source = source
     exec(
         compile(source, f"<merged loader {relation}>", "exec"),
@@ -972,12 +991,9 @@ def compile_relation_loader(plans: Sequence[AtomPlan]) -> "object":
 
 
 def compile_finalizer(
-    node: str,
-    rep_indices: List[int],
-    children: List[str],
-    free_children: List[str],
+    cls: Type[Item],
+    parent_cls: Optional[Type[Item]],
     node_free: bool,
-    is_root: bool,
     start,
 ) -> "object":
     """Generate the phase-2 finalizer for one q-tree node.
@@ -986,14 +1002,16 @@ def compile_finalizer(
     order, the finalizer sweeps a node's item store once and computes
     everything the loaders deferred: the zero-aware decomposition, the
     weights, fit-list membership (appends inlined — every item is new
-    and goes to its list's tail) and the parent child-sums.  The
-    represented-atom guards and per-child factor reads are unrolled
-    with the atom indices and child names baked in; a single-rep leaf
-    collapses to the constant case ``C^i = 1``.  Root finalizers
-    return the ``(C_start, C̃_start)`` totals.
+    and goes to its list's tail) and the parent child-sums.  ``cls`` is
+    the node's item class and ``parent_cls`` its parent's (``None`` at
+    the root); the represented-atom guards and per-child factor reads
+    are unrolled over their slots; a single-rep leaf collapses to the
+    constant case ``C^i = 1``.  Root finalizers return the
+    ``(C_start, C̃_start)`` totals.
     """
-    leaf = not children
-    single_rep_leaf = leaf and len(rep_indices) == 1
+    node = cls.node
+    children = list(cls.child_slot.values())
+    single_rep_leaf = not children and len(cls.rep_slots) == 1
     lines: List[str] = ["def _finalize(items):"]
     emit = lines.append
     emit("    c_total = 0")
@@ -1007,20 +1025,15 @@ def compile_finalizer(
         weight = "1"
     else:
         emit("        zf = 0")
-        if rep_indices:
-            emit("        c_atom = item.c_atom")
-            for atom_index in rep_indices:
-                emit(f"        if c_atom.get({atom_index}, 0) <= 0: zf += 1")
+        for name in cls.rep_slots:
+            emit(f"        if item.{name} <= 0: zf += 1")
+        emit("        nzp = 1")
         if children:
-            emit("        nzp = 1")
-            emit("        cs = item.child_sum")
-            for index in range(len(children)):
-                emit(f"        s = cs.get(_C{index}, 0)")
+            for name in children:
+                emit(f"        s = item.{name}")
                 emit("        if s == 0: zf += 1")
                 emit("        else: nzp *= s")
             emit("        item.nzp = nzp")
-        else:
-            emit("        nzp = 1")
         emit("        item.zf = zf")
         emit("        w = nzp if zf == 0 else 0")
         emit("        item.weight = w")
@@ -1028,12 +1041,11 @@ def compile_finalizer(
 
     # Free side: C̃^i (every free item needs tzf/tnzp for later updates).
     if node_free:
-        if free_children:
+        if cls.tchild_slot:
             emit("        tzf = 0")
             emit("        tnzp = 1")
-            emit("        ts = item.tchild_sum")
-            for index in range(len(free_children)):
-                emit(f"        s = ts.get(_F{index}, 0)")
+            for name in cls.tchild_slot.values():
+                emit(f"        s = item.{name}")
                 emit("        if s == 0: tzf += 1")
                 emit("        else: tnzp *= s")
             emit("        item.tzf = tzf")
@@ -1048,7 +1060,7 @@ def compile_finalizer(
     # Fit-list membership and upward propagation (fit items only).
     body: List[str] = []
     push = body.append
-    if is_root:
+    if parent_cls is None:
         push("tail = _start.tail")
         push("item.prev = tail")
         push("item.in_list = True")
@@ -1061,11 +1073,7 @@ def compile_finalizer(
             push("t_total += tw")
     else:
         push("up = item.parent_item")
-        push("lists = up.lists")
-        push("fl = lists.get(_N)")
-        push("if fl is None:")
-        push("    fl = _FitList()")
-        push("    lists[_N] = fl")
+        _emit_list_for(push, "", "fl", "up", parent_cls.list_slot[node])
         push("tail = fl.tail")
         push("item.prev = tail")
         push("item.in_list = True")
@@ -1073,11 +1081,9 @@ def compile_finalizer(
         push("else: tail.next = item")
         push("fl.tail = item")
         push("fl.length += 1")
-        push("cs2 = up.child_sum")
-        push(f"cs2[_N] = cs2.get(_N, 0) + {weight}")
+        push(f"up.{parent_cls.child_slot[node]} += {weight}")
         if node_free:
-            push("ts2 = up.tchild_sum")
-            push("ts2[_N] = ts2.get(_N, 0) + tw")
+            push(f"up.{parent_cls.tchild_slot[node]} += tw")
     if single_rep_leaf:
         for line in body:
             emit("        " + line)
@@ -1088,15 +1094,7 @@ def compile_finalizer(
     emit("    return c_total, t_total")
 
     source = "\n".join(lines)
-    namespace: Dict[str, object] = {
-        "_start": start,
-        "_FitList": FitList,
-        "_N": node,
-    }
-    for index, child in enumerate(children):
-        namespace[f"_C{index}"] = child
-    for index, child in enumerate(free_children):
-        namespace[f"_F{index}"] = child
+    namespace: Dict[str, object] = {"_start": start, "_FitList": FitList}
     exec(compile(source, f"<finalizer {node}>", "exec"), namespace)
     return namespace["_finalize"]
 

@@ -6,7 +6,9 @@ component under single-tuple updates with O(poly(ϕ)) work per update:
 * the items ``[v, α, a]`` reachable from the current database, stored
   per q-tree node in a hash map keyed by the constants along the node's
   root path (the paper's arrays ``Av``, realised as dicts per its own
-  footnote 2);
+  footnote 2), each an instance of the node's own item class whose
+  slots are exactly the node's counters (``item_classes``, see
+  :func:`~repro.core.items.node_classes`);
 * per-item counters ``C^i_ψ``, weights ``C^i`` (Lemma 6.3) and, when
   the component has free variables, ``C̃^i`` (Lemma 6.4), with cached
   per-child-list sums ``C^i_u`` / ``C̃^i_u``;
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.items import FitList, Item
+from repro.core.items import FitList, Item, node_classes
 from repro.core.plans import (
     AtomPlan,
     bound_walk,
@@ -95,13 +97,9 @@ class ComponentStructure:
         self._has_free = bool(component.free)
 
         tree = self.qtree
-        self._children: Dict[str, List[str]] = tree.children
-        self._free_children: Dict[str, List[str]] = {
-            v: [u for u in tree.children.get(v, ()) if u in self.free]
-            for v in tree.parent
-        }
-        self._rep: Dict[str, List[int]] = tree.rep
         self._items: Dict[str, Dict[Row, Item]] = {v: {} for v in tree.parent}
+        #: q-tree node → its item class, generated once like the runners.
+        self.item_classes = node_classes(tree, self.free)
 
         # Orders and probe layouts that every contains()/enumerate()
         # call used to recompute from the q-tree, cached once.
@@ -120,7 +118,9 @@ class ComponentStructure:
             for node in self._free_order
         ]
 
-        self.plans = compile_plans(component, tree, self._items)
+        self.plans = compile_plans(
+            component, tree, self._items, self.item_classes
+        )
 
         self.start = FitList()
         self.c_start = 0
@@ -301,18 +301,16 @@ class ComponentStructure:
             for plan in self.plans
             if loader_fuses_leaf(plan)
         )
-        free = self.free
-        root = self.qtree.root
+        classes = self.item_classes
+        parent = self.qtree.parent
         for node in reversed(self._doc_order):
             if node in fused_nodes or not self._items[node]:
                 continue
+            up = parent[node]
             finalize = compile_finalizer(
-                node,
-                self._rep[node],
-                list(self._children.get(node, ())),
-                self._free_children[node],
-                node in free,
-                node == root,
+                classes[node],
+                classes[up] if up is not None else None,
+                node in self.free,
                 self.start,
             )
             c_delta, t_delta = finalize(self._items[node].values())
@@ -434,7 +432,7 @@ class ComponentStructure:
                     "weight": item.weight,
                     "tweight": item.tweight,
                     "fit": item.in_list,
-                    "c_atom": dict(item.c_atom),
+                    "c_atom": item.atom_counts(),
                 }
         return {
             "c_start": self.c_start,

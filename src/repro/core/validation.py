@@ -97,7 +97,7 @@ def check_structure(
                 expected = _expansion_count(
                     query, database, [atom_index], binding
                 )
-                stored = item.c_atom.get(atom_index, 0)
+                stored = item.atom_count(atom_index)
                 if stored != expected:
                     report.fail(
                         f"{label} C_psi[{query.atoms[atom_index]}] = "
@@ -133,21 +133,21 @@ def check_structure(
 
             # Cached child sums match the fit lists.
             for child in tree.children.get(node, ()):
-                fit_list = item.lists.get(child)
+                fit_list = item.fit_list(child)
                 total = sum(c.weight for c in fit_list) if fit_list else 0
-                if item.child_sum.get(child, 0) != total:
+                if item.child_total(child) != total:
                     report.fail(
                         f"{label} child_sum[{child}] = "
-                        f"{item.child_sum.get(child, 0)}, lists say {total}"
+                        f"{item.child_total(child)}, lists say {total}"
                     )
                 if child in free:
                     t_total = (
                         sum(c.tweight for c in fit_list) if fit_list else 0
                     )
-                    if item.tchild_sum.get(child, 0) != t_total:
+                    if item.tchild_total(child) != t_total:
                         report.fail(
                             f"{label} tchild_sum[{child}] = "
-                            f"{item.tchild_sum.get(child, 0)}, "
+                            f"{item.tchild_total(child)}, "
                             f"lists say {t_total}"
                         )
 

@@ -5,10 +5,14 @@ preprocesses through one generated bulk loader.  This module keeps the
 code they replaced, verbatim: ``_unify`` builds a binding dict per
 tuple, ``_lemma_6_3`` / ``_lemma_6_4`` recompute the counter products
 from scratch, and preprocessing replays the initial database as single
-insertions.  It is slow and obviously the paper, which is what makes it
-the oracle the differential suites (and the vs-seed rows of
-``benchmarks/bench_update_throughput.py``) hold the shipped engine to:
-both must maintain byte-identical ``snapshot()`` state.
+insertions.  Its items are the structure's own node classes, their
+counters read and written through the cold accessors of
+:class:`~repro.core.items.Item` (``atom_count``, ``child_total``, …)
+instead of the generated slot code.  It is slow and obviously the
+paper, which is what makes it the oracle the differential suites (and
+the vs-seed rows of ``benchmarks/bench_update_throughput.py``) hold the
+shipped engine to: both must maintain byte-identical ``snapshot()``
+state.
 
 Test-only by construction: :class:`ReferenceEngine` is not registered,
 and no option, CLI flag or wire field reaches it — it plugs into the
@@ -45,6 +49,10 @@ class ReferenceStructure(ComponentStructure):
             tree.path[tree.rep_node_of(index)]
             for index in range(len(component.atoms))
         ]
+        self._free_children: Dict[str, List[str]] = {
+            v: [u for u in tree.children.get(v, ()) if u in self.free]
+            for v in tree.parent
+        }
 
     def apply(self, is_insert: bool, relation: str, row: Row) -> None:
         self._apply_reference(is_insert, relation, row)
@@ -130,7 +138,7 @@ class ReferenceStructure(ComponentStructure):
                         f"delete touches missing item [{path[j]}, {key!r}]; "
                         "was the command filtered for set semantics?"
                     )
-                item = Item(path[j], key, parent)
+                item = self.item_classes[path[j]](key, parent)
                 store[key] = item
             chain.append(item)
             parent = item
@@ -143,9 +151,7 @@ class ReferenceStructure(ComponentStructure):
             node = path[j]
 
             # Step 1: adjust C^i_ψ for the updated atom.
-            item.c_atom[atom_index] = item.c_atom.get(atom_index, 0) + delta
-            if item.c_atom[atom_index] == 0:
-                del item.c_atom[atom_index]
+            item.add_atom_count(atom_index, delta)
 
             # Step 2: recompute C^i via Lemma 6.3.
             old_weight = item.weight
@@ -180,14 +186,10 @@ class ReferenceStructure(ComponentStructure):
                     self.t_start += new_tweight - old_tweight
             else:
                 parent_item = chain[j - 1]
-                parent_item.child_sum[node] = (
-                    parent_item.child_sum.get(node, 0) + new_weight - old_weight
-                )
+                parent_item.add_child_total(node, new_weight - old_weight)
                 if node_free:
-                    parent_item.tchild_sum[node] = (
-                        parent_item.tchild_sum.get(node, 0)
-                        + new_tweight
-                        - old_tweight
+                    parent_item.add_tchild_total(
+                        node, new_tweight - old_tweight
                     )
 
             # Step 5: drop items that lost their last supporting tuple.
@@ -205,12 +207,12 @@ class ReferenceStructure(ComponentStructure):
         the item's own assignment), so they act as guards.
         """
         node = item.node
-        for atom_index in self._rep[node]:
-            if item.c_atom.get(atom_index, 0) <= 0:
+        for atom_index in self.qtree.rep[node]:
+            if item.atom_count(atom_index) <= 0:
                 return 0
         weight = 1
-        for child in self._children[node]:
-            child_total = item.child_sum.get(child, 0)
+        for child in self.qtree.children.get(node, ()):
+            child_total = item.child_total(child)
             if child_total == 0:
                 return 0
             weight *= child_total
@@ -222,7 +224,7 @@ class ReferenceStructure(ComponentStructure):
             return 0
         tweight = 1
         for child in self._free_children[item.node]:
-            tweight *= item.tchild_sum.get(child, 0)
+            tweight *= item.tchild_total(child)
         return tweight
 
 

@@ -46,10 +46,21 @@ class TestCheckStructure:
         engine = QHierarchicalEngine(zoo.EXAMPLE_6_1, d0)
         structure = engine.structures[0]
         item = structure.item("y", ("a", "e"))
-        key = next(iter(item.c_atom))
-        item.c_atom[key] += 5  # sabotage
+        atom_index = next(iter(item.atom_counts()))
+        slot = type(item).atom_slot[atom_index]  # the node's counter slot
+        setattr(item, slot, getattr(item, slot) + 5)  # sabotage
         report = check_structure(structure, engine.database)
         assert not report.ok
+
+    def test_detects_corrupted_child_sum(self, d0):
+        engine = QHierarchicalEngine(zoo.EXAMPLE_6_1, d0)
+        structure = engine.structures[0]
+        item = structure.item("x", ("a",))
+        slot = type(item).child_slot["y"]
+        setattr(item, slot, getattr(item, slot) + 1)  # sabotage
+        report = check_structure(structure, engine.database)
+        assert not report.ok
+        assert any("child_sum[y]" in error for error in report.errors)
 
     def test_detects_corrupted_start_total(self, d0):
         engine = QHierarchicalEngine(zoo.EXAMPLE_6_1, d0)
