@@ -82,10 +82,7 @@ class QHierarchicalEngine(DynamicEngine):
     structure_class = ComponentStructure
 
     def __init__(
-        self,
-        query: ConjunctiveQuery,
-        database: Optional[Database] = None,
-        prefer: Sequence[str] = (),
+        self, query: ConjunctiveQuery, database: Optional[Database] = None
     ):
         violation = find_violation(query)
         if violation is not None:
@@ -94,14 +91,13 @@ class QHierarchicalEngine(DynamicEngine):
                 f"{violation.describe()}",
                 violation=violation,
             )
-        self._prefer = tuple(prefer)
         super().__init__(query, database)
 
     def _setup(self) -> None:
         components = self._query.connected_components()
         self._structures: List[ComponentStructure] = []
         for component in components:
-            qtree = try_build_q_tree(component, self._prefer)
+            qtree = try_build_q_tree(component)
             if qtree is None:  # unreachable given the Definition 3.1 check
                 raise NotQHierarchicalError(
                     f"no q-tree for component {component.name!r}"
@@ -130,10 +126,8 @@ class QHierarchicalEngine(DynamicEngine):
         # Where each component's free variables land in the output
         # tuple (Boolean ones contribute no positions) — the delta
         # expansion iterates every component.
-        out_position = {v: i for i, v in enumerate(self._query.free)}
         self._struct_positions: List[Tuple[int, ...]] = [
-            tuple(out_position[v] for v in s.query.free)
-            for s in self._structures
+            s.layout.positions_in(self._query.free) for s in self._structures
         ]
 
         # Reads.  A connected query *is* its component (same free

@@ -39,10 +39,11 @@ item carries a dict.  Paper notation → slot names:
 * ``parent_item`` and the intrusive doubly-linked-list pointers
   ``in_list``/``prev``/``next`` of its (unique) fit list.
 
-The generated runners, loaders, finalizers and walkers read and write
-the slots by name; cold readers (``snapshot()``, validation, the
-factorised export) go through the small accessors of :class:`Item`,
-which map atom indices and child names to slots.
+The code generated from a structure's :class:`~repro.core.plans.Layout`
+— runners, result-delta emitters, loaders, finalizers and walkers —
+reads and writes the slots by name; cold readers (``snapshot()``,
+validation, the factorised export) go through the small accessors of
+:class:`Item`, which map atom indices and child names to slots.
 
 An item is **fit** iff ``weight > 0``; the fit lists contain exactly the
 fit items, which is what gives enumeration its constant delay: no dead
@@ -184,8 +185,10 @@ def node_classes(qtree: QTree, free: AbstractSet[str]) -> Dict[str, Type[Item]]:
     ``qtree.atoms_at`` order) and, per child ``u`` (``qtree.children``
     order, index ``k``), a ``C^i_u`` slot ``s{k}``, a ``C̃^i_u`` slot
     ``t{k}`` when ``u`` is free, and a fit-list slot ``l{k}``.  This is
-    the only place the layout is derived: every emitter of
-    :mod:`repro.core.plans` and every accessor reads these maps.
+    the only place the slot layout is derived: a structure's
+    :attr:`Layout.classes <repro.core.plans.Layout.classes>` calls it
+    once, and every emitter of :mod:`repro.core.plans` and every
+    accessor reads these maps.
     """
     classes: Dict[str, Type[Item]] = {}
     for node in qtree.parent:

@@ -58,16 +58,16 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.items import FitList, Item, node_classes
+from repro.core.items import FitList, Item
 from repro.core.plans import (
     AtomPlan,
+    Layout,
+    bind,
     bound_walk,
     compile_finalizer,
-    compile_plans,
     compile_relation_loader,
     compile_runner,
     compile_walker,
-    loader_fuses_leaf,
     plan_summary,
     tuple_getter,
 )
@@ -96,31 +96,16 @@ class ComponentStructure:
         self.free = component.free_set
         self._has_free = bool(component.free)
 
-        tree = self.qtree
-        self._items: Dict[str, Dict[Row, Item]] = {v: {} for v in tree.parent}
+        #: Every table the generated code reads, derived once.
+        self.layout = layout = Layout(component, self.qtree)
+        self._items: Dict[str, Dict[Row, Item]] = {v: {} for v in self.qtree.parent}
         #: q-tree node → its item class, generated once like the runners.
-        self.item_classes = node_classes(tree, self.free)
-
-        # Orders and probe layouts that every contains()/enumerate()
-        # call used to recompute from the q-tree, cached once.
-        self._doc_order: List[str] = tree.document_order()
-        self._free_order: List[str] = tree.free_document_order()
+        self.item_classes = layout.classes
         self._arity = len(component.free)
-        free_position = {v: i for i, v in enumerate(component.free)}
-        # Free nodes only ever have free ancestors (Definition 4.1(2)),
-        # so each root-path key is a projection of the output tuple —
-        # one C-level getter per free node, no binding dict in contains().
         self._contains_probes: List[Tuple[Dict[Row, Item], object]] = [
-            (
-                self._items[node],
-                tuple_getter([free_position[v] for v in tree.path[node]]),
-            )
-            for node in self._free_order
+            (self._items[node], tuple_getter(positions))
+            for node, positions in layout.contains_keys
         ]
-
-        self.plans = compile_plans(
-            component, tree, self._items, self.item_classes
-        )
 
         self.start = FitList()
         self.c_start = 0
@@ -134,11 +119,14 @@ class ComponentStructure:
         # One generated update function per plan, aligned with
         # ``self.plans`` (see compile_runner); the engine's dispatch
         # table calls these directly.
-        self.runners: List[object] = [
-            compile_runner(plan, self) for plan in self.plans
+        self._namespace = bind((self,))
+        self.plans = [
+            AtomPlan(layout, index, self._namespace)
+            for index in range(len(component.atoms))
         ]
+        self.runners: List[object] = [compile_runner(plan) for plan in self.plans]
         #: relation → [(plan, runner)] — the plan carries the delta
-        #: layout apply_with_delta needs next to the runner's report.
+        #: emitter apply_with_delta calls on the runner's report.
         self._dispatch: Dict[str, List[Tuple[AtomPlan, object]]] = {}
         for plan, runner in zip(self.plans, self.runners):
             self._dispatch.setdefault(plan.relation, []).append((plan, runner))
@@ -152,15 +140,15 @@ class ComponentStructure:
         }
 
     @property
-    def free_order(self) -> List[str]:
-        """Cached ``qtree.free_document_order()`` (do not mutate)."""
-        return self._free_order
+    def free_order(self) -> Tuple[str, ...]:
+        """``qtree.free_document_order()``, from the layout."""
+        return self.layout.free_order
 
     def plan_stats(self) -> Dict[str, object]:
         """Compiled-plan statistics for ``explain()`` and benchmarks."""
         stats = plan_summary(self.plans)
         stats["nodes"] = len(self._items)
-        stats["free_depth"] = len(self._free_order)
+        stats["free_depth"] = len(self.layout.free_order)
         return stats
 
     def walker_sources(self) -> Dict[Tuple[str, ...], str]:
@@ -221,8 +209,10 @@ class ComponentStructure:
           inserts and deletes alike — no pre-update state is needed.
 
         The delta is therefore the pinned chain times the product of
-        the off-chain free fit lists (``AtomPlan.delta_slots``), at
-        O(poly(ϕ)) per emitted tuple.  The atoms of a self-join run one
+        the off-chain free fit lists — Algorithm 1's loop nest with the
+        chain pinned, generated with the runner (``AtomPlan.emit_delta``,
+        see :func:`~repro.core.plans.compile_runner`) — at O(poly(ϕ))
+        per emitted tuple.  The atoms of a self-join run one
         after the other and each delta is taken before the next runner
         starts; the state moves monotonically, so the per-runner deltas
         are disjoint and concatenate without a dedupe set.
@@ -296,23 +286,11 @@ class ComponentStructure:
         # unrolled, fit-list appends inlined; see compile_finalizer).
         # Exclusive leaves were already finalised inside their loader
         # (loader_fuses_leaf) and are skipped.
-        fused_nodes = frozenset(
-            plan.levels[-1].node
-            for plan in self.plans
-            if loader_fuses_leaf(plan)
-        )
-        classes = self.item_classes
-        parent = self.qtree.parent
-        for node in reversed(self._doc_order):
-            if node in fused_nodes or not self._items[node]:
+        layout = self.layout
+        for node in reversed(layout.doc_order):
+            if node in layout.fused_nodes or not self._items[node]:
                 continue
-            up = parent[node]
-            finalize = compile_finalizer(
-                classes[node],
-                classes[up] if up is not None else None,
-                node in self.free,
-                self.start,
-            )
+            finalize = compile_finalizer(layout, node, self._namespace)
             c_delta, t_delta = finalize(self._items[node].values())
             self.c_start += c_delta
             self.t_start += t_delta

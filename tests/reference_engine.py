@@ -21,7 +21,7 @@ shipped engine through ``QHierarchicalEngine.structure_class`` alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import QHierarchicalEngine
 from repro.core.items import Item
@@ -30,7 +30,7 @@ from repro.core.structure import ComponentStructure
 from repro.cq.query import ConjunctiveQuery
 from repro.errors import EngineStateError
 from repro.interface import DynamicEngine
-from repro.storage.database import Constant, Database, Row
+from repro.storage.database import Constant, Row
 
 __all__ = ["ReferenceStructure", "ReferenceEngine"]
 
@@ -235,14 +235,6 @@ class ReferenceEngine(QHierarchicalEngine):
     generated runners."""
 
     structure_class = ReferenceStructure
-
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        database: Optional[Database] = None,
-        prefer: Sequence[str] = (),
-    ):
-        super().__init__(query, database, prefer)
 
     apply_all = DynamicEngine.apply_all
     apply_net = DynamicEngine.apply_net
