@@ -91,8 +91,7 @@ def use(query, rows, binding):
     "name,query,rows,binding", SHAPES, ids=[shape[0] for shape in SHAPES]
 )
 def test_a_second_build_compiles_nothing(monkeypatch, name, query, rows, binding):
-    # From an empty cache, so that no eviction lands between the builds.
-    monkeypatch.setattr(plans, "_CODE", {}, raising=False)
+    plans._code.cache_clear()  # so that no eviction lands between the builds
     first, expected = use(query, rows, binding)
     built = []
     assert compile_calls(
@@ -113,7 +112,7 @@ def test_a_second_build_compiles_nothing(monkeypatch, name, query, rows, binding
 def test_a_first_empty_build_compiles_one_source_per_plan_and_the_walker(
     monkeypatch, name, query
 ):
-    monkeypatch.setattr(plans, "_CODE", {}, raising=False)  # a cold cache
+    plans._code.cache_clear()  # a cold cache
     calls = compile_calls(monkeypatch, lambda: QHierarchicalEngine(query))
     assert calls <= FIRST_BUILD[name]
 
